@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Run a recipe: a JSON file bundling one or more CLI invocations.
+"""Run recipes: JSON files each bundling one or more CLI invocations.
 
-Usage: python scripts/run_recipe.py scripts/recipes/<name>.json [--out DIR]
+Usage: python scripts/run_recipe.py scripts/recipes/<name>.json [...] [--out DIR]
 
 Each recipe holds {"description": ..., "runs": [{"name": ..., "argv": [...]}]};
-outputs land in DIR/<recipe>/<run-name>/.
+outputs land in DIR/<recipe>/<run-name>/.  The exit code is the worst exit
+code of any run, so `scripts/recipes/*.json` checks that every recipe finishes.
 """
 
 import argparse
@@ -17,23 +18,23 @@ from fhn.cli import main as fhn_main
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("recipe", type=Path)
+    ap.add_argument("recipes", type=Path, nargs="+")
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
 
-    recipe = json.loads(args.recipe.read_text())
-    print(f"{args.recipe.stem}: {recipe['description']}")
     worst = 0
-    for run in recipe["runs"]:
-        outdir = args.out / args.recipe.stem / run["name"]
-        argv = run["argv"] + ["--out", str(outdir)]
-        print(f"  -> {run['name']}: fhn {' '.join(argv)}")
-        code = fhn_main(argv)
-        if code != 0:
-            print(f"     exited with code {code}", file=sys.stderr)
-            worst = max(worst, code)
+    for path in args.recipes:
+        recipe = json.loads(path.read_text())
+        print(f"{path.stem}: {recipe['description']}")
+        for run in recipe["runs"]:
+            outdir = args.out / path.stem / run["name"]
+            argv = run["argv"] + ["--out", str(outdir)]
+            print(f"  -> {run['name']}: fhn {' '.join(argv)}")
+            code = fhn_main(argv)
+            if code != 0:
+                print(f"     exited with code {code}", file=sys.stderr)
+                worst = max(worst, code)
     return worst
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -15,7 +15,14 @@ from enum import Enum
 import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from .dynamics import LimitCycle, Stability, cycle_length, find_limit_cycle, integrate
+from .dynamics import (
+    LimitCycle,
+    Stability,
+    cycle_length,
+    find_limit_cycle,
+    integrate,
+    integrate_until,
+)
 from .errors import (
     BracketFailureError,
     ConvergedToEquilibriumError,
@@ -216,15 +223,11 @@ def _wu_seed(b: float, eps: float) -> PhasePoint:
 
 def _wu_escapes_outward(b: float, eps: float, tol: float, t_budget: float = 400.0) -> bool:
     """Fate of the unstable manifold of the origin: outward jump vs capture by E+."""
-    from .dynamics import _Stepper
-
-    seed = _wu_seed(b, eps)
-    st = _Stepper(seed.x, seed.y, SystemParams(b, 0.0, eps), TimeScale.SLOW, 1, tol, 1e3)
-    while st.t < t_budget:
-        st.advance(t_cap=t_budget)
-        if st.x < -0.5:
-            return True
-    return False
+    arc = integrate_until(
+        _wu_seed(b, eps), SystemParams(b, 0.0, eps), t_budget, lambda t, x, y: x < -0.5,
+        tol=tol, max_norm=1e3,
+    )
+    return bool(arc.x[-1] < -0.5)
 
 
 def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
@@ -246,21 +249,17 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     disc = math.sqrt(tr * tr - 4.0 * det)
     lam_s = 0.5 * (tr - disc)
 
-    # unstable-manifold arc, forward time, stopped once it ejects leftward
-    from .dynamics import _Stepper
-
+    # unstable-manifold arc, forward time, stopped once it ejects leftward or
+    # at the first node past t = 30 (a budget, so no step is clamped onto it)
     seed_u = _wu_seed(b, eps)
-    st = _Stepper(seed_u.x, seed_u.y, params, TimeScale.SLOW, 1, tol, 1e3)
-    nodes = [(st.t, st.x, st.y, st.dx, st.dy)]
-    while st.t < 30.0 and st.x > -0.5:
-        st.advance()
-        nodes.append((st.t, st.x, st.y, st.dx, st.dy))
-    arr = np.array(nodes)
-    d_u = np.hypot(arr[:, 1], arr[:, 2])
+    arc = integrate_until(
+        seed_u, params, math.inf, lambda t, x, y: t >= 30.0 or x <= -0.5, tol=tol, max_norm=1e3
+    )
+    d_u = np.hypot(arc.x, arc.y)
     ia = int(np.argmax(d_u))
     # first turn-back after the apex bounds the usable part of the descent
-    iend_u = len(arr) - 1
-    for i in range(ia + 1, len(arr) - 1):
+    iend_u = len(arc.t) - 1
+    for i in range(ia + 1, len(arc.t) - 1):
         if d_u[i] < 0.9 * d_u[ia] and d_u[i + 1] > d_u[i]:
             iend_u = i
             break
@@ -283,8 +282,8 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     # stable manifold, the unstable arc from above, the stable arc exactly
     ut = np.arange(ia, iend_u + 1)
     ss = np.arange(0, s_stop)
-    du = arr[ut, 1][:, None] - traj_s.x[ss][None, :]
-    dv = arr[ut, 2][:, None] - traj_s.y[ss][None, :]
+    du = arc.x[ut][:, None] - traj_s.x[ss][None, :]
+    dv = arc.y[ut][:, None] - traj_s.y[ss][None, :]
     gap = np.hypot(du, dv)
     iu_rel, is_rel = np.unravel_index(int(np.argmin(gap)), gap.shape)
     icut_u = int(ut[iu_rel])
@@ -292,11 +291,11 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
 
     # forward-loop orientation: unstable arc first, then the stable descent,
     # at adaptive node resolution (uniform-time sampling starves the jumps)
-    xs = np.concatenate([arr[: icut_u + 1, 1], traj_s.x[icut_s::-1]])
-    ys = np.concatenate([arr[: icut_u + 1, 2], traj_s.y[icut_s::-1]])
-    t_u_end = arr[icut_u, 0]
+    xs = np.concatenate([arc.x[: icut_u + 1], traj_s.x[icut_s::-1]])
+    ys = np.concatenate([arc.y[: icut_u + 1], traj_s.y[icut_s::-1]])
+    t_u_end = arc.t[icut_u]
     t_loop = np.concatenate(
-        [arr[: icut_u + 1, 0], t_u_end + (traj_s.t[icut_s] - traj_s.t[icut_s::-1])]
+        [arc.t[: icut_u + 1], t_u_end + (traj_s.t[icut_s] - traj_s.t[icut_s::-1])]
     )
     return LimitCycle(
         t_loop,
@@ -372,7 +371,7 @@ def sweep_values(
     previous row's cycle when `continuation` is on); an unstable cycle is
     attempted by backward integration seeded near a stable focus/node
     whenever one exists.  Per-row failures are recorded in the row and never
-    abort the sweep.  Chunked callers get fresh seeding per chunk.
+    abort the sweep.
     """
     if param_name not in ("b", "c"):
         raise ValueError("param_name must be 'b' or 'c'")

@@ -11,13 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .core import PhasePoint, SystemParams, TimeScale
@@ -88,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     sp = sub.add_parser("singular", help="compose and classify an eps = 0 orbit")
     sp.add_argument("--b", type=float, required=True)
@@ -239,34 +234,14 @@ def _write_trajectory(outdir: Path, traj, dt: float) -> None:
     _write_csv(outdir / "trajectory.csv", ["time", "x", "y"], list(zip(ts, xs, ys)))
 
 
-def _sweep_chunk(payload):
-    from .bifurcation import sweep_values
-
-    param, values, params0, cycles, tol = payload
-    return sweep_values(param, values, params0, cycles=cycles, tol=tol)
-
-
 def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
-    from .bifurcation import hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep_values
+    from .bifurcation import hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
 
-    if args.steps < 2:
-        raise ValueError("--steps must be >= 2")
     params0 = SystemParams(args.b, args.c, args.eps)
-    a, b = min(args.lo, args.hi), max(args.lo, args.hi)
-    values = [a + (b - a) * k / (args.steps - 1) for k in range(args.steps)]
-    if args.lo > args.hi:
-        values.reverse()
-    cycles = not args.no_cycles
-
-    jobs = max(1, min(args.jobs, args.steps))
     t0 = time.perf_counter()
-    if jobs == 1:
-        rows = sweep_values(args.param, values, params0, cycles=cycles, tol=args.tol)
-    else:
-        chunks = [list(c) for c in np.array_split(values, jobs) if len(c)]
-        payloads = [(args.param, chunk, params0, cycles, args.tol) for chunk in chunks]
-        with Pool(processes=jobs) as pool:
-            rows = [row for part in pool.map(_sweep_chunk, payloads) for row in part]
+    # one sequential sweep: continuation carries each row's cycle into the next
+    rows = sweep(args.param, args.lo, args.hi, args.steps, params0,
+                 cycles=not args.no_cycles, tol=args.tol)
     manifest.timings["sweep_s"] = time.perf_counter() - t0
 
     csv_rows = []

@@ -11,6 +11,7 @@ attracting by integrating backward in time.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,6 +42,21 @@ _C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136, -6.058818238834054),
 )
 _M = (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0, 1.0)
+# the straight-line step in _Stepper.advance reads the tableau from these
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+) = _A
+(
+    (_C21,),
+    (_C31, _C32),
+    (_C41, _C42, _C43),
+    (_C51, _C52, _C53, _C54),
+    (_C61, _C62, _C63, _C64, _C65),
+) = _C
 
 _H_FLOOR = 1e-14
 _MAX_REJECTS = 200
@@ -130,23 +146,30 @@ class _Stepper:
         )
 
     def advance(self, t_cap: float | None = None) -> None:
-        """Take one accepted step (clamped to t_cap when given)."""
-        b = self.b
+        """Take one accepted step (clamped to t_cap when given).
+
+        One straight-line RODAS step: the stages are scalar locals, the field
+        is `_field` inlined with its operation order, and every sum runs in
+        tableau order, so the arithmetic is that of the loop over `_A`, `_C`
+        and `_M`.
+        """
+        sx, sy, b, c = self.sx, self.sy, self.b, self.c
+        t = self.t
         h = self.h
         x0, y0 = self.x, self.y
         f0x, f0y = self.dx, self.dy
         # exact Jacobian of the scaled field
-        j11 = self.sx * (4.0 - 3.0 * x0 * x0)
-        j12 = -self.sx
-        j21 = self.sy
-        j22 = -self.sy * b
+        j11 = sx * (4.0 - 3.0 * x0 * x0)
+        j12 = -sx
+        j21 = sy
+        j22 = -sy * b
         tol = self.tol
 
         for _ in range(_MAX_REJECTS):
-            if t_cap is not None and self.t + h > t_cap:
-                h = t_cap - self.t
+            if t_cap is not None and t + h > t_cap:
+                h = t_cap - t
             if h < _H_FLOOR:
-                raise StepSizeCollapseError(f"step {h:.3e} below floor at t={self.t!r}")
+                raise StepSizeCollapseError(f"step {h:.3e} below floor at t={t!r}")
             ghinv = 1.0 / (h * _GAMMA)
             w11 = ghinv - j11
             w22 = ghinv - j22
@@ -155,32 +178,58 @@ class _Stepper:
                 h *= 0.5
                 continue
             inv = 1.0 / det
+            hinv = 1.0 / h
 
-            k = []
-            fx_i, fy_i = f0x, f0y
-            for i in range(6):
-                if i > 0:
-                    ax = x0
-                    ay = y0
-                    for a, (k1, k2) in zip(_A[i - 1], k):
-                        ax += a * k1
-                        ay += a * k2
-                    fx_i, fy_i = self._field(ax, ay)
-                r1, r2 = fx_i, fy_i
-                if i > 0:
-                    hinv = 1.0 / h
-                    for cc, (k1, k2) in zip(_C[i - 1], k):
-                        r1 += cc * hinv * k1
-                        r2 += cc * hinv * k2
-                # solve (I/(h*gamma) - J) k = r, closed form 2x2
-                k.append(((r1 * w22 + r2 * j12) * inv, (w11 * r2 + j21 * r1) * inv))
+            # each stage solves (I/(h*gamma) - J) k = r in closed form
+            k1x = (f0x * w22 + f0y * j12) * inv
+            k1y = (w11 * f0y + j21 * f0x) * inv
 
-            xn = x0
-            yn = y0
-            for m, (k1, k2) in zip(_M, k):
-                xn += m * k1
-                yn += m * k2
-            e1, e2 = k[5]
+            ax = x0 + _A21 * k1x
+            ay = y0 + _A21 * k1y
+            c1 = _C21 * hinv
+            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x
+            ry = sy * (ax - b * ay - c) + c1 * k1y
+            k2x = (rx * w22 + ry * j12) * inv
+            k2y = (w11 * ry + j21 * rx) * inv
+
+            ax = x0 + _A31 * k1x + _A32 * k2x
+            ay = y0 + _A31 * k1y + _A32 * k2y
+            c1, c2 = _C31 * hinv, _C32 * hinv
+            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x
+            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y
+            k3x = (rx * w22 + ry * j12) * inv
+            k3y = (w11 * ry + j21 * rx) * inv
+
+            ax = x0 + _A41 * k1x + _A42 * k2x + _A43 * k3x
+            ay = y0 + _A41 * k1y + _A42 * k2y + _A43 * k3y
+            c1, c2, c3 = _C41 * hinv, _C42 * hinv, _C43 * hinv
+            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x
+            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y
+            k4x = (rx * w22 + ry * j12) * inv
+            k4y = (w11 * ry + j21 * rx) * inv
+
+            ax = x0 + _A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x
+            ay = y0 + _A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y
+            c1, c2, c3, c4 = _C51 * hinv, _C52 * hinv, _C53 * hinv, _C54 * hinv
+            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x
+            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y
+            k5x = (rx * w22 + ry * j12) * inv
+            k5y = (w11 * ry + j21 * rx) * inv
+
+            ax = x0 + _A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x
+            ay = y0 + _A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y
+            c1, c2, c3, c4, c5 = _C61 * hinv, _C62 * hinv, _C63 * hinv, _C64 * hinv, _C65 * hinv
+            rx = (sx * (-ay + 4.0 * ax - ax * ax * ax)
+                  + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x)
+            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y + c5 * k5y
+            k6x = (rx * w22 + ry * j12) * inv
+            k6y = (w11 * ry + j21 * rx) * inv
+
+            # RODAS is stiffly accurate (_M is the last row of _A, then 1), so
+            # the _M-weighted sum is the last stage's argument plus k6; k6 is
+            # also the embedded error estimate
+            xn = ax + k6x
+            yn = ay + k6y
 
             if not (math.isfinite(xn) and math.isfinite(yn)):
                 h *= 0.5
@@ -188,11 +237,12 @@ class _Stepper:
                 continue
             sc1 = tol + tol * max(abs(x0), abs(xn))
             sc2 = tol + tol * max(abs(y0), abs(yn))
-            err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+            err = math.sqrt(0.5 * ((k6x / sc1) ** 2 + (k6y / sc2) ** 2))
             if err <= 1.0:
-                self.t += h
+                self.t = t + h
                 self.x, self.y = xn, yn
-                self.dx, self.dy = self._field(xn, yn)
+                self.dx = sx * (-yn + 4.0 * xn - xn * xn * xn)
+                self.dy = sy * (xn - b * yn - c)
                 self.naccept += 1
                 fac = min(6.0, max(0.2, 0.9 * err ** -0.25)) if err > 0.0 else 6.0
                 self.h = h * fac
@@ -200,6 +250,13 @@ class _Stepper:
                     raise NonFiniteError(
                         f"state left |u| <= {self.max_norm} at t={self.t!r}",
                         last_state=PhasePoint(xn, yn) if math.isfinite(xn + yn) else None,
+                    )
+                # parked on an equilibrium, err == 0 lets the step grow x6 per
+                # step without bound until t overflows
+                if not math.isfinite(self.t):
+                    raise NonFiniteError(
+                        f"time left the finite range after t={t!r}",
+                        last_state=PhasePoint(xn, yn),
                     )
                 return
             self.nreject += 1
@@ -227,6 +284,25 @@ def integrate(
     NonFiniteError (carrying the partial trajectory) if the state blows up,
     which is the legitimate outcome for divergent parameter regimes.
     """
+    return integrate_until(start, params, t_end, None, scale, tol, direction, max_norm)
+
+
+def integrate_until(
+    start: PhasePoint,
+    params: SystemParams,
+    t_end: float,
+    stop: Callable[[float, float, float], bool] | None,
+    scale: TimeScale = TimeScale.SLOW,
+    tol: float = 1e-8,
+    direction: int = 1,
+    max_norm: float = 1e8,
+) -> Trajectory:
+    """`integrate`, ended early at the first accepted node where `stop(t, x, y)` holds.
+
+    This is the one loop that drives the stepper for a trajectory; `stop`
+    may be None.  With `t_end = inf` no step is clamped and `stop` alone
+    ends the run.
+    """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
     if t_end <= 0.0:
@@ -239,13 +315,22 @@ def integrate(
     st = _Stepper(start.x, start.y, params, scale, direction, tol, max_norm)
     ts, xs, ys, dxs, dys = [st.t], [st.x], [st.y], [st.dx], [st.dy]
     try:
-        while st.t < t_end:
+        while True:
             st.advance(t_cap=t_end)
             ts.append(st.t)
             xs.append(st.x)
             ys.append(st.y)
             dxs.append(st.dx)
             dys.append(st.dy)
+            remainder = t_end - st.t
+            if remainder < _H_FLOOR:
+                if remainder > 0.0:
+                    # t + (t_end - t) rounded short of t_end by less than
+                    # the step floor: that is arrival, not a step to take
+                    ts[-1] = t_end
+                break
+            if stop is not None and stop(st.t, st.x, st.y):
+                break
     except NonFiniteError as exc:
         exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
         raise

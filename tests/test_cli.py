@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from fhn.bifurcation import sweep_values
 from fhn.cli import main
+from fhn.core import SystemParams
+from fhn.dynamics import Stability
 
 
 def read_csv(path):
@@ -115,15 +118,29 @@ class TestBifurcateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "bifurcation.csv").read_bytes() == (b / "bifurcation.csv").read_bytes()
 
-    def test_jobs_partitioning_deterministic(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["bifurcate", "--param", "b", "--from", "0.26", "--to", "0.34", "--steps", "6",
-                "--eps", "0.5", "--no-cycles", "--jobs", "2"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert (a / "bifurcation.csv").read_bytes() == (b / "bifurcation.csv").read_bytes()
-        _, rows = read_csv(a / "bifurcation.csv")
-        assert len(rows) == 6
+    def test_rows_match_library_sweep(self, tmp_path):
+        # one sequential sweep: continuation seeds every row from the one before
+        args = ["bifurcate", "--param", "c", "--from", "1.10", "--to", "1.17", "--steps", "6",
+                "--eps", "0.5", "--tol", "1e-8", "--out", str(tmp_path)]
+        assert main(args) == 0
+        header, lines = read_csv(tmp_path / "bifurcation.csv")
+        values = [1.10 + (1.17 - 1.10) * k / 5 for k in range(6)]
+        rows = sweep_values("c", values, SystemParams(0.0, 0.0, 0.5), tol=1e-8)
+        assert len(lines) == len(rows)
+        n_cycles = 0
+        for line, row in zip(lines, rows):
+            rec = dict(zip(header, line))
+            assert float(rec["param"]) == row.param_value
+            assert rec["error"] == (row.error or "")
+            for prefix, stability in (("cycle", Stability.STABLE), ("cycle2", Stability.UNSTABLE)):
+                cyc = next((c for c in row.cycles if c.stability is stability), None)
+                if cyc is None:
+                    assert rec[f"{prefix}_T"] == ""
+                    continue
+                n_cycles += 1
+                assert float(rec[f"{prefix}_T"]) == cyc.period
+                assert float(rec[f"{prefix}_A"]) == cyc.length
+        assert n_cycles >= 4
 
 
 class TestCanardCommand:

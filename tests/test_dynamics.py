@@ -1,15 +1,23 @@
+import hashlib
 import math
+import random
+import signal
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fhn import dynamics
+from fhn.bifurcation import homoclinic_in_b
 from fhn.core import PhasePoint, SystemParams, TimeScale
 from fhn.dynamics import Stability, cycle_length, find_limit_cycle, integrate
 from fhn.errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
+    FHNError,
     NonFiniteError,
+    StepSizeCollapseError,
 )
 from fhn.singular import FOLD_X, relaxation_period
 
@@ -78,6 +86,18 @@ class TestIntegrate:
         assert info.value.last_state is not None
         assert info.value.trajectory is not None
 
+    def test_remainder_below_step_floor_is_arrival(self):
+        # the step clamped to t_end starts before t_end/2, so t + (t_end - t)
+        # rounds one ulp short of t_end and leaves a 1.8e-15 remainder
+        eps = 0.06259109776238546
+        t_end = 1.0 / eps
+        tr = integrate(PhasePoint(2.18926814628873, 1.9440297015291357),
+                       SystemParams(0.2269600165782012, 1.278973788889993, eps),
+                       t_end, TimeScale.FAST, tol=1e-6)
+        assert tr.t[-1] == t_end
+        assert np.all(np.diff(tr.t) > 0)
+        assert tr.stats["steps"] == len(tr.t) - 1
+
     def test_tol_bounds_enforced(self):
         with pytest.raises(ValueError):
             integrate(A_START, SystemParams(0.0, 0.0, 0.5), 1.0, tol=1e-13)
@@ -130,6 +150,189 @@ class TestFindLimitCycle:
     def test_rejects_singular_params(self):
         with pytest.raises(ValueError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.0), A_START)
+
+    def test_search_parked_on_focus_raises_instead_of_spinning(self):
+        # returns converge onto the stable focus, then err == 0 lets the step
+        # grow until t overflows; without a guard the search never returns
+        def timeout(_signum, _frame):
+            raise TimeoutError("cycle search did not return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(NonFiniteError):
+                find_limit_cycle(SystemParams(0.0, 1.159871739811375, 0.5),
+                                 PhasePoint(1.0120767205491101, 3.11494624131724),
+                                 tol=1e-9, max_periods=30)
+            assert time.perf_counter() - t0 < 10.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+class _LoopStepper(dynamics._Stepper):
+    """The tableau-driven loop form of the RODAS step: the reference kernel."""
+
+    def _ref_field(self, x, y):
+        return (
+            self.sx * (-y + 4.0 * x - x * x * x),
+            self.sy * (x - self.b * y - self.c),
+        )
+
+    def advance(self, t_cap=None):
+        b = self.b
+        h = self.h
+        x0, y0 = self.x, self.y
+        f0x, f0y = self.dx, self.dy
+        j11 = self.sx * (4.0 - 3.0 * x0 * x0)
+        j12 = -self.sx
+        j21 = self.sy
+        j22 = -self.sy * b
+        tol = self.tol
+
+        for _ in range(dynamics._MAX_REJECTS):
+            if t_cap is not None and self.t + h > t_cap:
+                h = t_cap - self.t
+            if h < dynamics._H_FLOOR:
+                raise StepSizeCollapseError(f"step {h:.3e} below floor at t={self.t!r}")
+            ghinv = 1.0 / (h * dynamics._GAMMA)
+            w11 = ghinv - j11
+            w22 = ghinv - j22
+            det = w11 * w22 - j12 * j21
+            if det == 0.0 or not math.isfinite(det):
+                h *= 0.5
+                continue
+            inv = 1.0 / det
+
+            k = []
+            fx_i, fy_i = f0x, f0y
+            for i in range(6):
+                if i > 0:
+                    ax = x0
+                    ay = y0
+                    for a, (k1, k2) in zip(dynamics._A[i - 1], k):
+                        ax += a * k1
+                        ay += a * k2
+                    fx_i, fy_i = self._ref_field(ax, ay)
+                r1, r2 = fx_i, fy_i
+                if i > 0:
+                    hinv = 1.0 / h
+                    for cc, (k1, k2) in zip(dynamics._C[i - 1], k):
+                        r1 += cc * hinv * k1
+                        r2 += cc * hinv * k2
+                k.append(((r1 * w22 + r2 * j12) * inv, (w11 * r2 + j21 * r1) * inv))
+
+            xn = x0
+            yn = y0
+            for m, (k1, k2) in zip(dynamics._M, k):
+                xn += m * k1
+                yn += m * k2
+            e1, e2 = k[5]
+
+            if not (math.isfinite(xn) and math.isfinite(yn)):
+                h *= 0.5
+                self.nreject += 1
+                continue
+            sc1 = tol + tol * max(abs(x0), abs(xn))
+            sc2 = tol + tol * max(abs(y0), abs(yn))
+            err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+            if err <= 1.0:
+                self.t += h
+                self.x, self.y = xn, yn
+                self.dx, self.dy = self._ref_field(xn, yn)
+                self.naccept += 1
+                fac = min(6.0, max(0.2, 0.9 * err ** -0.25)) if err > 0.0 else 6.0
+                self.h = h * fac
+                if max(abs(xn), abs(yn)) > self.max_norm:
+                    raise NonFiniteError(
+                        f"state left |u| <= {self.max_norm} at t={self.t!r}",
+                        last_state=PhasePoint(xn, yn) if math.isfinite(xn + yn) else None,
+                    )
+                return
+            self.nreject += 1
+            h *= max(0.1, 0.9 * err ** -0.25)
+        raise StepSizeCollapseError("step repeatedly rejected")
+
+
+def _outcome(fn):
+    """Everything a run exposes: nodes, derivatives and stats, or the exception."""
+    try:
+        tr = fn()
+        exc = None
+    except FHNError as e:
+        exc = e
+        tr = getattr(e, "trajectory", None)
+    out = {}
+    if exc is not None:
+        ls = getattr(exc, "last_state", None)
+        out["exc"] = (type(exc), str(exc), None if ls is None else (ls.x, ls.y))
+    if tr is not None:
+        out["nodes"] = [tr.t.tolist(), tr.x.tolist(), tr.y.tolist(), tr.dx.tolist(), tr.dy.tolist()]
+        out["stats"] = dict(tr.stats)
+    return out
+
+
+def _equivalence_cases():
+    rng = random.Random(20240817)
+    cases = []
+    for scale in (TimeScale.SLOW, TimeScale.FAST):
+        for direction in (1, -1):
+            for tol in (1e-6, 1e-8, 1e-10):
+                for _ in range(3):
+                    eps = 10.0 ** rng.uniform(-2.0, 0.0)
+                    params = SystemParams(rng.uniform(0.0, 0.4), rng.uniform(-1.5, 1.5), eps)
+                    if direction == 1:
+                        start = PhasePoint(rng.uniform(-2.5, 2.5), rng.uniform(-4.0, 4.0))
+                        t_end = 1.0
+                    else:
+                        x = rng.uniform(-0.8, 0.8)
+                        start = PhasePoint(x, 4.0 * x - x**3 + rng.uniform(-0.3, 0.3))
+                        t_end = 0.15
+                    if scale is TimeScale.FAST:
+                        t_end /= eps
+                    cases.append((start, params, t_end, scale, tol, direction, 1e8))
+    # backward from beyond the right branch: blows up, a partial trajectory
+    cases.append((PhasePoint(3.0, 0.0), SystemParams(0.0, 0.0, 0.5), 50.0, TimeScale.SLOW,
+                  1e-8, -1, 1e4))
+    return cases
+
+
+class TestKernelEquivalence:
+    """The straight-line step reproduces the loop form bit for bit."""
+
+    def test_integrate_matches_loop_form(self, monkeypatch):
+        cases = _equivalence_cases()
+        new = [_outcome(lambda c=c: integrate(*c)) for c in cases]
+        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
+        ref = [_outcome(lambda c=c: integrate(*c)) for c in cases]
+        for case, got, want in zip(cases, new, ref):
+            assert got == want, case
+        assert sum(o["stats"]["rejected"] > 0 for o in ref) >= 5
+        assert sum(o["stats"]["steps"] for o in ref) > 3000
+        assert ref[-1]["exc"][0] is NonFiniteError and len(ref[-1]["nodes"][0]) > 10
+
+    def test_cycle_search_matches_loop_form(self, monkeypatch):
+        def search():
+            lc = find_limit_cycle(SystemParams(0.0, 1.152, 0.5), A_START, tol=1e-10)
+            return [lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.period, lc.length,
+                    lc.section_x, lc.return_gap, lc.converged]
+
+        got = search()
+        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
+        assert got == search()
+
+    def test_homoclinic_in_b_pinned(self):
+        # recorded from the hand-stepped manifold shooting this driver replaced
+        hom = homoclinic_in_b(0.5)
+        orbit = hom.orbit
+        assert hom.param_value.hex() == "0x1.7a2e340fe31a6p-2"
+        assert len(orbit.t) == 3232
+        assert orbit.period.hex() == "0x1.3999750a14b3ap+7"
+        assert orbit.length.hex() == "0x1.f5bbc61bf0064p+3"
+        assert orbit.return_gap.hex() == "0x1.0c6f7a0b5ed8ep-20"
+        digest = hashlib.sha256(np.concatenate([orbit.t, orbit.x, orbit.y]).tobytes()).hexdigest()
+        assert digest == "d4b54c83745482ed6d542066bdf0efedfaae0bf4ec5f5c6bb2583be74d831bf0"
 
 
 class TestCycleLength:
