@@ -2,8 +2,8 @@
 
 Analytic loci are returned in closed form (Hopf in c at +-2/sqrt(3), the
 pitchfork at b = 1/4, Hopf in b at (-4 + sqrt(16 + 3 eps))/eps); the
-homoclinic locus is found by bisection on a capture discriminant of the
-backward-time periodic orbit around E+.
+homoclinic locus is found by bisection on the fate of the saddle's unstable
+manifold W^u, which escapes outward below it and is captured by E+ above it.
 """
 
 from __future__ import annotations
@@ -130,73 +130,40 @@ def hopf_in_b(eps: float) -> BifurcationPoint:
     return BifurcationPoint(BifKind.HOPF_SUPER, "b", b_h, eps, eq_plus)
 
 
-_CAPTURE_DISTANCE = 1e-2
+# the search interval above the Hopf value and the tolerance of every shot
+_HOMOCLINIC_BRACKET = 0.02
+_HOMOCLINIC_TOL = 1e-10
 
 
-def homoclinic_in_b(
-    eps: float,
-    bracket_width: float = 0.02,
-    b_tol: float = 1e-6,
-    tol: float = 1e-10,
-    capture_distance: float = _CAPTURE_DISTANCE,
-) -> BifurcationPoint:
-    """Homoclinic locus of the c = 0 family by bisection above the Hopf in b.
+def homoclinic_in_b(eps: float) -> BifurcationPoint:
+    """Homoclinic locus of the c = 0 family by shooting along the saddle's W^u.
 
-    For each trial b the unstable periodic orbit around E+ is located by
-    backward-time integration from a seed near E+.  The discriminant is
-    capture: either the located orbit passes within `capture_distance` of
-    the saddle at the origin, or it no longer exists (the backward search
-    dies once the cycle has been destroyed, which is the side that fires in
-    practice: the saddle index here is so small that the cycle-to-saddle
-    distance stays O(1) until machine-level parameter distances).  The
-    returned point carries a shadow of the homoclinic loop obtained by
-    shooting along the saddle's unstable manifold at the converged b.
+    Above the Hopf value b_h the unstable manifold of the saddle at the
+    origin, after its excursion around E+, escapes outward to the left
+    branch; above the homoclinic value it is captured by E+.  The locus is
+    found by bisection on that fate over [b_h + 1e-3, b_h + 0.02] down to an
+    interval of 1e-12; the lower end drops to b_h itself when W^u is already
+    captured at b_h + 1e-3 (small eps, where the loop is born close to the
+    Hopf value).  The returned point carries a shadow of the homoclinic loop
+    traced from both invariant manifolds of the saddle.
+
+    Raises BracketFailureError when the fate does not change over the bracket.
     """
     if eps <= 0.0:
         raise ValueError("homoclinic_in_b requires eps > 0")
+    tol = _HOMOCLINIC_TOL
     b_h = hopf_in_b(eps).param_value
-    hi = b_h + bracket_width
-
-    def captured(b: float) -> bool:
-        params = SystemParams(b, 0.0, eps)
-        x_plus = math.sqrt(4.0 - 1.0 / b)
-        seed = PhasePoint(x_plus + 1e-3, phi(x_plus))
-        try:
-            lc = find_limit_cycle(params, seed, direction="backward", tol=tol, max_periods=80.0)
-        except (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError):
-            return True
-        return lc.min_distance_to(0.0, 0.0) < capture_distance
-
-    # the just-born Hopf cycle converges slowly; start a little above the Hopf
-    lo = None
-    for offset in (1e-3, 2e-3, 4e-3):
-        if not captured(b_h + offset):
-            lo = b_h + offset
-            break
-    if lo is None or not captured(hi):
-        raise BracketFailureError(
-            f"capture discriminant does not change over ({b_h}, {hi}) at eps={eps}"
-        )
-    while hi - lo > b_tol:
-        mid = 0.5 * (lo + hi)
-        if captured(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    # refine by shooting: the return of the saddle's unstable manifold flips
-    # from escaping outward to being captured by E+ exactly at the homoclinic;
-    # the backward-search discriminant above dies slightly early (the cycle's
-    # neighborhood becomes ill-conditioned near the saddle), so widen upward
-    # until the capture side is seen, then bisect the manifold fate
+    lo, hi = b_h + 1e-3, b_h + _HOMOCLINIC_BRACKET
     if not _wu_escapes_outward(lo, eps, tol):
-        raise BracketFailureError("unstable manifold already captured at the lower bracket")
-    step = max(2.0 * (hi - lo), 2e-5)
-    while _wu_escapes_outward(hi, eps, tol):
-        hi += step
-        step *= 2.0
-        if hi > b_h + bracket_width:
-            raise BracketFailureError("no manifold-capture side found above the bracket")
+        lo = b_h
+        if not _wu_escapes_outward(lo, eps, tol):
+            raise BracketFailureError(
+                f"unstable manifold already captured at the Hopf value b={b_h} at eps={eps}"
+            )
+    if _wu_escapes_outward(hi, eps, tol):
+        raise BracketFailureError(
+            f"unstable manifold still escapes at the upper bracket end b={hi} at eps={eps}"
+        )
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _wu_escapes_outward(mid, eps, tol):
@@ -396,14 +363,7 @@ def sweep_values(
 
 
 def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol, max_periods):
-    try:
-        lc = find_limit_cycle(params, seed_stable, "forward", tol=tol, max_periods=max_periods)
-        row.cycles.append(
-            CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
-                        PhasePoint(float(lc.x[0]), float(lc.y[0])))
-        )
-    except (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError) as exc:
-        row.error = f"stable: {type(exc).__name__}"
+    attempts = [("stable", "forward", seed_stable)]
     stable_eq = [
         e
         for e in row.equilibria
@@ -412,12 +372,15 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
     ]
     if stable_eq:
         seed = PhasePoint(stable_eq[0].point.x + 1e-3, stable_eq[0].point.y)
+        attempts.append(("unstable", "backward", seed))
+    for label, direction, seed in attempts:
         try:
-            lc = find_limit_cycle(params, seed, "backward", tol=tol, max_periods=max_periods)
-            row.cycles.append(
-                CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
-                            PhasePoint(float(lc.x[0]), float(lc.y[0])))
-            )
+            lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=max_periods)
         except (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError) as exc:
-            msg = f"unstable: {type(exc).__name__}"
+            msg = f"{label}: {type(exc).__name__}"
             row.error = f"{row.error}; {msg}" if row.error else msg
+            continue
+        row.cycles.append(
+            CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
+                        PhasePoint(float(lc.x[0]), float(lc.y[0])))
+        )

@@ -441,48 +441,3 @@ def _thin_preserving_classes(records: list[CanardRecord], n_points: int) -> list
         out.pop(members[len(members) // 2])
     return out
 
-
-def locate_canard_explosion_in_b(
-    eps: float,
-    bracket: tuple[float, float] | None = None,
-    length_threshold: float = 3.0,
-    b_tol: float = 1e-7,
-    tol: float = 1e-10,
-) -> float:
-    """Steep-growth locus of the unstable-cycle family of the c = 0 system.
-
-    Backward-time cycles around E+ grow steeply in length just below the
-    homoclinic value; this reports where the length crosses the threshold.
-    No published reference value exists for it, so output is flagged as
-    unvalidated by the CLI.
-    """
-    from .bifurcation import hopf_in_b
-
-    if eps <= 0.0:
-        raise ValueError("requires eps > 0")
-    b_h = hopf_in_b(eps).param_value
-    lo, hi = bracket if bracket is not None else (b_h + 1e-4, b_h + 0.02)
-
-    def length_or_none(b: float):
-        from .errors import ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError
-
-        x_plus = math.sqrt(4.0 - 1.0 / b)
-        seed = PhasePoint(x_plus + 1e-3, phi(x_plus))
-        try:
-            return find_limit_cycle(
-                SystemParams(b, 0.0, eps), seed, direction="backward", tol=tol, max_periods=80.0
-            ).length
-        except (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError):
-            return None
-
-    a_lo = length_or_none(lo)
-    if a_lo is None or a_lo >= length_threshold:
-        raise BracketFailureError("lower bracket end is not on the small-cycle side")
-    while hi - lo > b_tol:
-        mid = 0.5 * (lo + hi)
-        a = length_or_none(mid)
-        if a is not None and a < length_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

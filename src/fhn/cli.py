@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
 
     sp = sub.add_parser("singular", help="compose and classify an eps = 0 orbit")
     sp.add_argument("--b", type=float, required=True)
@@ -103,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--scale", choices=["slow", "fast"], default="slow")
     sp.add_argument("--dt-out", type=float, default=None, help="output sample spacing")
+    sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
     common(sp)
 
     sp = sub.add_parser("bifurcate", help="one-parameter sweep with landmarks")
@@ -121,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from {hopf_c,hopf_b,pitchfork,homoclinic} or 'auto'",
     )
     sp.add_argument("--no-cycles", action="store_true", help="equilibria only, no cycle search")
+    sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
     common(sp)
 
     sp = sub.add_parser("canard", help="canard explosion scan and asymptotic report")
@@ -128,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bracket-lo", type=float, default=None)
     sp.add_argument("--bracket-hi", type=float, default=None)
     sp.add_argument("--points", type=int, default=40)
-    sp.add_argument("--ctol", type=float, default=1e-7, help="bisection bracket width")
     common(sp)
 
     sp = sub.add_parser("slow-manifold", help="tabulate the slow-manifold graph")

@@ -467,7 +467,7 @@ def find_limit_cycle(
         wy_lo, wy_hi = min(wy_lo, st.y), max(wy_hi, st.y)
         if st.t - mark_t >= _PROBE_WINDOW:
             extent = max(wx_hi - wx_lo, wy_hi - wy_lo)
-            if extent < _MIN_CYCLE_DIAMETER and converged_at is None:
+            if extent < _MIN_CYCLE_DIAMETER:
                 raise ConvergedToEquilibriumError(
                     "state stopped moving during cycle search", point=PhasePoint(st.x, st.y)
                 )

@@ -9,7 +9,6 @@ invariance equation of the graph, which for this field reduces to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import SystemParams, f_scalar, fx, g_scalar, phi_roots_with_multiplicity
@@ -109,14 +108,3 @@ def _require_valid(y: float, graph: BranchGraph) -> None:
             f"y={y!r} outside validity interval [{graph.y_lo}, {graph.y_hi}]"
         )
 
-
-def h0_radical(y: float) -> float:
-    """Nested-radical closed form of the left-branch root, real for 27y^2 > 256.
-
-    Kept for cross-checks only; h0 itself uses the cubic solver because the
-    radical needs complex intermediates when 27y^2 < 256.
-    """
-    if not (27.0 * y * y > 256.0 and y > 0.0):
-        raise ValueError("radical form is real only for 27y^2 > 256 with y > 0")
-    s = (9.0 * y + math.sqrt(3.0 * (27.0 * y * y - 256.0))) ** (1.0 / 3.0)
-    return -4.0 * (2.0 / 3.0) ** (1.0 / 3.0) / s - s / 18.0 ** (1.0 / 3.0)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.bifurcation import (
     BifKind,
     EquilibriumClass,
     equilibria,
+    homoclinic_in_b,
     hopf_in_b,
     hopf_in_c,
     pitchfork_in_b,
@@ -143,6 +145,25 @@ class TestHopfInB:
 
         slope = (re_lam(b_h + h) - re_lam(b_h - h)) / (2 * h)
         assert slope < 0.0
+
+
+class TestHomoclinicInB:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1, 1.0])
+    def test_manifold_fate_flips_at_located_value(self, eps, monkeypatch):
+        # the locus comes from shooting W^u alone, never from a cycle search
+        def no_cycle_search(*_args, **_kwargs):
+            raise AssertionError("homoclinic_in_b ran a cycle search")
+
+        monkeypatch.setattr(bifurcation, "find_limit_cycle", no_cycle_search)
+        hom = homoclinic_in_b(eps)
+        b_hom = hom.param_value
+        assert hom.kind is BifKind.HOMOCLINIC
+        assert b_hom > hopf_in_b(eps).param_value
+        tol = bifurcation._HOMOCLINIC_TOL
+        assert bifurcation._wu_escapes_outward(b_hom - 1e-9, eps, tol)
+        assert not bifurcation._wu_escapes_outward(b_hom + 1e-9, eps, tol)
+        assert hom.orbit.min_distance_to(0.0, 0.0) <= 1e-2
 
 
 class TestDeterminantInvariant:

@@ -1,9 +1,12 @@
+import argparse
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fhn import cli
 from fhn.bifurcation import sweep_values
 from fhn.cli import main
 from fhn.core import SystemParams
@@ -15,6 +18,27 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestParsedOptionsAreRead:
+    @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+    def test_every_option_read_by_its_handler(self, command):
+        # a flag that is parsed and echoed in the manifest but never read
+        # claims a setting the run did not use
+        handler = getattr(cli, "_cmd_" + command.replace("-", "_"))
+        for action in subcommand_parsers()[command]._actions:
+            if action.dest == "help":
+                continue
+            reader = cli.main if action.dest == "out" else handler
+            assert f"args.{action.dest}" in inspect.getsource(reader), (
+                f"fhn {command} parses {action.option_strings} but {reader.__name__} never reads it"
+            )
 
 
 class TestSingularCommand:

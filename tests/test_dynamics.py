@@ -152,8 +152,9 @@ class TestFindLimitCycle:
             find_limit_cycle(SystemParams(0.0, 0.0, 0.0), A_START)
 
     def test_search_parked_on_focus_raises_instead_of_spinning(self):
-        # returns converge onto the stable focus, then err == 0 lets the step
-        # grow until t overflows; without a guard the search never returns
+        # returns converge onto the stable focus, where err == 0 lets the step
+        # grow without bound; the rolling extent check, on while the last
+        # period is recorded, names the equilibrium before t overflows
         def timeout(_signum, _frame):
             raise TimeoutError("cycle search did not return within 30 s")
 
@@ -161,7 +162,7 @@ class TestFindLimitCycle:
         signal.alarm(30)
         try:
             t0 = time.perf_counter()
-            with pytest.raises(NonFiniteError):
+            with pytest.raises(ConvergedToEquilibriumError):
                 find_limit_cycle(SystemParams(0.0, 1.159871739811375, 0.5),
                                  PhasePoint(1.0120767205491101, 3.11494624131724),
                                  tol=1e-9, max_periods=30)

@@ -11,7 +11,6 @@ from fhn.slow_manifold import (
     BranchGraph,
     dh0_dy,
     h0,
-    h0_radical,
     h1,
     h_eps,
     invariance_defect,
@@ -21,6 +20,18 @@ from conftest import bisect_root
 
 LEFT = BranchGraph.for_branch(Branch.LEFT_ATTRACTING)
 RIGHT = BranchGraph.for_branch(Branch.RIGHT_ATTRACTING)
+
+
+def h0_radical(y: float) -> float:
+    """Nested-radical closed form of the left-branch root, real for 27y^2 > 256.
+
+    An independent cross-check of h0, which uses the cubic solver because the
+    radical needs complex intermediates when 27y^2 < 256.
+    """
+    if not (27.0 * y * y > 256.0 and y > 0.0):
+        raise ValueError("radical form is real only for 27y^2 > 256 with y > 0")
+    s = (9.0 * y + math.sqrt(3.0 * (27.0 * y * y - 256.0))) ** (1.0 / 3.0)
+    return -4.0 * (2.0 / 3.0) ** (1.0 / 3.0) / s - s / 18.0 ** (1.0 / 3.0)
 
 
 class TestH0:
