@@ -23,13 +23,7 @@ from .dynamics import (
     integrate,
     integrate_until,
 )
-from .errors import (
-    BracketFailureError,
-    ConvergedToEquilibriumError,
-    NoCycleError,
-    NonFiniteError,
-    StepSizeCollapseError,
-)
+from .errors import CYCLE_SEARCH_ERRORS, BracketFailureError, NonFiniteError
 from .singular import equilibrium_abscissae
 
 _HYPERBOLICITY_TOL = 1e-9
@@ -376,7 +370,7 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
     for label, direction, seed in attempts:
         try:
             lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=max_periods)
-        except (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError) as exc:
+        except CYCLE_SEARCH_ERRORS as exc:
             msg = f"{label}: {type(exc).__name__}"
             row.error = f"{row.error}; {msg}" if row.error else msg
             continue

@@ -6,6 +6,12 @@ lambda_c = -(B + A)*eps.  Those are asymptotic in sqrt(eps) and carry a
 sign-orientation subtlety for the c-family, so the numerical explosion
 locator (bisection on the cycle length) is the authoritative source of
 canard parameter values here; the formula values are reported alongside.
+
+The locator decides each bisection step from a cycle searched at tol 1e-9
+and searches again at the caller's tol (1e-11 by default) only when that
+cycle's length lies within 1.0 of the threshold 10, did not converge, or
+the loose search failed.  The explosion is exponentially narrow, so nearly
+every step is far from the threshold and is decided by the cheap search.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .core import PhasePoint, SystemParams, eval_fast, eval_slow, f_scalar, fx, fxx, g_scalar, phi
 from .dynamics import LimitCycle, find_limit_cycle
-from .errors import BracketFailureError, NoCycleError
+from .errors import CYCLE_SEARCH_ERRORS, BracketFailureError, NoCycleError
 from .singular import FOLD_X
 
 _ZERO_TOL = 1e-10
@@ -288,9 +294,37 @@ _SCAN_SEED = PhasePoint(-2.8, 1.64)
 _DEFAULT_TOL = 1e-11
 
 
-def _measure(c: float, eps: float, tol: float, cache: dict) -> LimitCycle:
+# Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
+# a cycle lies on.  Cycles searched at _DECIDE_TOL differ in length from the
+# 1e-11 ones by far less than _DECIDE_MARGIN (at most 0.033 over the recipe
+# scans' bisection points), so a converged loose cycle farther than that
+# from the threshold decides the step; any other c is searched again at the
+# caller's tol.
+_DECIDE_TOL = 1e-9
+_DECIDE_MARGIN = 1.0
+
+
+def _search(c: float, eps: float, tol: float) -> LimitCycle:
+    return find_limit_cycle(SystemParams(0.0, c, eps), _SCAN_SEED, tol=tol)
+
+
+def _decide(c: float, eps: float, tol: float) -> LimitCycle:
+    """Cycle at c searched at _DECIDE_TOL, searched again at `tol` when in doubt."""
+    if tol < _DECIDE_TOL:
+        try:
+            lc = _search(c, eps, _DECIDE_TOL)
+        except CYCLE_SEARCH_ERRORS:
+            pass
+        else:
+            if lc.converged and abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN:
+                return lc
+    return _search(c, eps, tol)
+
+
+def _measure(c: float, eps: float, tol: float, cache: dict, decide: bool = False) -> LimitCycle:
+    """Cached cycle at c: searched at `tol`, or by `_decide` when `decide`."""
     if c not in cache:
-        cache[c] = find_limit_cycle(SystemParams(0.0, c, eps), _SCAN_SEED, tol=tol)
+        cache[c] = _decide(c, eps, tol) if decide else _search(c, eps, tol)
     return cache[c]
 
 
@@ -308,18 +342,27 @@ def locate_canard_explosion(
     transition, with length > 15 at the low end and < 5 at the high end.
     When no bracket is given, a 41-point pre-sweep below the Hopf value
     produces one.  Converges when the c bracket is narrower than `c_tol`
-    and returns the midpoint.
+    (which must be > 0), or when its ends are adjacent floats, and returns
+    the midpoint.
+
+    The bracket ends and the midpoints are decided, then confirmed: each c
+    is searched at tol max(`tol`, 1e-9), and searched again at `tol` when
+    that cycle's length is within 1.0 of 10, it did not converge, or the
+    search raised.  `cache` holds one cycle per c, the one that decided.
+    The pre-sweep measures at `tol`.
     """
     if eps <= 0.0:
         raise ValueError("locate_canard_explosion requires eps > 0")
+    if not c_tol > 0.0:
+        raise ValueError("locate_canard_explosion requires c_tol > 0")
     cache = cache if cache is not None else {}
     if bracket is None:
         bracket = _auto_bracket(eps, tol, cache)
     lo, hi = bracket
     if not lo < hi:
         raise BracketFailureError("bracket must satisfy lo < hi")
-    a_lo = _measure(lo, eps, tol, cache).length
-    a_hi = _measure(hi, eps, tol, cache).length
+    a_lo = _measure(lo, eps, tol, cache, decide=True).length
+    a_hi = _measure(hi, eps, tol, cache, decide=True).length
     if not (a_lo > LARGE_LENGTH and a_hi < SMALL_LENGTH):
         raise BracketFailureError(
             f"bracket lengths A({lo})={a_lo:.3f}, A({hi})={a_hi:.3f} do not straddle "
@@ -327,7 +370,9 @@ def locate_canard_explosion(
         )
     while hi - lo > c_tol:
         mid = 0.5 * (lo + hi)
-        if _measure(mid, eps, tol, cache).length >= EXPLOSION_LENGTH:
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
+        if _measure(mid, eps, tol, cache, decide=True).length >= EXPLOSION_LENGTH:
             lo = mid
         else:
             hi = mid

@@ -408,9 +408,10 @@ def find_limit_cycle(
 ) -> LimitCycle:
     """Locate a limit cycle by convergence of Poincare returns.
 
-    Integration runs in slow time, backward for unstable cycles.  After a
-    transient, the section is the vertical line through the point of fastest
-    horizontal motion on the attractor (fixed crossing orientation); returns
+    Integration runs in slow time, forward for stable cycles and backward
+    (`direction="backward"`) for unstable ones.  After a transient, the
+    section is the vertical line through the point of fastest horizontal
+    motion on the attractor (fixed crossing orientation); returns
     are the section ordinates, and the cycle is accepted when successive
     returns agree to `return_tol`.  If the budget of `max_periods` estimated
     periods runs out while returns still jitter inside one percent of the
@@ -422,6 +423,8 @@ def find_limit_cycle(
     """
     if params.eps <= 0.0:
         raise ValueError("find_limit_cycle requires eps > 0")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
     sgn = 1 if direction == "forward" else -1
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
 

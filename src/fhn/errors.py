@@ -56,3 +56,7 @@ class DegenerateLoopError(FHNError):
 
 class BracketFailureError(FHNError):
     """Bisection bracket does not straddle the target discriminant."""
+
+
+# what a failed `dynamics.find_limit_cycle` search raises
+CYCLE_SEARCH_ERRORS = (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError)

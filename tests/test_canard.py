@@ -1,13 +1,21 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhn import canard
 from fhn.core import PhasePoint, SystemParams, eval_fast, eval_slow, phi
 from fhn.dynamics import LimitCycle, Stability
-from fhn.errors import BracketFailureError
+from fhn.errors import (
+    BracketFailureError,
+    ConvergedToEquilibriumError,
+    NoCycleError,
+    NonFiniteError,
+    StepSizeCollapseError,
+)
 from fhn.canard import (
     CanardClass,
     asymptotic_loci,
@@ -204,6 +212,111 @@ def phi_inv_right(y):
     return 0.5 * (lo + hi)
 
 
+def _stub_cycle(length, converged=True):
+    z = np.zeros(3)
+    return LimitCycle(z, z, z, 1.0, length, Stability.STABLE, converged, 0.0, 1, 0.0)
+
+
+class _StubSearch:
+    """Stand-in for `canard.find_limit_cycle` that records the tol of each call.
+
+    `outcome(c, tol)` gives the cycle length, a (length, converged) pair, or
+    an exception instance to raise.
+    """
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.tols = []
+
+    def __call__(self, params, seed, tol):
+        self.tols.append(tol)
+        out = self.outcome(params.c, tol)
+        if isinstance(out, Exception):
+            raise out
+        return _stub_cycle(*out) if isinstance(out, tuple) else _stub_cycle(out)
+
+
+@pytest.fixture
+def stub_search(monkeypatch):
+    def install(outcome):
+        stub = _StubSearch(outcome)
+        monkeypatch.setattr(canard, "find_limit_cycle", stub)
+        return stub
+
+    return install
+
+
+class TestDecisionRule:
+    def test_far_cycle_is_decided_by_one_loose_search(self, stub_search):
+        stub = stub_search(lambda c, tol: 20.0)
+        cache = {}
+        canard._measure(1.15, 0.5, 1e-11, cache, decide=True)
+        assert stub.tols == [1e-9]
+
+    def test_near_threshold_is_confirmed_at_tol(self, stub_search):
+        stub = stub_search(lambda c, tol: 10.5 if tol == 1e-9 else 9.7)
+        cache = {}
+        lc = canard._measure(1.15, 0.5, 1e-11, cache, decide=True)
+        assert stub.tols == [1e-9, 1e-11]
+        assert cache == {1.15: lc} and lc.length == 9.7
+
+    def test_unconverged_loose_cycle_is_confirmed(self, stub_search):
+        stub = stub_search(lambda c, tol: (2.0, tol != 1e-9))
+        cache = {}
+        assert canard._measure(1.15, 0.5, 1e-11, cache, decide=True).converged
+        assert stub.tols == [1e-9, 1e-11]
+
+    @pytest.mark.parametrize(
+        "error", [NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError]
+    )
+    def test_loose_search_error_falls_through_to_tol(self, stub_search, error):
+        stub = stub_search(lambda c, tol: error("loose") if tol == 1e-9 else 20.0)
+        assert canard._measure(1.15, 0.5, 1e-11, {}, decide=True).length == 20.0
+        assert stub.tols == [1e-9, 1e-11]
+
+    def test_tight_search_error_reaches_the_caller(self, stub_search):
+        stub = stub_search(lambda c, tol: NoCycleError(f"tol {tol}"))
+        with pytest.raises(NoCycleError, match="tol 1e-11"):
+            canard._measure(1.15, 0.5, 1e-11, {}, decide=True)
+        assert stub.tols == [1e-9, 1e-11]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_tol_at_or_above_decision_tol_searches_once(self, stub_search, tol):
+        stub = stub_search(lambda c, t: (10.2, False))
+        canard._measure(1.15, 0.5, tol, {}, decide=True)
+        assert stub.tols == [tol]
+
+    def test_measure_without_decide_searches_at_tol(self, stub_search):
+        stub = stub_search(lambda c, tol: 20.0)
+        canard._measure(1.15, 0.5, 1e-11, {})
+        assert stub.tols == [1e-11]
+
+    def test_locate_caches_one_cycle_per_c(self, stub_search):
+        # 10 halvings of a unit bracket measure 10 midpoints and the two ends
+        stub = stub_search(lambda c, tol: 20.0 if c < 1.3 else 2.0)
+        cache = {}
+        c_star = locate_canard_explosion(0.5, bracket=(1.0, 2.0), c_tol=2.0 ** -10, cache=cache)
+        assert abs(c_star - 1.3) < 2.0 ** -10
+        assert len(cache) == 12
+        assert stub.tols == [1e-9] * 12
+
+
+# recipe brackets and the explosion values located there at the default tol
+_RECIPE_LOCATES = {
+    0.5: ((1.14, 1.154), float.fromhex("0x1.266b7ec8b4394p+0")),
+    0.1: ((1.15, 1.1547), float.fromhex("0x1.275f0e4c2f838p+0")),
+}
+
+
+@pytest.fixture(scope="module")
+def recipe_locates():
+    out = {}
+    for eps, (bracket, _) in _RECIPE_LOCATES.items():
+        cache = {}
+        out[eps] = (locate_canard_explosion(eps, bracket=bracket, cache=cache), cache)
+    return out
+
+
 class TestLocator:
     def test_bracket_must_straddle(self):
         with pytest.raises(BracketFailureError):
@@ -213,12 +326,46 @@ class TestLocator:
         with pytest.raises(ValueError):
             locate_canard_explosion(0.0, bracket=(1.14, 1.154))
 
+    @pytest.mark.parametrize("c_tol", [0.0, -1e-7, math.nan])
+    def test_rejects_non_positive_c_tol(self, c_tol):
+        with pytest.raises(ValueError):
+            locate_canard_explosion(0.5, bracket=(1.14, 1.154), c_tol=c_tol)
+
+    def test_c_tol_below_float_spacing_returns(self, stub_search):
+        # once lo and hi are adjacent floats the midpoint is one of them and
+        # the bracket can shrink no further
+        stub_search(lambda c, tol: 20.0 if c < 1.15 else 2.0)
+
+        def timeout(_signum, _frame):
+            raise TimeoutError("bisection did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            cache = {}
+            c_star = locate_canard_explosion(0.5, bracket=(1.14, 1.16), c_tol=1e-17, cache=cache)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert abs(c_star - 1.15) <= math.ulp(1.15)
+        assert len(cache) < 64
+
+
+
     @pytest.mark.slow
-    def test_canard_defining_property_at_eps_01(self):
+    @pytest.mark.parametrize("eps", sorted(_RECIPE_LOCATES))
+    def test_pinned_explosion_value(self, recipe_locates, eps):
+        c_star, cache = recipe_locates[eps]
+        assert c_star == _RECIPE_LOCATES[eps][1]
+        # the bisection premise: long cycles below c*, short ones above
+        for c, lc in cache.items():
+            assert (lc.length >= canard.EXPLOSION_LENGTH) == (c < c_star)
+
+    @pytest.mark.slow
+    def test_canard_defining_property_at_eps_01(self, recipe_locates):
         # located canards track the repelling branch for an O(1) slow time
         eps = 0.1
-        cache = {}
-        c_star = locate_canard_explosion(eps, bracket=(1.15, 1.1547), cache=cache)
+        _, cache = recipe_locates[eps]
         canards = [
             lc
             for lc in cache.values()
@@ -229,6 +376,6 @@ class TestLocator:
             assert time_near_middle_branch(lc, 5.0 * eps) >= 0.1
 
     @pytest.mark.slow
-    def test_located_value_near_fold_parameter(self):
-        c_star = locate_canard_explosion(0.5, bracket=(1.14, 1.154))
+    def test_located_value_near_fold_parameter(self, recipe_locates):
+        c_star, _ = recipe_locates[0.5]
         assert abs(c_star - 2.0 / math.sqrt(3.0)) <= 1.0

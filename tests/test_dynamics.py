@@ -151,6 +151,12 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.0), A_START)
 
+    @pytest.mark.parametrize("direction", ["backwards", "Forward", "reverse", ""])
+    def test_rejects_unknown_direction(self, direction):
+        # any value but "forward" used to search backward for an unstable cycle
+        with pytest.raises(ValueError):
+            find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, direction=direction)
+
     def test_search_parked_on_focus_raises_instead_of_spinning(self):
         # returns converge onto the stable focus, where err == 0 lets the step
         # grow without bound; the rolling extent check, on while the last
