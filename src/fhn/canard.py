@@ -9,7 +9,8 @@ canard parameter values here; the formula values are reported alongside.
 
 The locator decides each bisection step from a cycle searched at tol 1e-9
 and searches again at the caller's tol (1e-11 by default) only when that
-cycle's length lies within 1.0 of the threshold 10, did not converge, or
+cycle's length lies within 1.0 of the threshold 10, when it did not
+converge and its length lies inside the explosion window [5, 15], or when
 the loose search failed.  The explosion is exponentially narrow, so nearly
 every step is far from the threshold and is decided by the cheap search.
 """
@@ -298,14 +299,25 @@ _DEFAULT_TOL = 1e-11
 # a cycle lies on.  Cycles searched at _DECIDE_TOL differ in length from the
 # 1e-11 ones by far less than _DECIDE_MARGIN (at most 0.033 over the recipe
 # scans' bisection points), so a converged loose cycle farther than that
-# from the threshold decides the step; any other c is searched again at the
-# caller's tol.
+# from the threshold decides the step.  An unconverged loop (returns still
+# jittering inside 1% of the amplitude) decides only outside the explosion
+# window [SMALL_LENGTH, LARGE_LENGTH], where no canard lies: the unconverged
+# cycles met there are small ones beside the Hopf point, whose 1e-11 search
+# is unconverged too, gives the same length to five digits and costs three
+# times as much.  Any other c is searched again at the caller's tol.
 _DECIDE_TOL = 1e-9
 _DECIDE_MARGIN = 1.0
 
 
 def _search(c: float, eps: float, tol: float) -> LimitCycle:
     return find_limit_cycle(SystemParams(0.0, c, eps), _SCAN_SEED, tol=tol)
+
+
+def _decides(lc: LimitCycle) -> bool:
+    """Whether a loose cycle settles its side of EXPLOSION_LENGTH."""
+    if lc.converged:
+        return abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN
+    return not SMALL_LENGTH <= lc.length <= LARGE_LENGTH
 
 
 def _decide(c: float, eps: float, tol: float) -> LimitCycle:
@@ -316,7 +328,7 @@ def _decide(c: float, eps: float, tol: float) -> LimitCycle:
         except CYCLE_SEARCH_ERRORS:
             pass
         else:
-            if lc.converged and abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN:
+            if _decides(lc):
                 return lc
     return _search(c, eps, tol)
 
@@ -347,9 +359,10 @@ def locate_canard_explosion(
 
     The bracket ends and the midpoints are decided, then confirmed: each c
     is searched at tol max(`tol`, 1e-9), and searched again at `tol` when
-    that cycle's length is within 1.0 of 10, it did not converge, or the
-    search raised.  `cache` holds one cycle per c, the one that decided.
-    The pre-sweep measures at `tol`.
+    that cycle's length is within 1.0 of 10, when it did not converge and
+    its length is within [5, 15], or when the search raised.  `cache`
+    holds one cycle per c, the one that decided.  The pre-sweep measures at
+    `tol`.
     """
     if eps <= 0.0:
         raise ValueError("locate_canard_explosion requires eps > 0")

@@ -260,11 +260,20 @@ class TestDecisionRule:
         assert stub.tols == [1e-9, 1e-11]
         assert cache == {1.15: lc} and lc.length == 9.7
 
-    def test_unconverged_loose_cycle_is_confirmed(self, stub_search):
-        stub = stub_search(lambda c, tol: (2.0, tol != 1e-9))
+    @pytest.mark.parametrize("length", [5.0, 7.0, 13.0, 15.0])
+    def test_unconverged_loose_cycle_in_window_is_confirmed(self, stub_search, length):
+        stub = stub_search(lambda c, tol: (length, tol != 1e-9))
         cache = {}
         assert canard._measure(1.15, 0.5, 1e-11, cache, decide=True).converged
         assert stub.tols == [1e-9, 1e-11]
+
+    @pytest.mark.parametrize("length", [0.4, 4.9, 15.1, 20.0])
+    def test_unconverged_loose_cycle_outside_window_decides(self, stub_search, length):
+        # the small cycles beside the Hopf point converge too slowly at any tol
+        stub = stub_search(lambda c, tol: (length, False))
+        lc = canard._measure(1.15, 0.5, 1e-11, {}, decide=True)
+        assert stub.tols == [1e-9]
+        assert lc.length == length and not lc.converged
 
     @pytest.mark.parametrize(
         "error", [NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError]
