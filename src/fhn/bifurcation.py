@@ -272,6 +272,10 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     )
 
 
+# cycle-search budget of a sweep row, in estimated periods
+_SWEEP_MAX_PERIODS = 30.0
+
+
 @dataclass(frozen=True)
 class CycleRecord:
     period: float
@@ -296,9 +300,7 @@ def sweep(
     steps: int,
     params0: SystemParams,
     cycles: bool = True,
-    continuation: bool = True,
     tol: float = 1e-9,
-    max_periods: float = 30.0,
 ) -> list[DiagramRow]:
     """One-parameter diagram over a uniform grid; see sweep_values.
 
@@ -311,10 +313,7 @@ def sweep(
     values = [a + (b - a) * k / (steps - 1) for k in range(steps)]
     if lo > hi:
         values.reverse()
-    return sweep_values(
-        param_name, values, params0, cycles=cycles, continuation=continuation,
-        tol=tol, max_periods=max_periods,
-    )
+    return sweep_values(param_name, values, params0, cycles=cycles, tol=tol)
 
 
 def sweep_values(
@@ -322,14 +321,12 @@ def sweep_values(
     values: list[float],
     params0: SystemParams,
     cycles: bool = True,
-    continuation: bool = True,
     tol: float = 1e-9,
-    max_periods: float = 30.0,
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
-    Stable cycles come from forward integration (warm-started from the
-    previous row's cycle when `continuation` is on); an unstable cycle is
+    Stable cycles come from forward integration (seeded from the last
+    stable cycle the sweep found); an unstable cycle is
     attempted by backward integration seeded near a stable focus/node
     whenever one exists.  Per-row failures are recorded in the row and never
     abort the sweep.
@@ -347,16 +344,15 @@ def sweep_values(
         )
         row = DiagramRow(v, equilibria(params))
         if cycles and params.eps > 0.0:
-            _sweep_cycles(row, params, seed_stable, tol, max_periods)
-            if continuation:
-                for rec in row.cycles:
-                    if rec.stability is Stability.STABLE:
-                        seed_stable = rec.seed
+            _sweep_cycles(row, params, seed_stable, tol)
+            for rec in row.cycles:
+                if rec.stability is Stability.STABLE:
+                    seed_stable = rec.seed
         rows.append(row)
     return rows
 
 
-def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol, max_periods):
+def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol):
     attempts = [("stable", "forward", seed_stable)]
     stable_eq = [
         e
@@ -369,7 +365,7 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
         attempts.append(("unstable", "backward", seed))
     for label, direction, seed in attempts:
         try:
-            lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=max_periods)
+            lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=_SWEEP_MAX_PERIODS)
         except CYCLE_SEARCH_ERRORS as exc:
             msg = f"{label}: {type(exc).__name__}"
             row.error = f"{row.error}; {msg}" if row.error else msg

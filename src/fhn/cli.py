@@ -354,6 +354,8 @@ def _cmd_canard(args, outdir: Path, manifest: RunManifest) -> None:
 
 
 def _cmd_slow_manifold(args, outdir: Path, manifest: RunManifest) -> None:
+    if args.samples < 2:
+        raise ValueError("--samples must be at least 2")
     branch = Branch.LEFT_ATTRACTING if args.branch == "left" else Branch.RIGHT_ATTRACTING
     params = SystemParams(args.b, args.c, args.eps)
     graph = BranchGraph.for_branch(branch)

@@ -3,9 +3,15 @@
 The integrator is a six-stage, stiffly accurate, L-stable linearly implicit
 Rosenbrock method of order 4 with an embedded order-3 error estimate
 (coefficients from Hairer & Wanner's RODAS), specialized to the
-FitzHugh-Nagumo field with its exact 2x2 Jacobian.  Cycles are found by
-Poincare return maps on a vertical section; unstable cycles are made
-attracting by integrating backward in time.
+FitzHugh-Nagumo field with its exact 2x2 Jacobian.  Two loops drive the
+stepper: `integrate_until` for trajectories and `find_limit_cycle` for cycles.
+
+A cycle search integrates in slow time, backward for an unstable cycle so
+that it attracts, in windows of 10 time units: two transient windows, one
+probe window that places a vertical Poincare section and measures the
+amplitude, then as many windows as the section returns take to converge.
+One equilibrium test runs at the close of every window: a state that moved
+less than 1e-6 in x and in y over the window has parked on an equilibrium.
 """
 
 from __future__ import annotations
@@ -120,6 +126,8 @@ class _Stepper:
     def __init__(self, x, y, params: SystemParams, scale: TimeScale, direction: int, tol: float, max_norm: float):
         if params.eps <= 0.0:
             raise ValueError("stiff integration requires eps > 0")
+        if not 1e-12 <= tol <= 1e-3:
+            raise ValueError("tol must lie in [1e-12, 1e-3]")
         self.b = params.b
         self.c = params.c
         self.eps = params.eps
@@ -307,8 +315,6 @@ def integrate_until(
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    if not 1e-12 <= tol <= 1e-3:
-        raise ValueError("tol must lie in [1e-12, 1e-3]")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
 
@@ -389,11 +395,18 @@ def cycle_length(x, y=None) -> float:
     return total
 
 
+# the search runs in windows of this many slow-time units: the transient
+# windows, then the probe window, then the returns
+_WINDOW = 10.0
 _TRANSIENT_WINDOWS = 2
-_PROBE_WINDOW = 10.0
-_EQUILIBRIUM_DISP = 1e-8
+_PROBE = _TRANSIENT_WINDOWS + 1
 _LOOSE_RETURN_FRACTION = 0.01
 _MIN_CYCLE_DIAMETER = 1e-6
+# successive returns this close are converged
+_RETURN_TOL = 1e-8
+# samples of the returned loop
+_DENSE_N = 2000
+_MAX_NORM = 1e6
 
 
 def find_limit_cycle(
@@ -401,25 +414,31 @@ def find_limit_cycle(
     seed: PhasePoint,
     direction: str = "forward",
     tol: float = 1e-10,
-    return_tol: float = 1e-8,
     max_periods: float = 50.0,
-    dense_n: int = 2000,
-    max_norm: float = 1e6,
 ) -> LimitCycle:
     """Locate a limit cycle by convergence of Poincare returns.
 
     Integration runs in slow time, forward for stable cycles and backward
-    (`direction="backward"`) for unstable ones.  After a transient, the
-    section is the vertical line through the point of fastest horizontal
-    motion on the attractor (fixed crossing orientation); returns
-    are the section ordinates, and the cycle is accepted when successive
-    returns agree to `return_tol`.  If the budget of `max_periods` estimated
-    periods runs out while returns still jitter inside one percent of the
-    cycle amplitude (the regime near a canard explosion, where tolerance
-    noise is amplified exponentially along the repelling branch), the last
-    loop is returned flagged `converged=False` rather than raising.
+    (`direction="backward"`) for unstable ones, in windows of 10 time units:
+    - windows 1-2 are the transient, their steps clamped to the window end;
+    - window 3 is the probe: the point of fastest horizontal motion in it
+      anchors the section, the vertical line through it crossed with its
+      orientation, and the window's x-range is the cycle amplitude;
+    - after it, returns are the section ordinates.  Once successive returns
+      agree to 1e-8 the next period is recorded and returned as the loop.
 
-    Raises ConvergedToEquilibriumError or NoCycleError otherwise.
+    If the budget of `max_periods` estimated periods runs out while returns
+    still jitter inside one percent of the amplitude (the regime near a
+    canard explosion, where tolerance noise is amplified exponentially along
+    the repelling branch), the next loop is returned flagged
+    `converged=False` rather than raising.
+
+    One equilibrium test runs each time a window closes: a state whose
+    extent over the window, max(x-range, y-range), is below 1e-6 raises
+    ConvergedToEquilibriumError, as does a recorded loop of that diameter.
+    Raises NoCycleError when the budget runs out otherwise, and the
+    integrator's StepSizeCollapseError or NonFiniteError (|x| or |y| above
+    1e6).
     """
     if params.eps <= 0.0:
         raise ValueError("find_limit_cycle requires eps > 0")
@@ -428,118 +447,90 @@ def find_limit_cycle(
     sgn = 1 if direction == "forward" else -1
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
 
-    st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, max_norm)
+    st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
 
-    # transient, with equilibrium detection per window
-    for _ in range(_TRANSIENT_WINDOWS):
-        _run_window(st, _PROBE_WINDOW)
-
-    # probe one window for the most transversal section anchor
-    best = (abs(st.dx), st.x, 1 if st.dx > 0 else -1)
-    t_stop = st.t + _PROBE_WINDOW
-    x_min = x_max = st.x
-    while st.t < t_stop:
-        st.advance()
-        x_min = min(x_min, st.x)
-        x_max = max(x_max, st.x)
-        if abs(st.dx) > best[0]:
-            best = (abs(st.dx), st.x, 1 if st.dx > 0 else -1)
-    if best[0] < 1e-12 or (x_max - x_min) < _MIN_CYCLE_DIAMETER:
-        raise ConvergedToEquilibriumError(
-            "attractor has no horizontal extent; trajectory spiralled into an equilibrium",
-            point=PhasePoint(st.x, st.y),
-        )
-    section_x, section_sign = best[1], best[2]
-    amplitude = max(x_max - x_min, 1e-12)
-
+    window = 1
+    window_end = st.t + _WINDOW
+    t_cap = window_end
+    x_lo = x_hi = st.x
+    y_lo = y_hi = st.y
     crossings: list[tuple[float, float]] = []
-    t_budget_ref = _PROBE_WINDOW
-    budget_start = st.t
+    t_budget_ref = _WINDOW
     converged_at = None
     recording: list[tuple[float, float, float, float, float]] | None = None
-    # rolling extent window: a state that stops moving is an equilibrium
-    mark_t, wx_lo, wx_hi, wy_lo, wy_hi = st.t, st.x, st.x, st.y, st.y
 
-    prev = (st.t, st.x, st.y, st.dx, st.dy)
     while True:
-        st.advance()
-        node = (st.t, st.x, st.y, st.dx, st.dy)
+        # crossings count from the first step after the probe window closes
+        returns = window > _PROBE
+        st.advance(t_cap)
+        t, x, y, dx = st.t, st.x, st.y, st.dx
+        if x < x_lo:
+            x_lo = x
+        elif x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
+            y_hi = y
+        if window == _PROBE and abs(dx) > abs(fastest_dx):
+            fastest_x, fastest_dx = x, dx
+        if t >= window_end:
+            if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
+                raise ConvergedToEquilibriumError(
+                    "state stopped moving; trajectory parked at an equilibrium",
+                    point=PhasePoint(x, y),
+                )
+            if window == _PROBE:
+                section_x, section_sign = fastest_x, 1 if fastest_dx > 0 else -1
+                amplitude = x_hi - x_lo
+                budget_start = t
+                prev = (t, x, y, dx, st.dy)
+            # the next window starts from this node
+            window += 1
+            window_end = t + _WINDOW
+            t_cap = window_end if window <= _TRANSIENT_WINDOWS else None
+            x_lo = x_hi = x
+            y_lo = y_hi = y
+            fastest_x, fastest_dx = x, dx
+        if not returns:
+            continue
+        node = (t, x, y, dx, st.dy)
         if recording is not None:
             recording.append(node)
-        wx_lo, wx_hi = min(wx_lo, st.x), max(wx_hi, st.x)
-        wy_lo, wy_hi = min(wy_lo, st.y), max(wy_hi, st.y)
-        if st.t - mark_t >= _PROBE_WINDOW:
-            extent = max(wx_hi - wx_lo, wy_hi - wy_lo)
-            if extent < _MIN_CYCLE_DIAMETER:
-                raise ConvergedToEquilibriumError(
-                    "state stopped moving during cycle search", point=PhasePoint(st.x, st.y)
-                )
-            mark_t, wx_lo, wx_hi, wy_lo, wy_hi = st.t, st.x, st.x, st.y, st.y
         cross = _crossing_in_step(prev, node, section_x, section_sign)
-        if cross is not None:
-            t_c, y_c = cross
-            crossings.append((t_c, y_c))
-            if len(crossings) >= 2:
-                t_budget_ref = max(crossings[-1][0] - crossings[-2][0], 1e-3)
-            if converged_at is not None:
-                # final full period recorded: build the loop
-                loop = _build_loop(
-                    recording,
-                    converged_at[0],
-                    t_c,
-                    dense_n,
-                    stability,
-                    section_x,
-                    section_sign,
-                    converged_at[2],
-                    converged_at[3],
+        if cross is None:
+            if not crossings and t - budget_start > max_periods * t_budget_ref:
+                raise NoCycleError("no section crossings within the time budget")
+        elif converged_at is not None:
+            # the period after the accepted return is recorded: build the loop
+            t_start, strict, gap = converged_at
+            loop = _build_loop(recording, t_start, cross[0], stability, section_x,
+                               section_sign, strict, gap)
+            if loop.diameter < _MIN_CYCLE_DIAMETER:
+                raise ConvergedToEquilibriumError(
+                    "returns converged onto a point, not a cycle", point=PhasePoint(x, y)
                 )
-                if loop.diameter < _MIN_CYCLE_DIAMETER:
-                    raise ConvergedToEquilibriumError(
-                        "returns converged onto a point, not a cycle",
-                        point=PhasePoint(st.x, st.y),
-                    )
-                return loop
+            return loop
+        else:
+            crossings.append(cross)
             if len(crossings) >= 2:
-                gap = abs(crossings[-1][1] - crossings[-2][1])
-                elapsed = st.t - budget_start
-                out_of_budget = elapsed > max_periods * t_budget_ref
+                (t_0, y_0), (t_c, y_c) = crossings[-2:]
+                t_budget_ref = max(t_c - t_0, 1e-3)
+                gap = abs(y_c - y_0)
+                out_of_budget = t - budget_start > max_periods * t_budget_ref
+                recent = [y_r for _, y_r in crossings[-4:]]
                 loose_ok = (
                     len(crossings) >= 5
-                    and _spread(crossings[-4:]) < _LOOSE_RETURN_FRACTION * amplitude
+                    and max(recent) - min(recent) < _LOOSE_RETURN_FRACTION * amplitude
                 )
-                if gap < return_tol or (out_of_budget and loose_ok):
-                    converged_at = (t_c, y_c, gap < return_tol, gap)
+                if gap < _RETURN_TOL or (out_of_budget and loose_ok):
+                    converged_at = (t_c, gap < _RETURN_TOL, gap)
                     recording = [prev, node]
                 elif out_of_budget:
                     raise NoCycleError(
                         f"returns did not settle within {max_periods} estimated periods"
                     )
-        else:
-            elapsed = st.t - budget_start
-            if elapsed > max_periods * t_budget_ref and not crossings:
-                raise NoCycleError("no section crossings within the time budget")
         prev = node
-
-
-def _spread(crossings) -> float:
-    ys = [y for _, y in crossings]
-    return max(ys) - min(ys)
-
-
-def _run_window(st: _Stepper, duration: float) -> None:
-    """Advance by `duration`, raising if the state has parked at an equilibrium."""
-    t_stop = st.t + duration
-    x_ref, y_ref = st.x, st.y
-    disp = 0.0
-    while st.t < t_stop:
-        st.advance(t_cap=t_stop)
-        disp = max(disp, abs(st.x - x_ref), abs(st.y - y_ref))
-    scale = 1.0 + max(abs(st.x), abs(st.y))
-    if disp < _EQUILIBRIUM_DISP * scale and math.hypot(st.dx, st.dy) < 1e-6:
-        raise ConvergedToEquilibriumError(
-            "trajectory parked at an equilibrium", point=PhasePoint(st.x, st.y)
-        )
 
 
 def _crossing_in_step(prev, node, section_x: float, section_sign: int):
@@ -563,13 +554,13 @@ def _crossing_in_step(prev, node, section_x: float, section_sign: int):
     return t0 + s * h, float(_hermite(s, y0, y1, dy0, dy1, h))
 
 
-def _build_loop(nodes, t_start, t_end, dense_n, stability, section_x, section_sign, strict, gap):
+def _build_loop(nodes, t_start, t_end, stability, section_x, section_sign, strict, gap):
     arr = np.array(nodes)
     traj = Trajectory(
         arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4], TimeScale.SLOW, +1
     )
     period = t_end - t_start
-    ts = np.linspace(t_start, t_end, dense_n + 1)
+    ts = np.linspace(t_start, t_end, _DENSE_N + 1)
     xs, ys = traj.sample(ts)
     length = cycle_length(xs, ys)
     return LimitCycle(

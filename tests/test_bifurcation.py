@@ -206,8 +206,8 @@ class TestSweep:
         assert len(rows[0].equilibria) == 1  # coalesced triple root reported once
 
     def test_reversed_range_gives_reversed_rows(self):
-        fwd = sweep("c", 0.2, 0.8, 5, SystemParams(0.0, 0.0, 0.5), cycles=False, continuation=False)
-        rev = sweep("c", 0.8, 0.2, 5, SystemParams(0.0, 0.0, 0.5), cycles=False, continuation=False)
+        fwd = sweep("c", 0.2, 0.8, 5, SystemParams(0.0, 0.0, 0.5), cycles=False)
+        rev = sweep("c", 0.8, 0.2, 5, SystemParams(0.0, 0.0, 0.5), cycles=False)
         for a, b in zip(fwd, reversed(rev)):
             assert a.param_value == b.param_value
             assert [e.point.x for e in a.equilibria] == [e.point.x for e in b.equilibria]

@@ -134,6 +134,14 @@ class TestBifurcateCommand:
                      "--eps", "0.5", "--no-cycles", "--landmarks", "nope", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_tol_outside_range_rejected(self, tmp_path):
+        # tol = 0 used to divide by zero in the cycle search, with no manifest
+        code = main(["bifurcate", "--param", "c", "--from", "1.1", "--to", "1.2", "--steps", "2",
+                     "--eps", "0.5", "--tol", "0", "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error"
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["bifurcate", "--param", "c", "--from", "1.10", "--to", "1.14", "--steps", "3",
@@ -212,4 +220,11 @@ class TestSlowManifoldCommand:
     def test_manifest_always_written(self, tmp_path):
         main(["slow-manifold", "--branch", "left", "--eps", "-1", "--b", "0", "--c", "0",
               "--out", str(tmp_path)])
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_single_sample_rejected(self, tmp_path):
+        # one sample used to divide by zero, with no manifest
+        code = main(["slow-manifold", "--branch", "left", "--eps", "0.1", "--b", "0", "--c", "0",
+                     "--samples", "1", "--out", str(tmp_path)])
+        assert code == 2
         assert (tmp_path / "manifest.json").exists()

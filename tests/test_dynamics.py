@@ -9,13 +9,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fhn import dynamics
-from fhn.bifurcation import homoclinic_in_b
+from fhn.bifurcation import equilibria, homoclinic_in_b
 from fhn.core import PhasePoint, SystemParams, TimeScale
 from fhn.dynamics import Stability, cycle_length, find_limit_cycle, integrate
 from fhn.errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
     FHNError,
+    NoCycleError,
     NonFiniteError,
     StepSizeCollapseError,
 )
@@ -151,6 +152,12 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.0), A_START)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-13, 1e-2])
+    def test_rejects_tol_outside_range(self, tol):
+        # tol = 0 used to divide by zero in the first step
+        with pytest.raises(ValueError):
+            find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, tol=tol)
+
     @pytest.mark.parametrize("direction", ["backwards", "Forward", "reverse", ""])
     def test_rejects_unknown_direction(self, direction):
         # any value but "forward" used to search backward for an unstable cycle
@@ -176,6 +183,83 @@ class TestFindLimitCycle:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestSearchPins:
+    """Every exit of the cycle search, recorded bit for bit from the search
+    of three hand-stepped loops that the one window loop replaced.  A failure
+    is pinned by type only."""
+
+    # (b, c, eps), seed (None: the sweep's backward seed, 1e-3 right of the
+    # rightmost equilibrium), direction, tol, max_periods (None: the default),
+    # then period.hex(), length.hex(), converged, return_gap.hex() and the
+    # sha256 of the bytes of t, x and y
+    CYCLES = {
+        "converged_forward": (
+            (0.0, 1.1500794291496277, 0.5), (-2.8, 1.64), "forward", 1e-9, None,
+            "0x1.06bcdc1518d00p+3", "0x1.b000ef90becdep+1", True, "0x1.2b282c0000000p-29",
+            "c90b2f22b77215b201dff0cdd9fafaece10975df51da3adcfa389440a6543372"),
+        "unconverged_forward": (
+            (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "forward",
+            1e-9, 30, "0x1.1bbb9223f8e60p+2", "0x1.b6e400b793a01p-7", False,
+            "0x1.660c35cb4c000p-13",
+            "b8d41cf64a2bae984398c29ebb6e2465c70c1bed1d00f908115d523017d60e7e"),
+        "converged_backward": (
+            (0.3692, 0.0, 0.5), None, "backward", 1e-9, 30,
+            "0x1.b5134dc449620p+2", "0x1.eda9e0c8bb2e9p+0", True, "0x1.0074a60000000p-28",
+            "9f93c4a0125b1604ca38298e36d87b845908bf92fed41bd1c826c91ef5c543c5"),
+        "unconverged_backward": (
+            (0.0, 1.1548, 0.5), None, "backward", 1e-9, 30,
+            "0x1.1c56fe08cf1a0p+2", "0x1.8daab926a145fp-8", False, "0x1.487396df00000p-19",
+            "1dab031fb4319ac0c26d4f4b4b167382719ac1d8648e478fabbd2b99131ec5f0"),
+    }
+
+    # (b, c, eps), seed, direction, tol, max_periods, exception type
+    FAILURES = {
+        "returns_did_not_settle": (
+            (0.0, 1.1557646863034265, 0.5), (1.1567646863034264, 3.0791975116868544), "backward",
+            1e-9, 30, NoCycleError),
+        "no_crossings": (
+            (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "forward",
+            1e-10, 30, NoCycleError),
+        "step_collapse": (
+            (0.0, 1.176217557533539, 0.5), (1.1772175575335388, 3.0775876565965907), "backward",
+            1e-9, 30, StepSizeCollapseError),
+        # each of the three equilibrium guards the window test replaced: the
+        # transient's displacement test, the probe's horizontal extent test
+        # and the extent test during the returns
+        "parked_in_transient": (
+            (0.0, -2.5, 0.3), (-2.5, 5.625), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+        "parked_in_probe": (
+            (0.0, 1.236757228580831, 0.05), (-2.40420244667499, 4.56561500213391), "forward",
+            1e-10, 30, ConvergedToEquilibriumError),
+        "parked_in_returns": (
+            (0.0, 1.3, 0.5), (-2.8, 1.64), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+    }
+
+    @staticmethod
+    def _search(bce, seed, direction, tol, max_periods):
+        if seed is None:
+            e = max(equilibria(SystemParams(*bce)), key=lambda e: e.point.x).point
+            seed = (e.x + 1e-3, e.y)
+        kwargs = {} if max_periods is None else {"max_periods": max_periods}
+        return find_limit_cycle(SystemParams(*bce), PhasePoint(*seed), direction, tol=tol, **kwargs)
+
+    @pytest.mark.parametrize("case", sorted(CYCLES))
+    def test_cycle(self, case):
+        *search, period, length, converged, gap, digest = self.CYCLES[case]
+        lc = self._search(*search)
+        assert lc.period.hex() == period
+        assert lc.length.hex() == length
+        assert lc.converged is converged
+        assert lc.return_gap.hex() == gap
+        assert hashlib.sha256(np.concatenate([lc.t, lc.x, lc.y]).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure(self, case):
+        *search, exc_type = self.FAILURES[case]
+        with pytest.raises(exc_type):
+            self._search(*search)
 
 
 class _LoopStepper(dynamics._Stepper):
