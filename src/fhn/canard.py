@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import PhasePoint, SystemParams, eval_fast, eval_slow, f_scalar, fx, fxx, g_scalar, phi
 from .dynamics import LimitCycle, find_limit_cycle
@@ -235,22 +234,35 @@ class CanardRecord:
     converged: bool
 
 
-_middle_tree = None
+# samples of the repelling middle branch; both coordinates increase along it
+_MIDDLE_XS = np.linspace(-FOLD_X, FOLD_X, MIDDLE_SAMPLES)
+_MIDDLE_YS = phi(_MIDDLE_XS)
 
 
-def _middle_branch_tree() -> cKDTree:
-    global _middle_tree
-    if _middle_tree is None:
-        xs = np.linspace(-FOLD_X, FOLD_X, MIDDLE_SAMPLES)
-        _middle_tree = cKDTree(np.column_stack([xs, phi(xs)]))
-    return _middle_tree
+def _within_middle_band(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:
+    """Whether each point (x, y) lies within `band` of a middle-branch sample.
 
-
-def middle_branch_distances(cycle: LimitCycle) -> np.ndarray:
-    """Distance of each loop sample to the repelling middle branch."""
-    pts = np.column_stack([cycle.x, cycle.y])
-    d, _ = _middle_branch_tree().query(pts)
-    return d
+    The samples within `band` of a point in x and in y form one index
+    range, since both coordinates increase along the branch; the point is
+    in the band when a sample of its range is within `band` in Euclidean
+    distance.  The ranges are walked one offset at a time, so temporaries
+    hold one value per point still undecided.
+    """
+    xs, ys = _MIDDLE_XS, _MIDDLE_YS
+    lo = np.maximum(np.searchsorted(xs, x - band), np.searchsorted(ys, y - band))
+    hi = np.minimum(np.searchsorted(xs, x + band, "right"), np.searchsorted(ys, y + band, "right"))
+    inside = np.zeros(len(x), dtype=bool)
+    pending = np.flatnonzero(lo < hi)
+    j = lo[pending]
+    while pending.size:
+        dx = xs[j] - x[pending]
+        dy = ys[j] - y[pending]
+        hit = np.sqrt(dx * dx + dy * dy) <= band
+        inside[pending[hit]] = True
+        j += 1
+        more = ~hit & (j < hi[pending])
+        pending, j = pending[more], j[more]
+    return inside
 
 
 def classify_canard(cycle: LimitCycle) -> CanardClass:
@@ -266,9 +278,8 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
         raise ValueError("cycle has too few samples to classify")
     if cycle.diameter < SMALL_CYCLE_DIAMETER:
         return CanardClass.HOPF_SMALL
-    d = middle_branch_distances(cycle)
     seg = np.hypot(np.diff(cycle.x), np.diff(cycle.y))
-    in_band = d <= MIDDLE_BAND
+    in_band = _within_middle_band(cycle.x, cycle.y, MIDDLE_BAND)
     best = run = 0.0
     for k in range(len(seg)):
         if in_band[k] and in_band[k + 1]:
@@ -285,9 +296,9 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
 
 def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
     """Slow time the loop spends within `band` of the repelling branch."""
-    d = middle_branch_distances(cycle)
+    in_band = _within_middle_band(cycle.x, cycle.y, band)
     dt = np.diff(cycle.t)
-    inside = (d[:-1] <= band) & (d[1:] <= band)
+    inside = in_band[:-1] & in_band[1:]
     return float(np.sum(dt[inside]))
 
 

@@ -444,6 +444,8 @@ def find_limit_cycle(
         raise ValueError("find_limit_cycle requires eps > 0")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    if not (math.isfinite(max_periods) and max_periods > 0.0):
+        raise ValueError("max_periods must be finite and > 0")
     sgn = 1 if direction == "forward" else -1
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
 

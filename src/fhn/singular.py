@@ -4,16 +4,17 @@ The critical manifold is y = phi(x) = 4x - x^3 with fold abscissae at
 x = +-2/sqrt(3).  Orbits of the eps = 0 system are composed combinatorially
 from horizontal fast segments and on-manifold slow segments; slow-segment
 durations are filled in by integrating the reduced flow xdot = psi(x), which
-keeps them independent of the quadrature route used by relaxation_period.
+keeps them independent of the closed form used by relaxation_period.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
+import numpy as np
 
 from .core import (
     PhasePoint,
@@ -344,27 +345,85 @@ def _slow_transit_time(x_from: float, x_to: float, params: SystemParams, rtol: f
 
 # -- relaxation-oscillation period --------------------------------------------
 
+_CLUSTER_TOL = 0.1
+# below this |b| the cubic term moves the period by far less than rounding,
+# and 1/b would overflow in the partial fractions
+_NEGLIGIBLE_B = 1e-150
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Legendre rule for the transits when the three equilibria
+    cluster, built on first use: its eigenvalue solve adds about 1 MB to the
+    peak RSS of a process that never needs it."""
+    return np.polynomial.legendre.leggauss(32)
+
 
 def relaxation_period(params: SystemParams) -> float:
-    """Period of the singular relaxation cycle by adaptive quadrature.
+    """Period of the singular relaxation cycle, in closed form.
 
     Sum of the two slow transits (right branch 4/sqrt(3) -> 2/sqrt(3) and
-    left branch -4/sqrt(3) -> -2/sqrt(3)); for c = 0 the oddness of the
-    cubic makes both equal and the result is twice the one-branch integral.
+    left branch -4/sqrt(3) -> -2/sqrt(3)) of xdot = psi(x), each the integral
+    of (4 - 3x^2) / (b x^3 + (1-4b) x - c).  The integrand splits in partial
+    fractions over one real equilibrium r, the one with the largest
+    |P'(r)| / (1 + r^2) for P the denominator; the quadratic factor left over
+    integrates to a log and an atan (or a second log).  When the three
+    equilibria cluster (|P'(r)| < 0.1 |b|, around b = 1/4, c = 0) the
+    fractions cancel, and a 32-point Gauss-Legendre rule, exact to rounding
+    that far from the poles, integrates each transit instead.
     Full period: (0.2, 0) gives 35 ln(19/7) - 40 ln 2, whose one-branch half is the quoted 3.61.
     """
     if params.eps != 0.0:
         raise ValueError("relaxation_period requires eps = 0")
+    roots = equilibrium_abscissae(params)
     for lo, hi in ((FOLD_X, LANDING_X), (-LANDING_X, -FOLD_X)):
-        for r, _ in equilibrium_abscissae(params):
+        for r, _ in roots:
             if lo - 1e-12 <= r <= hi + 1e-12:
                 raise EquilibriumInPathError(
                     f"equilibrium at x={r} lies in the slow transit [{lo}, {hi}]"
                 )
+    return sum(_transit_time(x1, x2, params, roots)
+               for x1, x2 in ((LANDING_X, FOLD_X), (-LANDING_X, -FOLD_X)))
 
-    def integrand(x: float) -> float:
-        return fx(x) / slow_flow_numerator(x, params)
 
-    t_right, _ = quad(integrand, LANDING_X, FOLD_X, epsabs=1e-9, epsrel=1e-12, limit=200)
-    t_left, _ = quad(integrand, -LANDING_X, -FOLD_X, epsabs=1e-9, epsrel=1e-12, limit=200)
-    return t_right + t_left
+def _transit_time(x1: float, x2: float, params: SystemParams, roots: list[tuple[float, int]]) -> float:
+    """Integral of (4 - 3x^2) / (b x^3 + p x - c) from x1 to x2, p = 1 - 4b."""
+    b, c = params.b, params.c
+    if abs(b) < _NEGLIGIBLE_B:
+        # (4 - 3x^2) / (x - c) = -3x - 3c + (4 - 3c^2) / (x - c)
+        return (-1.5 * (x2 - x1) * (x2 + x1) - 3.0 * c * (x2 - x1)
+                + (4.0 - 3.0 * c * c) * math.log1p((x2 - x1) / (x1 - c)))
+    p = 1.0 - 4.0 * b
+    # weighting by 1 / (1 + r^2) passes over the far roots +-|b|^-1/2 of a
+    # small negative b, whose fractions cancel to a few digits
+    r = max((r for r, _ in roots), key=lambda r: abs(3.0 * b * r * r + p) / (1.0 + r * r))
+    dp = 3.0 * b * r * r + p
+    if abs(dp) < _CLUSTER_TOL * abs(b):
+        nodes, weights = _gauss_legendre()
+        half, mid = 0.5 * (x2 - x1), 0.5 * (x2 + x1)
+        xs = mid + half * nodes
+        return half * float(np.dot(weights, (4.0 - 3.0 * xs * xs) / ((b * xs * xs + p) * xs - c)))
+    # one Newton step: the small-|b| shortcut in equilibrium_abscissae is not a root
+    r -= ((b * r * r + p) * r - c) / dp
+    dp = 3.0 * b * r * r + p
+    # P = (x - r) Q with Q = b x^2 + b r x + q0, and
+    # N / P = alpha / (x - r) + (beta x + gamma) / Q
+    q0 = b * r * r + p
+    alpha = (4.0 - 3.0 * r * r) / dp
+    beta = -3.0 - alpha * b
+    gamma = beta * r - alpha * b * r
+    # Q = b (u^2 + k) with u = x + r/2, and beta x + gamma = beta u + delta
+    k = (q0 - 0.25 * b * r * r) / b
+    delta = gamma - 0.5 * beta * r
+    u1, u2 = x1 + 0.5 * r, x2 + 0.5 * r
+    if k > 0.0:
+        sk = math.sqrt(k)
+        arc = math.atan2(sk * (u2 - u1), k + u1 * u2) / (b * sk)
+    elif k < 0.0:
+        m = math.sqrt(-k)
+        arc = math.log1p(2.0 * m * (u2 - u1) / ((u2 + m) * (u1 - m))) / (2.0 * b * m)
+    else:
+        arc = (1.0 / u1 - 1.0 / u2) / b
+    q1 = (b * x1 + b * r) * x1 + q0
+    log_q = math.log1p(b * (x2 - x1) * (x2 + x1 + r) / q1)
+    return alpha * math.log1p((x2 - x1) / (x1 - r)) + 0.5 * beta / b * log_q + delta * arc

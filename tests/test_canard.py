@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from fhn import canard
+from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _within_middle_band
 from fhn.core import PhasePoint, SystemParams, eval_fast, eval_slow, phi
 from fhn.dynamics import LimitCycle, Stability
 from fhn.errors import (
@@ -198,6 +200,36 @@ class TestClassifier:
         mx, my = _middle_arc(1.0, -0.5, n=500)
         loop = _loop(mx, my)  # pure middle-branch arc over unit time
         assert time_near_middle_branch(loop, 0.05) == pytest.approx(1.0, abs=0.02)
+
+
+class TestMiddleBand:
+    """The sorted-window band test against a KD-tree over the same samples."""
+
+    @staticmethod
+    def _tree_mask(x, y, band):
+        tree = cKDTree(np.column_stack([_MIDDLE_XS, _MIDDLE_YS]))
+        return tree.query(np.column_stack([x, y]))[0] <= band
+
+    def test_samples_increase_in_both_coordinates(self):
+        assert np.all(np.diff(_MIDDLE_XS) > 0.0)
+        assert np.all(np.diff(_MIDDLE_YS) > 0.0)
+
+    @pytest.mark.parametrize("band", [0.05, 0.5, 2.5])
+    def test_uniform_points_match_tree(self, band):
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-3.0, 3.0, 100_000), rng.uniform(-5.0, 5.0, 100_000)
+        got = _within_middle_band(x, y, band)
+        np.testing.assert_array_equal(got, self._tree_mask(x, y, band))
+        assert 0 < np.count_nonzero(got) < len(x)
+
+    @pytest.mark.parametrize("band", [0.05, 0.5, 2.5])
+    def test_points_at_band_distance_match_tree(self, band):
+        rng = np.random.default_rng(12)
+        j = rng.integers(0, len(_MIDDLE_XS), 200_000)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 200_000)
+        x = _MIDDLE_XS[j] + band * np.cos(theta)
+        y = _MIDDLE_YS[j] + band * np.sin(theta)
+        np.testing.assert_array_equal(_within_middle_band(x, y, band), self._tree_mask(x, y, band))
 
 
 def phi_inv_right(y):

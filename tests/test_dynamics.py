@@ -164,6 +164,13 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, direction=direction)
 
+    @pytest.mark.parametrize("max_periods", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_max_periods_not_finite_positive(self, max_periods):
+        # nan and inf used to switch the budget off; a value <= 0 ended the
+        # search in NoCycleError before any return was taken
+        with pytest.raises(ValueError):
+            find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, max_periods=max_periods)
+
     def test_search_parked_on_focus_raises_instead_of_spinning(self):
         # returns converge onto the stable focus, where err == 0 lets the step
         # grow without bound; the rolling extent check, on while the last

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fhn.core import PhasePoint, SystemParams, eval_fast, phi
 from fhn.errors import (
@@ -14,6 +15,7 @@ from fhn.errors import (
 from fhn.singular import (
     FOLD_X,
     FOLD_Y,
+    LANDING_X,
     Branch,
     Fate,
     SegmentKind,
@@ -281,6 +283,42 @@ class TestRelaxationPeriod:
     def test_rejects_positive_eps(self):
         with pytest.raises(ValueError):
             relaxation_period(SystemParams(0.0, 0.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "b,c",
+        [
+            (5e-324, 0.1),
+            (1e-300, 0.1),
+            (1e-12, 0.1),
+            (1e-8, 0.1),
+            # small negative b: two far roots near +-|b|^-1/2
+            (-1e-12, 0.1),
+            (-1e-8, 0.1),
+            # pitchfork point, where the three equilibria coincide, and beside it
+            (0.25, 0.0),
+            (0.25000000000000006, 0.0),
+            (0.25 + 1e-9, 0.0),
+            (0.25 - 1e-9, 0.0),
+            # double equilibria
+            (0.3, 0.06285393610547088),
+            (0.3, -0.06285393610547088),
+            # three simple equilibria
+            (0.3, 0.0),
+        ],
+    )
+    def test_closed_form_matches_quadrature(self, b, c):
+        def integrand(x):
+            return (4.0 - 3.0 * x * x) / (b * x**3 + (1.0 - 4.0 * b) * x - c)
+
+        ref = sum(
+            quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+            for lo, hi in ((LANDING_X, FOLD_X), (-LANDING_X, -FOLD_X))
+        )
+        assert relaxation_period(SystemParams(b, c, 0.0)) == pytest.approx(ref, rel=1e-12)
+
+    def test_b02_anchor_to_rounding(self):
+        exact = 35.0 * math.log(19.0 / 7.0) - 40.0 * math.log(2.0)
+        assert relaxation_period(SystemParams(0.2, 0.0, 0.0)) == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("b,c", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.5), (0.1, -0.3)])
     def test_quadrature_matches_orbit_durations(self, b, c):
