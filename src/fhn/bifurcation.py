@@ -4,6 +4,11 @@ Analytic loci are returned in closed form (Hopf in c at +-2/sqrt(3), the
 pitchfork at b = 1/4, Hopf in b at (-4 + sqrt(16 + 3 eps))/eps); the
 homoclinic locus is found by bisection on the fate of the saddle's unstable
 manifold W^u, which escapes outward below it and is captured by E+ above it.
+A shot ends as soon as its fate is certain: on escape past x = -0.5, or on
+capture, once two successive leftward crossings of the half-line
+{x = x_E+, y > y_E+} step down by more than the integration error (the flow
+crosses that half-line leftward only, so the orbit is then confined inside its
+last loop around E+).
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
+from .core import PhasePoint, SystemParams, TimeScale, f_scalar, g_scalar, jacobian, phi
 from .dynamics import (
     LimitCycle,
     Stability,
+    _crossing_in_step,
     cycle_length,
     find_limit_cycle,
     integrate,
@@ -124,9 +130,13 @@ def hopf_in_b(eps: float) -> BifurcationPoint:
     return BifurcationPoint(BifKind.HOPF_SUPER, "b", b_h, eps, eq_plus)
 
 
-# the search interval above the Hopf value and the tolerance of every shot
+# the search interval above the Hopf value, the tolerance and slow-time budget
+# of every shot, and the drop between successive returns to the half-line
+# above E+ that proves capture (well above the integration error of a shot)
 _HOMOCLINIC_BRACKET = 0.02
 _HOMOCLINIC_TOL = 1e-10
+_HOMOCLINIC_T_BUDGET = 400.0
+_CAPTURE_MARGIN = 1e-6
 
 
 def homoclinic_in_b(eps: float) -> BifurcationPoint:
@@ -138,15 +148,26 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     found by bisection on that fate over [b_h + 1e-3, b_h + 0.02] down to an
     interval of 1e-12; the lower end drops to b_h itself when W^u is already
     captured at b_h + 1e-3 (small eps, where the loop is born close to the
-    Hopf value).  The returned point carries a shadow of the homoclinic loop
-    traced from both invariant manifolds of the saddle.
+    Hopf value).  Each shot runs for at most 400 slow-time units and ends as
+    soon as its fate is certain: at x < -0.5 on escape, and on capture once
+    a leftward crossing of the half-line {x = x_E+, y > y_E+} lies more than
+    1e-6 below the previous one.  The flow crosses that half-line only
+    leftward, so its returns are monotone and the orbit stays inside its last
+    loop, which lies in x >= -0.5.  The returned point carries a shadow of the
+    homoclinic loop traced from both invariant manifolds of the saddle.
 
-    Raises BracketFailureError when the fate does not change over the bracket.
+    Raises BracketFailureError when the fate does not change over the bracket,
+    and when b_h <= 1/4 (eps >= 16), where the origin is not a saddle at the
+    Hopf value.
     """
     if eps <= 0.0:
         raise ValueError("homoclinic_in_b requires eps > 0")
     tol = _HOMOCLINIC_TOL
     b_h = hopf_in_b(eps).param_value
+    if b_h <= 0.25:
+        raise BracketFailureError(
+            f"Hopf value b_h={b_h} <= 1/4 at eps={eps}: the origin is not a saddle there"
+        )
     lo, hi = b_h + 1e-3, b_h + _HOMOCLINIC_BRACKET
     if not _wu_escapes_outward(lo, eps, tol):
         lo = b_h
@@ -182,10 +203,38 @@ def _wu_seed(b: float, eps: float) -> PhasePoint:
     return PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm)
 
 
-def _wu_escapes_outward(b: float, eps: float, tol: float, t_budget: float = 400.0) -> bool:
-    """Fate of the unstable manifold of the origin: outward jump vs capture by E+."""
+def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
+    """Fate of the unstable manifold of the origin: outward jump vs capture by E+.
+
+    The shot stops at x < -0.5, or once capture is proven: a leftward
+    crossing of x = x_E+ that lies more than _CAPTURE_MARGIN below the
+    previous one.  Crossings are cubic-Hermite roots between accepted nodes,
+    whose slow-time derivatives are the field's, as the stepper computes them.
+    """
+    x_eq = math.sqrt(4.0 - 1.0 / b)
+    sx = 1.0 / eps
+
+    def node(t, x, y):
+        return t, x, y, sx * f_scalar(x, y), g_scalar(x, y, b, 0.0)
+
+    last = None  # (t, x, y) of the previous accepted node
+    y_return = None  # ordinate of the previous return to the half-line
+
+    def fate_known(t, x, y):
+        nonlocal last, y_return
+        if x < -0.5:
+            return True
+        if last is not None and last[1] > x_eq >= x:
+            cross = _crossing_in_step(node(*last), node(t, x, y), x_eq, -1)
+            if cross is not None:
+                if y_return is not None and cross[1] < y_return - _CAPTURE_MARGIN:
+                    return True
+                y_return = cross[1]
+        last = (t, x, y)
+        return False
+
     arc = integrate_until(
-        _wu_seed(b, eps), SystemParams(b, 0.0, eps), t_budget, lambda t, x, y: x < -0.5,
+        _wu_seed(b, eps), SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, fate_known,
         tol=tol, max_norm=1e3,
     )
     return bool(arc.x[-1] < -0.5)

@@ -4,6 +4,8 @@ import pytest
 
 from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
+from fhn.dynamics import integrate_until
+from fhn.errors import BracketFailureError
 from fhn.bifurcation import (
     BifKind,
     EquilibriumClass,
@@ -147,9 +149,20 @@ class TestHopfInB:
         assert slope < 0.0
 
 
+# b_hom pinned bitwise, as located with every shot run to its full budget
+B_HOM_HEX = {
+    0.02: "0x1.7fc2a2fde71f1p-2",
+    0.05: "0x1.7f66e0cdc9932p-2",
+    0.1: "0x1.7eceb483cc0ebp-2",
+    0.2: "0x1.7da1297d26b13p-2",
+    0.5: "0x1.7a2e340fe31a6p-2",
+    1.0: "0x1.74b228f224b16p-2",
+}
+
+
 class TestHomoclinicInB:
     @pytest.mark.slow
-    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1, 1.0])
+    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1, 0.2, 1.0])
     def test_manifold_fate_flips_at_located_value(self, eps, monkeypatch):
         # the locus comes from shooting W^u alone, never from a cycle search
         def no_cycle_search(*_args, **_kwargs):
@@ -158,12 +171,54 @@ class TestHomoclinicInB:
         monkeypatch.setattr(bifurcation, "find_limit_cycle", no_cycle_search)
         hom = homoclinic_in_b(eps)
         b_hom = hom.param_value
+        assert b_hom.hex() == B_HOM_HEX[eps]
         assert hom.kind is BifKind.HOMOCLINIC
         assert b_hom > hopf_in_b(eps).param_value
         tol = bifurcation._HOMOCLINIC_TOL
         assert bifurcation._wu_escapes_outward(b_hom - 1e-9, eps, tol)
         assert not bifurcation._wu_escapes_outward(b_hom + 1e-9, eps, tol)
         assert hom.orbit.min_distance_to(0.0, 0.0) <= 1e-2
+
+    @pytest.mark.parametrize("eps", [16.0, 30.0, 60.0])
+    def test_no_saddle_at_hopf_value_raises_before_any_shot(self, eps, monkeypatch):
+        # from eps = 16 on b_h <= 1/4: the origin is a node or focus there
+        def no_shot(*_args, **_kwargs):
+            raise AssertionError("homoclinic_in_b shot W^u")
+
+        monkeypatch.setattr(bifurcation, "integrate_until", no_shot)
+        assert hopf_in_b(eps).param_value <= 0.25
+        with pytest.raises(BracketFailureError, match="<= 1/4"):
+            homoclinic_in_b(eps)
+
+
+class TestCaptureCertificate:
+    """A shot ended by the capture certificate has the fate of the full budget."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    def test_fate_matches_full_budget(self, eps, monkeypatch):
+        tol = bifurcation._HOMOCLINIC_TOL
+        b_hom = float.fromhex(B_HOM_HEX[eps])
+        b_h = hopf_in_b(eps).param_value
+        ends = [b_h + 1e-3, b_h + bifurcation._HOMOCLINIC_BRACKET]
+        near = [b_hom + s * d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4) for s in (-1, 1)]
+        arcs = []
+
+        def recording(*args, **kwargs):
+            arcs.append(integrate_until(*args, **kwargs))
+            return arcs[-1]
+
+        monkeypatch.setattr(bifurcation, "integrate_until", recording)
+        for b in ends + near:
+            got = bifurcation._wu_escapes_outward(b, eps, tol)
+            ref = integrate_until(
+                bifurcation._wu_seed(b, eps), SystemParams(b, 0.0, eps), 400.0,
+                lambda t, x, y: x < -0.5, tol=tol, max_norm=1e3,
+            )
+            assert got == bool(ref.x[-1] < -0.5), b
+            if b in near:
+                assert got == (b < b_hom), b
+            if not got:
+                assert arcs[-1].t[-1] < 50.0, b
 
 
 class TestDeterminantInvariant:
