@@ -120,14 +120,23 @@ def hopf_in_b(eps: float) -> BifurcationPoint:
 
     Closed-form root of Tr(J_{E+}) = -eps*b + 3/b - 8 = 0; tends to 3/8 as
     eps -> 0.  Supercritical in b (negative cubic normal-form coefficient
-    with matching parameter orientation).
+    with matching parameter orientation).  Raises ValueError for eps <= 0,
+    and for eps >= 16, where b_h <= 1/4 and E+- do not exist.
     """
     if eps <= 0.0:
         raise ValueError("hopf_in_b requires eps > 0")
-    b_h = (-4.0 + math.sqrt(16.0 + 3.0 * eps)) / eps
+    b_h = _hopf_b_value(eps)
+    if b_h <= 0.25:
+        raise ValueError(
+            f"hopf_in_b requires eps < 16: b_h={b_h} <= 1/4 at eps={eps}, where E+- do not exist"
+        )
     params = SystemParams(b_h, 0.0, eps)
     eq_plus = max(equilibria(params), key=lambda e: e.point.x)
     return BifurcationPoint(BifKind.HOPF_SUPER, "b", b_h, eps, eq_plus)
+
+
+def _hopf_b_value(eps: float) -> float:
+    return (-4.0 + math.sqrt(16.0 + 3.0 * eps)) / eps
 
 
 # the search interval above the Hopf value, the tolerance and slow-time budget
@@ -163,7 +172,7 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     if eps <= 0.0:
         raise ValueError("homoclinic_in_b requires eps > 0")
     tol = _HOMOCLINIC_TOL
-    b_h = hopf_in_b(eps).param_value
+    b_h = _hopf_b_value(eps)
     if b_h <= 0.25:
         raise BracketFailureError(
             f"Hopf value b_h={b_h} <= 1/4 at eps={eps}: the origin is not a saddle there"

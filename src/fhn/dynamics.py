@@ -12,6 +12,10 @@ probe window that places a vertical Poincare section and measures the
 amplitude, then as many windows as the section returns take to converge.
 One equilibrium test runs at the close of every window: a state that moved
 less than 1e-6 in x and in y over the window has parked on an equilibrium.
+A backward search also ends, in NonFiniteError, once its orbit enters one of
+the escape regions R+ = {x >= X, y >= -x} or R- = {x <= -X, y <= -x}
+(`_escape_abscissa`), where the reversed field provably blows up in finite
+time.  The returned loop and every search failure carry the step counts.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import PhasePoint, SystemParams, TimeScale
 from .errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
+    FHNError,
     NoCycleError,
     NonFiniteError,
     StepSizeCollapseError,
@@ -146,6 +151,9 @@ class _Stepper:
         self.h = min(1e-3, 0.01 * tol ** 0.25 / (fn + 1e-6) + 1e-9)
         self.naccept = 0
         self.nreject = 0
+
+    def stats(self) -> dict:
+        return {"steps": self.naccept, "rejected": self.nreject, "tol": self.tol}
 
     def _field(self, x, y):
         return (
@@ -352,7 +360,7 @@ def _make_traj(ts, xs, ys, dxs, dys, scale, direction, st: _Stepper) -> Trajecto
         np.array(dys),
         scale,
         direction,
-        stats={"steps": st.naccept, "rejected": st.nreject, "tol": st.tol},
+        stats=st.stats(),
     )
 
 
@@ -370,6 +378,9 @@ class LimitCycle:
     section_x: float
     section_sign: int
     return_gap: float
+    # find_limit_cycle's step counts, in the form of Trajectory.stats (empty
+    # for a loop assembled otherwise, such as the homoclinic shadow)
+    stats: dict = field(default_factory=dict)
 
     def min_distance_to(self, px: float, py: float) -> float:
         return float(np.min(np.hypot(self.x - px, self.y - py)))
@@ -433,12 +444,21 @@ def find_limit_cycle(
     the repelling branch), the next loop is returned flagged
     `converged=False` rather than raising.
 
-    One equilibrium test runs each time a window closes: a state whose
-    extent over the window, max(x-range, y-range), is below 1e-6 raises
-    ConvergedToEquilibriumError, as does a recorded loop of that diameter.
-    Raises NoCycleError when the budget runs out otherwise, and the
-    integrator's StepSizeCollapseError or NonFiniteError (|x| or |y| above
-    1e6).
+    The search ends without a cycle at one of these exits:
+    - ConvergedToEquilibriumError, from the equilibrium test that runs each
+      time a window closes: a state whose extent over the window,
+      max(x-range, y-range), is below 1e-6; likewise a recorded loop of that
+      diameter;
+    - NoCycleError, when the budget runs out otherwise;
+    - NonFiniteError, on a backward search, at a node in one of the escape
+      regions R+ or R- of `_escape_abscissa`, where the reversed field blows
+      up in finite time; the test runs at each node that sets a new extreme
+      of x in its window, which every node in R+- does once x has passed the
+      window's earlier extreme, as x grows monotonically there;
+    - the integrator's NonFiniteError (|x| or |y| above 1e6) or
+      StepSizeCollapseError.
+    The returned loop and every FHNError raised carry `stats`, the search's
+    step counts in the form of Trajectory.stats.
     """
     if params.eps <= 0.0:
         raise ValueError("find_limit_cycle requires eps > 0")
@@ -448,6 +468,8 @@ def find_limit_cycle(
         raise ValueError("max_periods must be finite and > 0")
     sgn = 1 if direction == "forward" else -1
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
+    # a forward search never enters an escape region
+    x_esc = _escape_abscissa(params) if sgn == -1 else math.inf
 
     st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
 
@@ -461,78 +483,127 @@ def find_limit_cycle(
     converged_at = None
     recording: list[tuple[float, float, float, float, float]] | None = None
 
-    while True:
-        # crossings count from the first step after the probe window closes
-        returns = window > _PROBE
-        st.advance(t_cap)
-        t, x, y, dx = st.t, st.x, st.y, st.dx
-        if x < x_lo:
-            x_lo = x
-        elif x > x_hi:
-            x_hi = x
-        if y < y_lo:
-            y_lo = y
-        elif y > y_hi:
-            y_hi = y
-        if window == _PROBE and abs(dx) > abs(fastest_dx):
-            fastest_x, fastest_dx = x, dx
-        if t >= window_end:
-            if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
-                raise ConvergedToEquilibriumError(
-                    "state stopped moving; trajectory parked at an equilibrium",
-                    point=PhasePoint(x, y),
-                )
-            if window == _PROBE:
-                section_x, section_sign = fastest_x, 1 if fastest_dx > 0 else -1
-                amplitude = x_hi - x_lo
-                budget_start = t
-                prev = (t, x, y, dx, st.dy)
-            # the next window starts from this node
-            window += 1
-            window_end = t + _WINDOW
-            t_cap = window_end if window <= _TRANSIENT_WINDOWS else None
-            x_lo = x_hi = x
-            y_lo = y_hi = y
-            fastest_x, fastest_dx = x, dx
-        if not returns:
-            continue
-        node = (t, x, y, dx, st.dy)
-        if recording is not None:
-            recording.append(node)
-        cross = _crossing_in_step(prev, node, section_x, section_sign)
-        if cross is None:
-            if not crossings and t - budget_start > max_periods * t_budget_ref:
-                raise NoCycleError("no section crossings within the time budget")
-        elif converged_at is not None:
-            # the period after the accepted return is recorded: build the loop
-            t_start, strict, gap = converged_at
-            loop = _build_loop(recording, t_start, cross[0], stability, section_x,
-                               section_sign, strict, gap)
-            if loop.diameter < _MIN_CYCLE_DIAMETER:
-                raise ConvergedToEquilibriumError(
-                    "returns converged onto a point, not a cycle", point=PhasePoint(x, y)
-                )
-            return loop
-        else:
-            crossings.append(cross)
-            if len(crossings) >= 2:
-                (t_0, y_0), (t_c, y_c) = crossings[-2:]
-                t_budget_ref = max(t_c - t_0, 1e-3)
-                gap = abs(y_c - y_0)
-                out_of_budget = t - budget_start > max_periods * t_budget_ref
-                recent = [y_r for _, y_r in crossings[-4:]]
-                loose_ok = (
-                    len(crossings) >= 5
-                    and max(recent) - min(recent) < _LOOSE_RETURN_FRACTION * amplitude
-                )
-                if gap < _RETURN_TOL or (out_of_budget and loose_ok):
-                    converged_at = (t_c, gap < _RETURN_TOL, gap)
-                    recording = [prev, node]
-                elif out_of_budget:
-                    raise NoCycleError(
-                        f"returns did not settle within {max_periods} estimated periods"
+    try:
+        while True:
+            # crossings count from the first step after the probe window closes
+            returns = window > _PROBE
+            st.advance(t_cap)
+            t, x, y, dx = st.t, st.x, st.y, st.dx
+            if x < x_lo:
+                x_lo = x
+                if x <= -x_esc and y <= -x:
+                    raise _escape_error("R-", x_esc, t, x, y)
+            elif x > x_hi:
+                x_hi = x
+                if x >= x_esc and y >= -x:
+                    raise _escape_error("R+", x_esc, t, x, y)
+            if y < y_lo:
+                y_lo = y
+            elif y > y_hi:
+                y_hi = y
+            if window == _PROBE and abs(dx) > abs(fastest_dx):
+                fastest_x, fastest_dx = x, dx
+            if t >= window_end:
+                if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
+                    raise ConvergedToEquilibriumError(
+                        "state stopped moving; trajectory parked at an equilibrium",
+                        point=PhasePoint(x, y),
                     )
-        prev = node
+                if window == _PROBE:
+                    section_x, section_sign = fastest_x, 1 if fastest_dx > 0 else -1
+                    amplitude = x_hi - x_lo
+                    budget_start = t
+                    prev = (t, x, y, dx, st.dy)
+                # the next window starts from this node
+                window += 1
+                window_end = t + _WINDOW
+                t_cap = window_end if window <= _TRANSIENT_WINDOWS else None
+                x_lo = x_hi = x
+                y_lo = y_hi = y
+                fastest_x, fastest_dx = x, dx
+            if not returns:
+                continue
+            node = (t, x, y, dx, st.dy)
+            if recording is not None:
+                recording.append(node)
+            cross = _crossing_in_step(prev, node, section_x, section_sign)
+            if cross is None:
+                if not crossings and t - budget_start > max_periods * t_budget_ref:
+                    raise NoCycleError("no section crossings within the time budget")
+            elif converged_at is not None:
+                # the period after the accepted return is recorded: build the loop
+                t_start, strict, gap = converged_at
+                loop = _build_loop(recording, t_start, cross[0], stability, section_x,
+                                   section_sign, strict, gap)
+                if loop.diameter < _MIN_CYCLE_DIAMETER:
+                    raise ConvergedToEquilibriumError(
+                        "returns converged onto a point, not a cycle", point=PhasePoint(x, y)
+                    )
+                break
+            else:
+                crossings.append(cross)
+                if len(crossings) >= 2:
+                    (t_0, y_0), (t_c, y_c) = crossings[-2:]
+                    t_budget_ref = max(t_c - t_0, 1e-3)
+                    gap = abs(y_c - y_0)
+                    out_of_budget = t - budget_start > max_periods * t_budget_ref
+                    recent = [y_r for _, y_r in crossings[-4:]]
+                    loose_ok = (
+                        len(crossings) >= 5
+                        and max(recent) - min(recent) < _LOOSE_RETURN_FRACTION * amplitude
+                    )
+                    if gap < _RETURN_TOL or (out_of_budget and loose_ok):
+                        converged_at = (t_c, gap < _RETURN_TOL, gap)
+                        recording = [prev, node]
+                    elif out_of_budget:
+                        raise NoCycleError(
+                            f"returns did not settle within {max_periods} estimated periods"
+                        )
+            prev = node
+    except FHNError as exc:
+        exc.stats = st.stats()
+        raise
+    loop.stats = st.stats()
+    return loop
+
+
+def _escape_abscissa(params: SystemParams) -> float:
+    """X(b, c, eps) of the escape regions R+ = {x >= X, y >= -x} and
+    R- = {x <= -X, y <= -x} of the time-reversed field.
+
+    X is the smallest X >= 3 (up to rounding) with 3 X^2 > 5 + k and
+    p(X) > 0, where k = eps max(1 + b, 0) and p(x) = x^3 - (5 + k) x - eps |c|.
+
+    In reversed slow time x' = (x^3 - 4x + y)/eps and y' = -x + b y + c.
+    - On the side x = X of R+ (y >= -X), x' >= (X^3 - 5X)/eps > 0, as X^2 >= 9.
+    - On the side y = -x (x >= X), eps (x + y)' = x^3 - 5x - eps (1 + b) x
+      + eps c >= p(x) > 0: p(X) > 0, and p' = 3x^2 - (5 + k) > 0 for x >= X.
+    The field points into R+ across its whole boundary, so R+ is
+    forward-invariant.  Inside it y >= -x gives x' >= (x^3 - 5x)/eps
+    >= 4 x^3 / (9 eps), so x grows monotonically and reaches infinity in
+    finite time: an orbit in R+ approaches no cycle.  R- follows by the
+    symmetry (x, y, c) -> (-x, -y, -c) of the field.
+    """
+    k = params.eps * max(1.0 + params.b, 0.0)
+    a, d = 5.0 + k, params.eps * abs(params.c)
+    if 27.0 > a and 27.0 - 3.0 * a - d > 0.0:
+        return 3.0
+    # otherwise X is the largest root of p (>= 3), approached by Newton from
+    # above, where p is increasing and convex: every iterate stays above it
+    x = math.sqrt(a) + d ** (1.0 / 3.0) + 1.0
+    while True:
+        nxt = x - (x * x * x - a * x - d) / (3.0 * x * x - a)
+        if not (nxt < x and nxt * nxt * nxt - a * nxt - d > 0.0):
+            return x
+        x = nxt
+
+
+def _escape_error(region: str, x_esc: float, t: float, x: float, y: float) -> NonFiniteError:
+    bound = f"x >= {x_esc!r}, y >= -x" if region == "R+" else f"x <= {-x_esc!r}, y <= -x"
+    return NonFiniteError(
+        f"backward orbit entered {region} = {{{bound}}} at t={t!r}, where it blows up",
+        last_state=PhasePoint(x, y),
+    )
 
 
 def _crossing_in_step(prev, node, section_x: float, section_sign: int):

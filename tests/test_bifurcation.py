@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -148,6 +149,13 @@ class TestHopfInB:
         slope = (re_lam(b_h + h) - re_lam(b_h - h)) / (2 * h)
         assert slope < 0.0
 
+    def test_just_below_eps_16_carries_e_plus(self):
+        # b_h tends to 1/4 as eps rises to 16, where E+- are born off the origin
+        hopf = hopf_in_b(15.9)
+        assert hopf.param_value > 0.25
+        assert hopf.equilibrium.point.x > 0.0
+        assert hopf.equilibrium.point.x == pytest.approx(math.sqrt(4.0 - 1.0 / hopf.param_value))
+
 
 # b_hom pinned bitwise, as located with every shot run to its full budget
 B_HOM_HEX = {
@@ -186,7 +194,8 @@ class TestHomoclinicInB:
             raise AssertionError("homoclinic_in_b shot W^u")
 
         monkeypatch.setattr(bifurcation, "integrate_until", no_shot)
-        assert hopf_in_b(eps).param_value <= 0.25
+        with pytest.raises(ValueError, match="<= 1/4"):
+            hopf_in_b(eps)
         with pytest.raises(BracketFailureError, match="<= 1/4"):
             homoclinic_in_b(eps)
 
@@ -280,3 +289,35 @@ class TestSweep:
             assert any(r.stability.value == "stable" for r in row.cycles)
             rec = row.cycles[0]
             assert rec.period > 0 and rec.length > 0
+
+
+class TestSweepPin:
+    """The two recipe grids at eps 0.5 and the sweep's tol, every cycle record
+    pinned bit for bit: period, length, converged flag and seed of each row."""
+
+    # sha256 over the rows of `_digest`, recorded before backward searches
+    # learned to end at the escape regions
+    DIGESTS = {
+        "b": "8a45ae89103cfd3f2df0c8a28ec328a7adf338b22ffa32d9cbfee21b2352917a",
+        "c": "4c90f970dd6c1cd899122a7b19f4dc93c26b4deaad8381556234770917858476",
+    }
+    GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
+
+    @staticmethod
+    def _digest(rows):
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(row.param_value.hex().encode())
+            for rec in row.cycles:
+                h.update(" ".join([rec.period.hex(), rec.length.hex(), str(rec.converged),
+                                   rec.seed.x.hex(), rec.seed.y.hex()]).encode())
+            h.update(b"\n")
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("param", sorted(GRIDS))
+    def test_recipe_grid(self, param):
+        lo, hi = self.GRIDS[param]
+        rows = sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+        assert self._digest(rows) == self.DIGESTS[param]
+        # a backward search with no cycle to find ends at the escape regions
+        assert not any("StepSizeCollapseError" in (row.error or "") for row in rows)

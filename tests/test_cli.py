@@ -134,6 +134,14 @@ class TestBifurcateCommand:
                      "--eps", "0.5", "--no-cycles", "--landmarks", "nope", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_hopf_landmark_beyond_eps_16_rejected(self, tmp_path):
+        # b_h <= 1/4 from eps = 16 on: E+- do not exist, so there is no Hopf of E+-
+        code = main(["bifurcate", "--param", "b", "--from", "0.3", "--to", "0.4", "--steps", "2",
+                     "--eps", "20", "--no-cycles", "--landmarks", "--out", str(tmp_path)])
+        assert code == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "<= 1/4" in json.dumps(manifest)
+
     def test_tol_outside_range_rejected(self, tmp_path):
         # tol = 0 used to divide by zero in the cycle search, with no manifest
         code = main(["bifurcate", "--param", "c", "--from", "1.1", "--to", "1.2", "--steps", "2",

@@ -229,9 +229,11 @@ class TestSearchPins:
         "no_crossings": (
             (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "forward",
             1e-10, 30, NoCycleError),
+        # no unstable cycle here: the reversed orbit enters the escape region
+        # R+ and blows up, which once ended at the step floor
         "step_collapse": (
             (0.0, 1.176217557533539, 0.5), (1.1772175575335388, 3.0775876565965907), "backward",
-            1e-9, 30, StepSizeCollapseError),
+            1e-9, 30, NonFiniteError),
         # each of the three equilibrium guards the window test replaced: the
         # transient's displacement test, the probe's horizontal extent test
         # and the extent test during the returns
@@ -242,6 +244,20 @@ class TestSearchPins:
             1e-10, 30, ConvergedToEquilibriumError),
         "parked_in_returns": (
             (0.0, 1.3, 0.5), (-2.8, 1.64), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+    }
+
+    # (accepted steps, rejected steps) of every exit above
+    STATS = {
+        "converged_forward": (3476, 20),
+        "unconverged_forward": (3039, 32),
+        "converged_backward": (4880, 40),
+        "unconverged_backward": (1566, 0),
+        "returns_did_not_settle": (1728, 0),
+        "no_crossings": (1382, 0),
+        "step_collapse": (778, 9),
+        "parked_in_transient": (7, 0),
+        "parked_in_probe": (4206, 6),
+        "parked_in_returns": (1101, 6),
     }
 
     @staticmethod
@@ -267,6 +283,98 @@ class TestSearchPins:
         *search, exc_type = self.FAILURES[case]
         with pytest.raises(exc_type):
             self._search(*search)
+
+    @pytest.mark.parametrize("case", sorted(STATS))
+    def test_stats(self, case):
+        # the loop and every search failure carry the stepper's counts
+        if case in self.CYCLES:
+            search = self.CYCLES[case][:5]
+            stats = self._search(*search).stats
+        else:
+            search = self.FAILURES[case][:5]
+            with pytest.raises(FHNError) as info:
+                self._search(*search)
+            stats = info.value.stats
+        steps, rejected = self.STATS[case]
+        assert stats == {"steps": steps, "rejected": rejected, "tol": search[3]}
+
+
+class TestEscapeCertificate:
+    """The escape regions R+ = {x >= X, y >= -x} and R- = {x <= -X, y <= -x}
+    of the reversed field, which end a backward search without a cycle."""
+
+    GRID = [(b, c, eps) for b in np.linspace(-0.5, 1.0, 7) for c in np.linspace(-3.0, 3.0, 7)
+            for eps in np.geomspace(0.01, 1.0, 5)]
+    # beyond the grid X exceeds 3: the largest root of p
+    LARGE = [(0.0, 0.0, 30.0), (0.2, 50.0, 10.0), (-2.0, -40.0, 5.0), (3.0, 0.0, 20.0)]
+
+    @staticmethod
+    def _reversed_field(x, y, b, c, eps):
+        return (x**3 - 4.0 * x + y) / eps, -x + b * y + c
+
+    def test_abscissa_satisfies_the_inequalities(self):
+        for b, c, eps in self.GRID + self.LARGE:
+            X = dynamics._escape_abscissa(SystemParams(b, c, eps))
+            k = eps * max(1.0 + b, 0.0)
+
+            def p(x):
+                return x**3 - (5.0 + k) * x - eps * abs(c)
+
+            assert X >= 3.0
+            assert 3.0 * X * X > 5.0 + k
+            assert p(X) > 0.0
+            # the smallest such X: 3, or within 1e-8 above the largest root of p
+            assert X == 3.0 or p(X * (1.0 - 1e-8)) < 0.0, (b, c, eps)
+        assert all(dynamics._escape_abscissa(SystemParams(*bce)) > 3.0 for bce in self.LARGE)
+
+    def test_reversed_field_points_into_the_regions(self):
+        for b, c, eps in self.GRID + self.LARGE:
+            X = dynamics._escape_abscissa(SystemParams(b, c, eps))
+            for s in np.geomspace(1e-6, 1e3, 40):
+                # the side x = X, y >= -X: rightward
+                assert self._reversed_field(X, -X + s, b, c, eps)[0] > 0.0
+                # the side y = -x, x >= X: x + y grows
+                assert sum(self._reversed_field(X + s, -X - s, b, c, eps)) > 0.0
+                # R- mirrored
+                assert self._reversed_field(-X, X - s, b, c, eps)[0] < 0.0
+                assert sum(self._reversed_field(-X - s, X + s, b, c, eps)) < 0.0
+
+    @pytest.mark.parametrize("bce", [(-0.5, 3.0, 1.0), (1.0, -3.0, 0.01), (0.0, 1.15, 0.5)]
+                             + LARGE[:2])
+    @pytest.mark.parametrize("side", ["x = X", "y = -x", "corner"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_backward_orbit_never_leaves(self, bce, side, sign):
+        params = SystemParams(*bce)
+        X = dynamics._escape_abscissa(params)
+        x, y = {"x = X": (X + 1e-6, -X + 0.5), "y = -x": (X + 0.5, -X - 0.5 + 1e-6),
+                "corner": (X + 1e-6, -X + 2e-6)}[side]
+        with pytest.raises(NonFiniteError) as info:
+            integrate(PhasePoint(sign * x, sign * y), params, 10.0, direction=-1, max_norm=1e4)
+        tr = info.value.trajectory
+        assert len(tr.t) > 10
+        assert np.all(sign * tr.x >= X) and np.all(sign * (tr.x + tr.y) >= 0.0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_step_collapse_pin_ends_inside_the_region(self, sign):
+        # sign -1: the pin mirrored by (x, y, c) -> (-x, -y, -c) ends in R-
+        (b, c, eps), (x0, y0), *rest, _ = TestSearchPins.FAILURES["step_collapse"]
+        search = ((b, sign * c, eps), (sign * x0, sign * y0), *rest)
+        region = "R\\+" if sign == 1 else "R-"
+        with pytest.raises(NonFiniteError, match=region) as info:
+            TestSearchPins._search(*search)
+        last = info.value.last_state
+        X = dynamics._escape_abscissa(SystemParams(*search[0]))
+        assert X == 3.0
+        assert sign * last.x >= X and sign * (last.x + last.y) >= 0.0
+
+    def test_forward_search_runs_no_test(self, monkeypatch):
+        # a forward search never calls the certificate: its orbit is bounded
+        def no_call(_params):
+            raise AssertionError("forward search computed an escape abscissa")
+
+        monkeypatch.setattr(dynamics, "_escape_abscissa", no_call)
+        lc = find_limit_cycle(SystemParams(0.0, 1.152, 0.5), A_START, tol=1e-9)
+        assert lc.converged
 
 
 class _LoopStepper(dynamics._Stepper):
