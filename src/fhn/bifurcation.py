@@ -202,14 +202,15 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     )
 
 
-def _wu_seed(b: float, eps: float) -> PhasePoint:
-    """A point 1e-6 along the saddle's unstable eigenvector."""
+def _saddle_seed(b: float, eps: float, side: float) -> tuple[PhasePoint, float]:
+    """A point 1e-6 along the eigenvector of the saddle at the origin, and its
+    eigenvalue: the unstable one for side = 1, the stable one for side = -1."""
     tr = 4.0 - eps * b
     det = eps * (1.0 - 4.0 * b)
-    lam_u = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-    v = (1.0, 4.0 - lam_u)
+    lam = 0.5 * (tr + side * math.sqrt(tr * tr - 4.0 * det))
+    v = (1.0, 4.0 - lam)
     norm = math.hypot(*v)
-    return PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm)
+    return PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm), lam
 
 
 def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
@@ -243,8 +244,8 @@ def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
         return False
 
     arc = integrate_until(
-        _wu_seed(b, eps), SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, fate_known,
-        tol=tol, max_norm=1e3,
+        _saddle_seed(b, eps, 1.0)[0], SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET,
+        fate_known, tol=tol, max_norm=1e3,
     )
     return bool(arc.x[-1] < -0.5)
 
@@ -263,14 +264,10 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     middle of the descent, and both ends of the result lie at the saddle.
     """
     params = SystemParams(b, 0.0, eps)
-    tr = 4.0 - eps * b
-    det = eps * (1.0 - 4.0 * b)
-    disc = math.sqrt(tr * tr - 4.0 * det)
-    lam_s = 0.5 * (tr - disc)
 
     # unstable-manifold arc, forward time, stopped once it ejects leftward or
     # at the first node past t = 30 (a budget, so no step is clamped onto it)
-    seed_u = _wu_seed(b, eps)
+    seed_u, _ = _saddle_seed(b, eps, 1.0)
     arc = integrate_until(
         seed_u, params, math.inf, lambda t, x, y: t >= 30.0 or x <= -0.5, tol=tol, max_norm=1e3
     )
@@ -284,9 +281,7 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
             break
 
     # stable-manifold arc, backward time from the saddle, partial on blow-up
-    v = (1.0, 4.0 - lam_s)
-    norm = math.hypot(*v)
-    seed_s = PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm)
+    seed_s, lam_s = _saddle_seed(b, eps, -1.0)
     crawl = abs(lam_s) / eps
     t_s = 40.0 + math.log(1e7) / max(crawl, 1e-3)
     try:

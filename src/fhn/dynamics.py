@@ -390,13 +390,9 @@ class LimitCycle:
         return float(math.hypot(np.ptp(self.x), np.ptp(self.y)))
 
 
-def cycle_length(x, y=None) -> float:
+def cycle_length(x, y) -> float:
     """Polygonal perimeter of a loop in the phase plane, closing segment included."""
-    if y is None:
-        arr = np.asarray(x, dtype=float)
-        xs, ys = arr[:, 0], arr[:, 1]
-    else:
-        xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if len(xs) < 3:
         raise DegenerateLoopError("loop needs at least 3 samples")
     total = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))

@@ -2,9 +2,9 @@
 
 The critical manifold is y = phi(x) = 4x - x^3 with fold abscissae at
 x = +-2/sqrt(3).  Orbits of the eps = 0 system are composed combinatorially
-from horizontal fast segments and on-manifold slow segments; slow-segment
-durations are filled in by integrating the reduced flow xdot = psi(x), which
-keeps them independent of the closed form used by relaxation_period.
+from horizontal fast segments and on-manifold slow segments.  Every finite
+slow-segment duration, and the relaxation period, is the same closed-form
+integral of the reduced flow xdot = psi(x) (_transit_time).
 """
 
 from __future__ import annotations
@@ -154,9 +154,8 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
 
     The fate is decided combinatorially from the branch membership and
     ordering of the slow-flow equilibria relative to the fold band; slow
-    segments refuse to cross the fold abscissae and jump when they arrive
-    within 1e-8 of one.  Fast jump targets are the distinct other root of
-    phi(x) = y_fold.
+    segments end at the fold abscissae, where the orbit jumps.  Fast jump
+    targets are the distinct other root of phi(x) = y_fold.
     """
     if params.eps != 0.0:
         raise ValueError("classify_singular_fate requires eps = 0")
@@ -199,8 +198,15 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
         landings.append(land)
 
         end_kind, x_end = _slow_segment_end(land.x, params, roots)
+        # a fold that is itself an equilibrium is a singular fold and lies
+        # outside the scenario classification; the closed-form transit to it
+        # would take log(0)
+        if end_kind == "fold" and abs(slow_flow_numerator(x_end, params)) <= _EQ_RESIDUAL_TOL:
+            raise FoldSingularityError(
+                f"slow flow reaches the fold x={x_end!r} where g also vanishes (singular fold)"
+            )
         end = PhasePoint(x_end, phi(x_end))
-        duration = _slow_transit_time(land.x, x_end, params) if end_kind != "equilibrium" else math.inf
+        duration = _transit_time(land.x, x_end, params, roots) if end_kind != "equilibrium" else math.inf
         segments.append(OrbitSegment(SegmentKind.SLOW, land, end, duration))
 
         if end_kind == "equilibrium":
@@ -209,12 +215,7 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
             fate = Fate.DIVERGES_PLUS_Y if land.x < 0 else Fate.DIVERGES_MINUS_Y
             return SingularOrbit(segments, fate, None, params)
 
-        # arrived at a fold point; a fold that is itself an equilibrium is a
-        # singular fold and lies outside the scenario classification
-        if abs(slow_flow_numerator(end.x, params)) <= _EQ_RESIDUAL_TOL:
-            raise FoldSingularityError(
-                f"slow flow reaches the fold x={end.x!r} where g also vanishes (singular fold)"
-            )
+        # arrived at a fold point
         if jumps >= _MAX_JUMPS:
             raise RuntimeError("no fate after the fold-jump budget; degenerate parameters")
         land, segment = _jump_from_fold(end)
@@ -286,63 +287,6 @@ def _jump_from_fold(fold_pt: PhasePoint) -> tuple[PhasePoint, OrbitSegment]:
     return land, OrbitSegment(SegmentKind.FAST, fold_pt, land, 0.0)
 
 
-# -- slow-segment durations: adaptive RK on xdot = psi(x) ---------------------
-
-# Cash-Karp 5(4) tableau for the scalar reduced flow
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _slow_transit_time(x_from: float, x_to: float, params: SystemParams, rtol: float = 1e-10) -> float:
-    """Slow time to move from x_from to x_to under xdot = psi(x).
-
-    Adaptive Cash-Karp steps in slow time that refuse to cross the endpoint;
-    arrival within 1e-8 of the target stops the integration (the omitted
-    tail is O(1e-15) because psi diverges at folds).
-    """
-    if x_from == x_to:
-        return 0.0
-    direction = math.copysign(1.0, x_to - x_from)
-    stop = x_to - direction * _FOLD_ARRIVAL_TOL
-    x, tau = x_from, 0.0
-    speed = abs(slow_flow(x_from, params))
-    h = abs(stop - x_from) / (8.0 * (speed + 1e-12))
-    for _ in range(500_000):
-        if (stop - x) * direction <= 0.0:
-            return tau
-        try:
-            ks: list[float] = []
-            for row in _CK_A:
-                xi = x + h * sum(a * k for a, k in zip(row, ks))
-                ks.append(slow_flow(xi, params))
-            x5 = x + h * sum(b * k for b, k in zip(_CK_B5, ks))
-            x4 = x + h * sum(b * k for b, k in zip(_CK_B4, ks))
-        except FoldSingularityError:
-            h *= 0.5
-            continue
-        if (x5 - stop) * direction > 0.0 and abs(x5 - x) > 0.0:
-            # would cross the stop line: shrink proportionally and retry
-            h *= max(0.1, 0.9 * abs(stop - x) / abs(x5 - x))
-            continue
-        err = abs(x5 - x4)
-        scale = rtol * (abs(x) + abs(h * ks[0])) + 1e-14
-        if err <= scale or h <= 1e-14:
-            tau += h
-            x = x5
-            h *= min(5.0, 0.9 * (scale / err) ** 0.2 if err > 0.0 else 5.0)
-        else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-    raise RuntimeError("slow transit did not terminate")
-
-
 # -- relaxation-oscillation period --------------------------------------------
 
 _CLUSTER_TOL = 0.1
@@ -387,7 +331,12 @@ def relaxation_period(params: SystemParams) -> float:
 
 
 def _transit_time(x1: float, x2: float, params: SystemParams, roots: list[tuple[float, int]]) -> float:
-    """Integral of (4 - 3x^2) / (b x^3 + p x - c) from x1 to x2, p = 1 - 4b."""
+    """Integral of (4 - 3x^2) / (b x^3 + p x - c) from x1 to x2, p = 1 - 4b.
+
+    The slow time from x1 to x2 under xdot = psi(x): it times every finite
+    slow segment of classify_singular_fate and both transits of
+    relaxation_period.  [x1, x2] must hold no root of the denominator.
+    """
     b, c = params.b, params.c
     if abs(b) < _NEGLIGIBLE_B:
         # (4 - 3x^2) / (x - c) = -3x - 3c + (4 - 3c^2) / (x - c)

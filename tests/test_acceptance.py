@@ -56,8 +56,8 @@ class TestAcceptance:
         # gives 17.5 ln(19/7) - 20 ln 2 and the period is twice that.
         exact_b02 = 35.0 * math.log(19.0 / 7.0) - 40.0 * math.log(2.0)
         ok2 = abs(t_b02 - exact_b02) < 1e-6
-        # The quoted 3.61 is one slow transit of the singular cycle, whose
-        # durations come from integrating the reduced flow, not from quadrature.
+        # The quoted 3.61 is one slow transit of the singular cycle, timed by
+        # the same closed-form integral of the reduced flow as the period.
         orbit = classify_singular_fate(PhasePoint(-2.8, 1.64), SystemParams(0.2, 0.0, 0.0))
         transits = [
             s.duration for s in orbit.segments[orbit.cycle_start :] if s.kind is SegmentKind.SLOW

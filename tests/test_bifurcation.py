@@ -220,7 +220,7 @@ class TestCaptureCertificate:
         for b in ends + near:
             got = bifurcation._wu_escapes_outward(b, eps, tol)
             ref = integrate_until(
-                bifurcation._wu_seed(b, eps), SystemParams(b, 0.0, eps), 400.0,
+                bifurcation._saddle_seed(b, eps, 1.0)[0], SystemParams(b, 0.0, eps), 400.0,
                 lambda t, x, y: x < -0.5, tol=tol, max_norm=1e3,
             )
             assert got == bool(ref.x[-1] < -0.5), b

@@ -549,10 +549,6 @@ class TestCycleLength:
         th = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
         assert cycle_length(np.cos(th), np.sin(th)) == pytest.approx(2.0 * np.pi, abs=1e-4)
 
-    def test_accepts_nx2_array(self):
-        loop = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert cycle_length(loop) == 4.0
-
     def test_singular_cycle_skeleton_exceeds_jump_chords(self):
         # two horizontal jumps of length 6/sqrt(3) each bound the perimeter
         from fhn.core import phi

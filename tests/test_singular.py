@@ -320,11 +320,30 @@ class TestRelaxationPeriod:
         exact = 35.0 * math.log(19.0 / 7.0) - 40.0 * math.log(2.0)
         assert relaxation_period(SystemParams(0.2, 0.0, 0.0)) == pytest.approx(exact, abs=1e-14)
 
+    @staticmethod
+    def _assert_slow_durations_match_quadrature(orbit):
+        b, c = orbit.params.b, orbit.params.c
+
+        def integrand(x):
+            return (4.0 - 3.0 * x * x) / (b * x**3 + (1.0 - 4.0 * b) * x - c)
+
+        slow = [s for s in orbit.segments if s.kind is SegmentKind.SLOW]
+        assert slow and all(math.isfinite(s.duration) for s in slow)
+        for s in slow:
+            ref = quad(integrand, s.start.x, s.end.x, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+            assert s.duration == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("b,c", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.5), (0.1, -0.3)])
     def test_quadrature_matches_orbit_durations(self, b, c):
         params = SystemParams(b, c, 0.0)
-        by_quad = relaxation_period(params)
         orbit = classify_singular_fate(PhasePoint(-2.8, 1.64), params)
         assert orbit.fate is Fate.PERIODIC_CYCLE
-        by_orbit = orbit.cycle_period()
-        assert by_orbit == pytest.approx(by_quad, rel=1e-4)
+        self._assert_slow_durations_match_quadrature(orbit)
+        assert orbit.cycle_period() == pytest.approx(relaxation_period(params), rel=1e-12)
+
+    # the diverging segment runs from the landing point to the reporting cap
+    @pytest.mark.parametrize("b,c,start", [(-1.0, 0.0, (0.0, 3.0)), (-0.4, -1.5, (-2.0, -2.0))])
+    def test_quadrature_matches_diverging_orbit_durations(self, b, c, start):
+        orbit = classify_singular_fate(PhasePoint(*start), SystemParams(b, c, 0.0))
+        assert orbit.fate is Fate.DIVERGES_PLUS_Y
+        self._assert_slow_durations_match_quadrature(orbit)
