@@ -29,7 +29,7 @@ from .dynamics import (
     integrate,
     integrate_until,
 )
-from .errors import CYCLE_SEARCH_ERRORS, BracketFailureError, NonFiniteError
+from .errors import BracketFailureError, FHNError, NonFiniteError
 from .singular import equilibrium_abscissae
 
 _HYPERBOLICITY_TOL = 1e-9
@@ -419,7 +419,7 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
     for label, direction, seed in attempts:
         try:
             lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=_SWEEP_MAX_PERIODS)
-        except CYCLE_SEARCH_ERRORS as exc:
+        except FHNError as exc:
             msg = f"{label}: {type(exc).__name__}"
             row.error = f"{row.error}; {msg}" if row.error else msg
             continue

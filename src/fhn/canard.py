@@ -7,12 +7,14 @@ sign-orientation subtlety for the c-family, so the numerical explosion
 locator (bisection on the cycle length) is the authoritative source of
 canard parameter values here; the formula values are reported alongside.
 
-The locator decides each bisection step from a cycle searched at tol 1e-9
-and searches again at the caller's tol (1e-11 by default) only when that
-cycle's length lies within 1.0 of the threshold 10, when it did not
-converge and its length lies inside the explosion window [5, 15], or when
-the loose search failed.  The explosion is exponentially narrow, so nearly
-every step is far from the threshold and is decided by the cheap search.
+The locator bisects a caller's bracket, or by default the range
+(c_H - 0.05, c_H - 1e-5) below the Hopf value c_H = 2/sqrt(3).  It decides
+each bisection step from a cycle searched at tol 1e-9 and searches again at
+tol 1e-11 only when that cycle's length lies within 1.0 of the threshold
+10, when it did not converge and its length lies inside the explosion
+window [5, 15], or when the loose search failed.  The explosion is
+exponentially narrow, so nearly every step is far from the threshold and
+is decided by the cheap search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .core import PhasePoint, SystemParams, eval_fast, eval_slow, f_scalar, fx, fxx, g_scalar, phi
 from .dynamics import LimitCycle, find_limit_cycle
-from .errors import CYCLE_SEARCH_ERRORS, BracketFailureError, NoCycleError
+from .errors import BracketFailureError, FHNError
 from .singular import FOLD_X
 
 _ZERO_TOL = 1e-10
@@ -303,7 +305,8 @@ def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
 
 
 _SCAN_SEED = PhasePoint(-2.8, 1.64)
-_DEFAULT_TOL = 1e-11
+# below the Hopf value; its ends straddle the explosion window for eps from 0.02 to 3
+_DEFAULT_BRACKET = (_C_H - 0.05, _C_H - 1e-5)
 
 
 # Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
@@ -315,9 +318,11 @@ _DEFAULT_TOL = 1e-11
 # window [SMALL_LENGTH, LARGE_LENGTH], where no canard lies: the unconverged
 # cycles met there are small ones beside the Hopf point, whose 1e-11 search
 # is unconverged too, gives the same length to five digits and costs three
-# times as much.  Any other c is searched again at the caller's tol.
+# times as much.  Any other c is searched again at _CONFIRM_TOL, the tol of
+# every cycle the scan measures outside the locate.
 _DECIDE_TOL = 1e-9
 _DECIDE_MARGIN = 1.0
+_CONFIRM_TOL = 1e-11
 
 
 def _search(c: float, eps: float, tol: float) -> LimitCycle:
@@ -331,23 +336,22 @@ def _decides(lc: LimitCycle) -> bool:
     return not SMALL_LENGTH <= lc.length <= LARGE_LENGTH
 
 
-def _decide(c: float, eps: float, tol: float) -> LimitCycle:
-    """Cycle at c searched at _DECIDE_TOL, searched again at `tol` when in doubt."""
-    if tol < _DECIDE_TOL:
-        try:
-            lc = _search(c, eps, _DECIDE_TOL)
-        except CYCLE_SEARCH_ERRORS:
-            pass
-        else:
-            if _decides(lc):
-                return lc
-    return _search(c, eps, tol)
+def _decide(c: float, eps: float) -> LimitCycle:
+    """Cycle at c searched at _DECIDE_TOL, searched again at _CONFIRM_TOL when in doubt."""
+    try:
+        lc = _search(c, eps, _DECIDE_TOL)
+    except FHNError:
+        pass
+    else:
+        if _decides(lc):
+            return lc
+    return _search(c, eps, _CONFIRM_TOL)
 
 
-def _measure(c: float, eps: float, tol: float, cache: dict, decide: bool = False) -> LimitCycle:
-    """Cached cycle at c: searched at `tol`, or by `_decide` when `decide`."""
+def _measure(c: float, eps: float, cache: dict, decide: bool = False) -> LimitCycle:
+    """Cached cycle at c: searched at _CONFIRM_TOL, or by `_decide` when `decide`."""
     if c not in cache:
-        cache[c] = _decide(c, eps, tol) if decide else _search(c, eps, tol)
+        cache[c] = _decide(c, eps) if decide else _search(c, eps, _CONFIRM_TOL)
     return cache[c]
 
 
@@ -355,7 +359,6 @@ def locate_canard_explosion(
     eps: float,
     bracket: tuple[float, float] | None = None,
     c_tol: float = 1e-7,
-    tol: float = _DEFAULT_TOL,
     cache: dict | None = None,
 ) -> float:
     """Parameter value of the canard explosion of the b = 0 family.
@@ -363,30 +366,27 @@ def locate_canard_explosion(
     Bisection on the discriminant length >= 10 (midpoint of the explosion
     window); the bracket must hold values on both sides of the near-vertical
     transition, with length > 15 at the low end and < 5 at the high end.
-    When no bracket is given, a 41-point pre-sweep below the Hopf value
-    produces one.  Converges when the c bracket is narrower than `c_tol`
-    (which must be > 0), or when its ends are adjacent floats, and returns
-    the midpoint.
+    When no bracket is given, the bisection starts from
+    (c_H - 0.05, c_H - 1e-5) below the Hopf value c_H.  Converges when the
+    c bracket is narrower than `c_tol` (which must be > 0), or when its ends
+    are adjacent floats, and returns the midpoint.
 
     The bracket ends and the midpoints are decided, then confirmed: each c
-    is searched at tol max(`tol`, 1e-9), and searched again at `tol` when
-    that cycle's length is within 1.0 of 10, when it did not converge and
-    its length is within [5, 15], or when the search raised.  `cache`
-    holds one cycle per c, the one that decided.  The pre-sweep measures at
-    `tol`.
+    is searched at tol 1e-9, and searched again at tol 1e-11 when that
+    cycle's length is within 1.0 of 10, when it did not converge and its
+    length is within [5, 15], or when the search raised.  `cache` holds one
+    cycle per c, the one that decided.
     """
     if eps <= 0.0:
         raise ValueError("locate_canard_explosion requires eps > 0")
     if not c_tol > 0.0:
         raise ValueError("locate_canard_explosion requires c_tol > 0")
     cache = cache if cache is not None else {}
-    if bracket is None:
-        bracket = _auto_bracket(eps, tol, cache)
-    lo, hi = bracket
+    lo, hi = bracket if bracket is not None else _DEFAULT_BRACKET
     if not lo < hi:
         raise BracketFailureError("bracket must satisfy lo < hi")
-    a_lo = _measure(lo, eps, tol, cache, decide=True).length
-    a_hi = _measure(hi, eps, tol, cache, decide=True).length
+    a_lo = _measure(lo, eps, cache, decide=True).length
+    a_hi = _measure(hi, eps, cache, decide=True).length
     if not (a_lo > LARGE_LENGTH and a_hi < SMALL_LENGTH):
         raise BracketFailureError(
             f"bracket lengths A({lo})={a_lo:.3f}, A({hi})={a_hi:.3f} do not straddle "
@@ -396,34 +396,17 @@ def locate_canard_explosion(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        if _measure(mid, eps, tol, cache, decide=True).length >= EXPLOSION_LENGTH:
+        if _measure(mid, eps, cache, decide=True).length >= EXPLOSION_LENGTH:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _auto_bracket(eps: float, tol: float, cache: dict) -> tuple[float, float]:
-    """Coarse 41-point pre-sweep below the Hopf value to bracket the explosion."""
-    c_h = _C_H
-    grid = np.linspace(c_h - 0.05, c_h - 1e-5, 41)
-    prev = None
-    for c in grid:
-        try:
-            a = _measure(float(c), eps, tol, cache).length
-        except NoCycleError:
-            continue
-        if prev is not None and prev[1] >= EXPLOSION_LENGTH > a:
-            return prev[0], float(c)
-        prev = (float(c), a)
-    raise BracketFailureError("pre-sweep found no explosion transition below the Hopf value")
-
-
 def explosion_scan(
     eps: float,
     bracket: tuple[float, float] | None = None,
     n_points: int = 40,
-    tol: float = _DEFAULT_TOL,
 ) -> tuple[float, list[CanardRecord]]:
     """Locate the explosion and assemble an n-point scan across it.
 
@@ -434,19 +417,19 @@ def explosion_scan(
     back sorted by decreasing c, which is the small-to-large direction.
     """
     cache: dict[float, LimitCycle] = {}
-    c_star = locate_canard_explosion(eps, bracket, c_tol=1e-9, tol=tol, cache=cache)
+    c_star = locate_canard_explosion(eps, bracket, c_tol=1e-9, cache=cache)
 
     # deepen: target intermediate lengths inside the window
     for target in (3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0):
-        _bisect_to_length(target, eps, tol, cache)
+        _bisect_to_length(target, eps, cache)
 
     # flanks: small cycles toward the Hopf value, relaxation below
     for off in np.geomspace(3e-4, max(2.0 * (_C_H - c_star), 1e-3), 10):
         c = c_star + off
         if c < _C_H - 5e-5:
-            _try_measure(float(c), eps, tol, cache)
+            _try_measure(float(c), eps, cache)
     for off in np.geomspace(1e-5, 1e-2, 8):
-        _try_measure(float(c_star - off), eps, tol, cache)
+        _try_measure(float(c_star - off), eps, cache)
 
     # mid-size cycles on the Hopf flank sit between the small-diameter and
     # middle-arc thresholds and belong to no class cleanly; the scan skips
@@ -464,14 +447,14 @@ def explosion_scan(
     return c_star, records
 
 
-def _try_measure(c: float, eps: float, tol: float, cache: dict) -> None:
+def _try_measure(c: float, eps: float, cache: dict) -> None:
     try:
-        _measure(c, eps, tol, cache)
-    except NoCycleError:
+        _measure(c, eps, cache)
+    except FHNError:
         pass
 
 
-def _bisect_to_length(target: float, eps: float, tol: float, cache: dict) -> None:
+def _bisect_to_length(target: float, eps: float, cache: dict) -> None:
     """Refine the cache with a c whose cycle length is near `target`."""
     pts = sorted((c, lc.length) for c, lc in cache.items())
     # lengths decrease with c: find the tightest pair straddling the target
@@ -487,8 +470,8 @@ def _bisect_to_length(target: float, eps: float, tol: float, cache: dict) -> Non
             return
         mid = 0.5 * (lo + hi)
         try:
-            a = _measure(mid, eps, tol, cache).length
-        except NoCycleError:
+            a = _measure(mid, eps, cache).length
+        except FHNError:
             return
         if a >= target:
             lo = mid

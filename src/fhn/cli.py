@@ -2,8 +2,9 @@
 
 Subcommands: singular, simulate, bifurcate, canard, slow-manifold.  Every
 run writes manifest.json (config echo, version, timings, warnings) to the
-output directory, success or failure.  Exit codes: 0 success, 2 config
-error, 3 integration failure, 4 search failure.
+output directory, success or failure.  Exit codes: 0 success, 3 integration
+failure (IntegrationError), 4 search failure (SearchError), 2 any other
+FHNError or a ValueError (config error).
 """
 
 from __future__ import annotations
@@ -18,29 +19,9 @@ from pathlib import Path
 from . import __version__
 from .core import PhasePoint, SystemParams, TimeScale
 from .dynamics import Stability, integrate
-from .errors import (
-    BracketFailureError,
-    ConvergedToEquilibriumError,
-    EquilibriumInPathError,
-    FoldSingularityError,
-    NoCycleError,
-    NonFiniteError,
-    OnManifoldError,
-    OutOfValidityError,
-    StepSizeCollapseError,
-)
+from .errors import EquilibriumInPathError, FHNError, IntegrationError, NonFiniteError, SearchError
 from .singular import Fate, classify_singular_fate, relaxation_period
 from .slow_manifold import Branch, BranchGraph, h0, h1
-
-_CONFIG_ERRORS = (
-    ValueError,
-    OnManifoldError,
-    EquilibriumInPathError,
-    OutOfValidityError,
-    FoldSingularityError,
-)
-_INTEGRATION_ERRORS = (NonFiniteError, StepSizeCollapseError)
-_SEARCH_ERRORS = (BracketFailureError, NoCycleError, ConvergedToEquilibriumError)
 
 
 def _fmt(v) -> str:
@@ -167,11 +148,11 @@ def main(argv=None) -> int:
     try:
         handler(args, outdir, manifest)
         code = 0
-    except _INTEGRATION_ERRORS as exc:
+    except IntegrationError as exc:
         manifest.status, manifest.error, code = "integration-error", str(exc), 3
-    except _SEARCH_ERRORS as exc:
+    except SearchError as exc:
         manifest.status, manifest.error, code = "search-error", str(exc), 4
-    except _CONFIG_ERRORS as exc:
+    except (FHNError, ValueError) as exc:
         manifest.status, manifest.error, code = "config-error", str(exc), 2
     manifest.timings["total_s"] = time.perf_counter() - t0
     manifest.write(outdir)

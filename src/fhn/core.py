@@ -111,7 +111,6 @@ def fxx(x: float) -> float:
 
 
 F_Y = -1.0  # df/dy
-F_EPS = 0.0  # df/deps; f does not depend on eps
 G_X = 1.0  # dg/dx
 
 

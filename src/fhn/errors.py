@@ -25,11 +25,19 @@ class OutOfValidityError(FHNError):
     """Slow-manifold graph evaluated outside its validity interval."""
 
 
-class StepSizeCollapseError(FHNError):
+class IntegrationError(FHNError):
+    """The integrator could not carry a trajectory on."""
+
+
+class SearchError(FHNError):
+    """A cycle search or a bisection ended without finding what it looked for."""
+
+
+class StepSizeCollapseError(IntegrationError):
     """Adaptive integrator step size fell below the hard floor."""
 
 
-class NonFiniteError(FHNError):
+class NonFiniteError(IntegrationError):
     """Integration state blew up; carries the last finite state."""
 
     def __init__(self, message, last_state=None, trajectory=None):
@@ -38,11 +46,11 @@ class NonFiniteError(FHNError):
         self.trajectory = trajectory
 
 
-class NoCycleError(FHNError):
+class NoCycleError(SearchError):
     """No periodic recurrence found within the time budget."""
 
 
-class ConvergedToEquilibriumError(FHNError):
+class ConvergedToEquilibriumError(SearchError):
     """Cycle search converged to an equilibrium instead of a cycle."""
 
     def __init__(self, message, point=None):
@@ -54,9 +62,6 @@ class DegenerateLoopError(FHNError):
     """Loop has too few samples or does not close."""
 
 
-class BracketFailureError(FHNError):
+class BracketFailureError(SearchError):
     """Bisection bracket does not straddle the target discriminant."""
 
-
-# what a failed `dynamics.find_limit_cycle` search raises
-CYCLE_SEARCH_ERRORS = (NoCycleError, ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError)

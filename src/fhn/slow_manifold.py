@@ -27,29 +27,18 @@ class BranchGraph:
     y_hi: float
 
     @classmethod
-    def for_branch(
-        cls, branch: Branch, y_min: float | None = None, y_max: float | None = None
-    ) -> "BranchGraph":
+    def for_branch(cls, branch: Branch) -> "BranchGraph":
         """Admissible interval computed from the branch geometry.
 
-        The left branch carries y in (-16/(3 sqrt 3), +inf) and the right
+        The left branch carries y in (-16/(3 sqrt 3), 10] and the right
         branch the mirror image; the adjacent fold ordinate is excluded by
-        at least the 1e-6 margin, and caller bounds can only shrink the
-        interval, never extend it across a fold.
+        the 1e-6 margin.
         """
         if branch is Branch.LEFT_ATTRACTING:
-            lo, hi = -FOLD_Y + _FOLD_MARGIN, 10.0 if y_max is None else y_max
-            if y_min is not None:
-                lo = max(lo, y_min)
-        elif branch is Branch.RIGHT_ATTRACTING:
-            lo, hi = -10.0 if y_min is None else y_min, FOLD_Y - _FOLD_MARGIN
-            if y_max is not None:
-                hi = min(hi, y_max)
-        else:
-            raise ValueError("slow-manifold graphs are defined on attracting branches only")
-        if not lo < hi:
-            raise ValueError(f"empty validity interval ({lo}, {hi})")
-        return cls(branch, lo, hi)
+            return cls(branch, -FOLD_Y + _FOLD_MARGIN, 10.0)
+        if branch is Branch.RIGHT_ATTRACTING:
+            return cls(branch, -10.0, FOLD_Y - _FOLD_MARGIN)
+        raise ValueError("slow-manifold graphs are defined on attracting branches only")
 
     def contains(self, y: float) -> bool:
         return self.y_lo <= y <= self.y_hi

@@ -250,7 +250,7 @@ def _stub_cycle(length, converged=True):
 
 
 class _StubSearch:
-    """Stand-in for `canard.find_limit_cycle` that records the tol of each call.
+    """Stand-in for `canard.find_limit_cycle` that records the c and tol of each call.
 
     `outcome(c, tol)` gives the cycle length, a (length, converged) pair, or
     an exception instance to raise.
@@ -258,9 +258,11 @@ class _StubSearch:
 
     def __init__(self, outcome):
         self.outcome = outcome
+        self.cs = []
         self.tols = []
 
     def __call__(self, params, seed, tol):
+        self.cs.append(params.c)
         self.tols.append(tol)
         out = self.outcome(params.c, tol)
         if isinstance(out, Exception):
@@ -282,13 +284,13 @@ class TestDecisionRule:
     def test_far_cycle_is_decided_by_one_loose_search(self, stub_search):
         stub = stub_search(lambda c, tol: 20.0)
         cache = {}
-        canard._measure(1.15, 0.5, 1e-11, cache, decide=True)
+        canard._measure(1.15, 0.5, cache, decide=True)
         assert stub.tols == [1e-9]
 
     def test_near_threshold_is_confirmed_at_tol(self, stub_search):
         stub = stub_search(lambda c, tol: 10.5 if tol == 1e-9 else 9.7)
         cache = {}
-        lc = canard._measure(1.15, 0.5, 1e-11, cache, decide=True)
+        lc = canard._measure(1.15, 0.5, cache, decide=True)
         assert stub.tols == [1e-9, 1e-11]
         assert cache == {1.15: lc} and lc.length == 9.7
 
@@ -296,14 +298,14 @@ class TestDecisionRule:
     def test_unconverged_loose_cycle_in_window_is_confirmed(self, stub_search, length):
         stub = stub_search(lambda c, tol: (length, tol != 1e-9))
         cache = {}
-        assert canard._measure(1.15, 0.5, 1e-11, cache, decide=True).converged
+        assert canard._measure(1.15, 0.5, cache, decide=True).converged
         assert stub.tols == [1e-9, 1e-11]
 
     @pytest.mark.parametrize("length", [0.4, 4.9, 15.1, 20.0])
     def test_unconverged_loose_cycle_outside_window_decides(self, stub_search, length):
         # the small cycles beside the Hopf point converge too slowly at any tol
         stub = stub_search(lambda c, tol: (length, False))
-        lc = canard._measure(1.15, 0.5, 1e-11, {}, decide=True)
+        lc = canard._measure(1.15, 0.5, {}, decide=True)
         assert stub.tols == [1e-9]
         assert lc.length == length and not lc.converged
 
@@ -312,24 +314,18 @@ class TestDecisionRule:
     )
     def test_loose_search_error_falls_through_to_tol(self, stub_search, error):
         stub = stub_search(lambda c, tol: error("loose") if tol == 1e-9 else 20.0)
-        assert canard._measure(1.15, 0.5, 1e-11, {}, decide=True).length == 20.0
+        assert canard._measure(1.15, 0.5, {}, decide=True).length == 20.0
         assert stub.tols == [1e-9, 1e-11]
 
     def test_tight_search_error_reaches_the_caller(self, stub_search):
         stub = stub_search(lambda c, tol: NoCycleError(f"tol {tol}"))
         with pytest.raises(NoCycleError, match="tol 1e-11"):
-            canard._measure(1.15, 0.5, 1e-11, {}, decide=True)
+            canard._measure(1.15, 0.5, {}, decide=True)
         assert stub.tols == [1e-9, 1e-11]
-
-    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
-    def test_tol_at_or_above_decision_tol_searches_once(self, stub_search, tol):
-        stub = stub_search(lambda c, t: (10.2, False))
-        canard._measure(1.15, 0.5, tol, {}, decide=True)
-        assert stub.tols == [tol]
 
     def test_measure_without_decide_searches_at_tol(self, stub_search):
         stub = stub_search(lambda c, tol: 20.0)
-        canard._measure(1.15, 0.5, 1e-11, {})
+        canard._measure(1.15, 0.5, {})
         assert stub.tols == [1e-11]
 
     def test_locate_caches_one_cycle_per_c(self, stub_search):
@@ -342,7 +338,54 @@ class TestDecisionRule:
         assert stub.tols == [1e-9] * 12
 
 
-# recipe brackets and the explosion values located there at the default tol
+class TestDefaultBracket:
+    def test_no_bracket_bisects_the_range_below_hopf(self, stub_search):
+        c_x = 2.0 / math.sqrt(3.0) - 0.01
+        stub = stub_search(lambda c, tol: 20.0 if c < c_x else 2.0)
+        c_star = locate_canard_explosion(0.5)
+        lo, hi = 2.0 / math.sqrt(3.0) - 0.05, 2.0 / math.sqrt(3.0) - 1e-5
+        assert stub.cs[:2] == [lo, hi]
+        for c in stub.cs[2:]:
+            assert c == 0.5 * (lo + hi)
+            lo, hi = (c, hi) if c < c_x else (lo, c)
+        assert hi - lo <= 1e-7 and c_star == 0.5 * (lo + hi)
+        assert len(stub.cs) == 21
+
+    @pytest.mark.slow
+    def test_no_bracket_locate_at_eps_2(self):
+        # the default range straddles the explosion window at eps = 2 too
+        cache = {}
+        locate_canard_explosion(2.0, cache=cache)
+        assert cache[2.0 / math.sqrt(3.0) - 0.05].length > 15.0
+        assert cache[2.0 / math.sqrt(3.0) - 1e-5].length < 5.0
+
+
+class TestScanSkipsFailedSearches:
+    @pytest.mark.parametrize(
+        "error", [ConvergedToEquilibriumError, NonFiniteError, StepSizeCollapseError]
+    )
+    @pytest.mark.parametrize("phase", ["deepen", "flank"])
+    def test_failed_search_is_left_out(self, stub_search, error, phase):
+        # the locate decides every step at 1e-9; the deepen phase then
+        # searches within 1e-9 of c*, the flanks 1e-5 and more away from it
+        c_x = 1.15
+        failed = []
+
+        def outcome(c, tol):
+            if tol == 1e-11 and not failed and (abs(c - c_x) < 1e-8) == (phase == "deepen"):
+                failed.append(c)
+            if failed and c == failed[0]:
+                return error(f"search at c={c!r} failed")
+            return 20.0 if c < c_x else 2.0
+
+        stub = stub_search(outcome)
+        _, records = canard.explosion_scan(0.5, bracket=(1.14, 1.154))
+        assert failed and failed[0] not in [r.c for r in records]
+        assert stub.cs[-1] != failed[0]
+        assert records
+
+
+# recipe brackets and the explosion values located there
 _RECIPE_LOCATES = {
     0.5: ((1.14, 1.154), float.fromhex("0x1.266b7ec8b4394p+0")),
     0.1: ((1.15, 1.1547), float.fromhex("0x1.275f0e4c2f838p+0")),

@@ -11,6 +11,16 @@ from fhn.bifurcation import sweep_values
 from fhn.cli import main
 from fhn.core import SystemParams
 from fhn.dynamics import Stability
+from fhn.errors import (
+    BracketFailureError,
+    ConvergedToEquilibriumError,
+    FHNError,
+    IntegrationError,
+    NoCycleError,
+    NonFiniteError,
+    SearchError,
+    StepSizeCollapseError,
+)
 
 
 def read_csv(path):
@@ -24,6 +34,53 @@ def subcommand_parsers():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices
+
+
+def fhn_error_classes():
+    """FHNError and every class below it."""
+    out, todo = [], [FHNError]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(out, key=lambda c: c.__name__)
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("error", fhn_error_classes(), ids=lambda c: c.__name__)
+    def test_exit_code_follows_base_class(self, tmp_path, monkeypatch, error):
+        def handler(args, outdir, manifest):
+            raise error("raised by the handler")
+
+        monkeypatch.setattr(cli, "_cmd_singular", handler)
+        code = main(["singular", "--b", "0", "--c", "0", "--out", str(tmp_path)])
+        if issubclass(error, IntegrationError):
+            want = (3, "integration-error")
+        elif issubclass(error, SearchError):
+            want = (4, "search-error")
+        else:
+            want = (2, "config-error")
+        assert code == want[0]
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert (man["status"], man["error"]) == (want[1], "raised by the handler")
+
+    def test_value_error_is_config_error(self, tmp_path, monkeypatch):
+        def handler(args, outdir, manifest):
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(cli, "_cmd_singular", handler)
+        assert main(["singular", "--b", "0", "--c", "0", "--out", str(tmp_path)]) == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error"
+
+    def test_failure_bases(self):
+        classes = fhn_error_classes()
+        assert {c for c in classes if issubclass(c, IntegrationError)} == {
+            IntegrationError, NonFiniteError, StepSizeCollapseError,
+        }
+        assert {c for c in classes if issubclass(c, SearchError)} == {
+            SearchError, NoCycleError, ConvergedToEquilibriumError, BracketFailureError,
+        }
 
 
 class TestParsedOptionsAreRead:

@@ -105,11 +105,6 @@ class TestValidityIntervals:
     def test_right_interval_excludes_fold_ordinate(self):
         assert RIGHT.y_hi <= FOLD_Y - 1e-6
 
-    def test_caller_bounds_cannot_cross_fold(self):
-        g = BranchGraph.for_branch(Branch.LEFT_ATTRACTING, y_min=-100.0, y_max=5.0)
-        assert g.y_lo >= -FOLD_Y + 1e-6
-        assert g.y_hi == 5.0
-
     def test_middle_branch_rejected(self):
         with pytest.raises(ValueError):
             BranchGraph.for_branch(Branch.MIDDLE_REPELLING)
