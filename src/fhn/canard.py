@@ -280,15 +280,21 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
         raise ValueError("cycle has too few samples to classify")
     if cycle.diameter < SMALL_CYCLE_DIAMETER:
         return CanardClass.HOPF_SMALL
-    seg = np.hypot(np.diff(cycle.x), np.diff(cycle.y))
-    in_band = _within_middle_band(cycle.x, cycle.y, MIDDLE_BAND)
-    best = run = 0.0
-    for k in range(len(seg)):
-        if in_band[k] and in_band[k + 1]:
-            run += seg[k]
-            best = max(best, run)
-        else:
-            run = 0.0
+    inside = _in_band_segments(cycle, MIDDLE_BAND)
+    seg = np.hypot(np.roll(cycle.x, -1) - cycle.x, np.roll(cycle.y, -1) - cycle.y)
+    if inside.all():
+        best = float(np.sum(seg))
+    else:
+        # walk the loop once from a segment outside the band, so that a run
+        # through the loop's first sample is one run
+        k0 = int(np.argmin(inside))
+        best = run = 0.0
+        for k in np.roll(np.arange(len(seg)), -k0):
+            if inside[k]:
+                run += seg[k]
+                best = max(best, run)
+            else:
+                run = 0.0
     if best < MIN_MIDDLE_ARC:
         return CanardClass.RELAXATION
     if np.any(cycle.x < -FOLD_X):
@@ -298,10 +304,16 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
 
 def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
     """Slow time the loop spends within `band` of the repelling branch."""
+    dt = np.diff(np.append(cycle.t, cycle.t[0] + cycle.period))
+    return float(np.sum(dt[_in_band_segments(cycle, band)]))
+
+
+def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
+    """Whether each segment of the closed loop, from sample k to sample k + 1
+    and from the last sample back to the first, has both ends within `band`
+    of the repelling branch."""
     in_band = _within_middle_band(cycle.x, cycle.y, band)
-    dt = np.diff(cycle.t)
-    inside = in_band[:-1] & in_band[1:]
-    return float(np.sum(dt[inside]))
+    return in_band & np.roll(in_band, -1)
 
 
 _SCAN_SEED = PhasePoint(-2.8, 1.64)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 
@@ -10,7 +11,7 @@ from scipy.spatial import cKDTree
 from fhn import canard
 from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _within_middle_band
 from fhn.core import PhasePoint, SystemParams, eval_fast, eval_slow, phi
-from fhn.dynamics import LimitCycle, Stability
+from fhn.dynamics import LimitCycle, Stability, find_limit_cycle
 from fhn.errors import (
     BracketFailureError,
     ConvergedToEquilibriumError,
@@ -200,6 +201,25 @@ class TestClassifier:
         mx, my = _middle_arc(1.0, -0.5, n=500)
         loop = _loop(mx, my)  # pure middle-branch arc over unit time
         assert time_near_middle_branch(loop, 0.05) == pytest.approx(1.0, abs=0.02)
+
+    # eps-0.1 cycles beside the explosion (tol 1e-11) whose middle-branch arc
+    # was split in two, and misclassified as Relaxation, when the loop started
+    # inside it: a linear walk gave Headless at 20 and Headed at 35 of the 40
+    # start offsets
+    @pytest.mark.parametrize("c", [1.1537941518664359, 1.1537941513061523])
+    def test_class_does_not_depend_on_the_start_sample(self, c):
+        lc = find_limit_cycle(SystemParams(0.0, c, 0.1), PhasePoint(-2.8, 1.64), tol=1e-11)
+        n = len(lc.x) - 1  # the last sample closes the loop
+        classes, times = set(), []
+        for k in range(40):
+            off = k * n // 40
+            x = np.append(np.roll(lc.x[:-1], -off), lc.x[off])
+            y = np.append(np.roll(lc.y[:-1], -off), lc.y[off])
+            rotated = dataclasses.replace(lc, x=x, y=y)
+            classes.add(classify_canard(rotated))
+            times.append(time_near_middle_branch(rotated, 0.5))
+        assert len(classes) == 1
+        assert max(times) - min(times) <= 1e-9 * lc.period
 
 
 class TestMiddleBand:
