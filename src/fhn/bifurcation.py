@@ -23,7 +23,7 @@ from .core import PhasePoint, SystemParams, TimeScale, f_scalar, g_scalar, jacob
 from .dynamics import (
     LimitCycle,
     Stability,
-    _crossing_in_step,
+    _half_line_crossing,
     cycle_length,
     find_limit_cycle,
     integrate,
@@ -216,12 +216,13 @@ def _saddle_seed(b: float, eps: float, side: float) -> tuple[PhasePoint, float]:
 def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
     """Fate of the unstable manifold of the origin: outward jump vs capture by E+.
 
-    The shot stops at x < -0.5, or once capture is proven: a leftward
-    crossing of x = x_E+ that lies more than _CAPTURE_MARGIN below the
-    previous one.  Crossings are cubic-Hermite roots between accepted nodes,
+    The shot stops at x < -0.5, or once capture is proven: a return to the
+    half-line {x = x_E+, y > y_E+} that lies more than _CAPTURE_MARGIN below
+    the previous one.  Crossings are cubic-Hermite roots between accepted nodes,
     whose slow-time derivatives are the field's, as the stepper computes them.
     """
     x_eq = math.sqrt(4.0 - 1.0 / b)
+    y_eq = phi(x_eq)
     sx = 1.0 / eps
 
     def node(t, x, y):
@@ -235,7 +236,7 @@ def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
         if x < -0.5:
             return True
         if last is not None and last[1] > x_eq >= x:
-            cross = _crossing_in_step(node(*last), node(t, x, y), x_eq, -1)
+            cross = _half_line_crossing(node(*last), node(t, x, y), x_eq, y_eq, -1)
             if cross is not None:
                 if y_return is not None and cross[1] < y_return - _CAPTURE_MARGIN:
                     return True

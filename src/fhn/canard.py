@@ -282,19 +282,15 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
         return CanardClass.HOPF_SMALL
     inside = _in_band_segments(cycle, MIDDLE_BAND)
     seg = np.hypot(np.roll(cycle.x, -1) - cycle.x, np.roll(cycle.y, -1) - cycle.y)
-    if inside.all():
-        best = float(np.sum(seg))
-    else:
-        # walk the loop once from a segment outside the band, so that a run
-        # through the loop's first sample is one run
-        k0 = int(np.argmin(inside))
-        best = run = 0.0
-        for k in np.roll(np.arange(len(seg)), -k0):
-            if inside[k]:
-                run += seg[k]
-                best = max(best, run)
-            else:
-                run = 0.0
+    # twice round the loop, so that a run through its first sample is whole
+    # (a loop inside the band throughout is at least twice its diameter long)
+    best = run = 0.0
+    for k in list(range(len(seg))) * 2:
+        if inside[k]:
+            run += seg[k]
+            best = max(best, run)
+        else:
+            run = 0.0
     if best < MIN_MIDDLE_ARC:
         return CanardClass.RELAXATION
     if np.any(cycle.x < -FOLD_X):

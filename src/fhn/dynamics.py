@@ -7,12 +7,12 @@ FitzHugh-Nagumo field with its exact 2x2 Jacobian.  Two loops drive the
 stepper: `integrate_until` for trajectories and `find_limit_cycle` for cycles.
 
 A cycle search integrates in slow time, backward for an unstable cycle so
-that it attracts, in windows of 10 time units: two transient windows, one
-probe window that places a vertical Poincare section and measures the
-amplitude, then as many windows as the section returns take to converge.
-One equilibrium test runs at the close of every window: a state that moved
-less than 1e-6 in x and in y over the window has parked on an equilibrium.
-A backward search also ends, in NonFiniteError, once its orbit enters one of
+that it attracts, and counts returns from its first step on the half-lines
+{x = x_eq, y > y_eq} above the equilibria, which the flow crosses leftward
+only.  The loop is the stretch between the last two returns to the first
+half-line whose returns agree.  A state that moved less than 1e-6 in x and
+in y over a window of 10 time units has parked on an equilibrium.  A
+backward search also ends, in NonFiniteError, once its orbit enters one of
 the escape regions R+ = {x >= X, y >= -x} or R- = {x <= -X, y <= -x}
 (`_escape_abscissa`), where the reversed field provably blows up in finite
 time.  The returned loop and every search failure carry the step counts.
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhasePoint, SystemParams, TimeScale
+from .core import PhasePoint, SystemParams, TimeScale, phi
 from .errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteError,
     StepSizeCollapseError,
 )
+from .singular import equilibrium_abscissae
 
 _GAMMA = 0.25
 _A = (
@@ -402,12 +403,12 @@ def cycle_length(x, y) -> float:
     return total
 
 
-# the search runs in windows of this many slow-time units: the transient
-# windows, then the probe window, then the returns
+# the equilibrium test runs over windows of this many slow-time units
 _WINDOW = 10.0
-_TRANSIENT_WINDOWS = 2
-_PROBE = _TRANSIENT_WINDOWS + 1
 _LOOSE_RETURN_FRACTION = 0.01
+# falling returns whose geometric limit lies below this fraction of the last
+# one's height above the equilibrium spiral into the equilibrium
+_INTO_EQUILIBRIUM = 0.01
 _MIN_CYCLE_DIAMETER = 1e-6
 # successive returns this close are converged
 _RETURN_TOL = 1e-8
@@ -426,25 +427,30 @@ def find_limit_cycle(
     """Locate a limit cycle by convergence of Poincare returns.
 
     Integration runs in slow time, forward for stable cycles and backward
-    (`direction="backward"`) for unstable ones, in windows of 10 time units:
-    - windows 1-2 are the transient, their steps clamped to the window end;
-    - window 3 is the probe: the point of fastest horizontal motion in it
-      anchors the section, the vertical line through it crossed with its
-      orientation, and the window's x-range is the cycle amplitude;
-    - after it, returns are the section ordinates.  Once successive returns
-      agree to 1e-8 the next period is recorded and returned as the loop.
+    (`direction="backward"`) for unstable ones.  The sections are the
+    half-lines {x = x_eq, y > y_eq} above the equilibria: x' = (y_eq - y)/eps
+    there, so the flow crosses each leftward only, and a cycle crosses the
+    one above each equilibrium it encloses once.  Returns count from the
+    first step (rightward crossings backward).  The first half-line whose
+    last two returns agree to 1e-8 decides; the loop is the stretch between
+    them, from `section_x` = x_eq crossed in the direction `section_sign`
+    (-1 forward, +1 backward).
 
-    If the budget of `max_periods` estimated periods runs out while returns
-    still jitter inside one percent of the amplitude (the regime near a
-    canard explosion, where tolerance noise is amplified exponentially along
-    the repelling branch), the next loop is returned flagged
+    If the budget of `max_periods` estimated periods (10 time units each
+    until a half-line has two returns) runs out while the last four returns
+    to a half-line jitter inside one percent of the amplitude, the largest
+    x-range of a loop between returns to it (the regime near a canard
+    explosion, where tolerance noise is amplified exponentially along the
+    repelling branch), the loop between the last two is returned flagged
     `converged=False` rather than raising.
 
     The search ends without a cycle at one of these exits:
-    - ConvergedToEquilibriumError, from the equilibrium test that runs each
-      time a window closes: a state whose extent over the window,
-      max(x-range, y-range), is below 1e-6; likewise a recorded loop of that
-      diameter;
+    - ConvergedToEquilibriumError: a state whose extent, max(x-range,
+      y-range), over a window of 10 time units is below 1e-6, tested each
+      time a window closes; a loop of that diameter; or three falling
+      returns whose geometric limit lies below 1% of the last one's height
+      above the equilibrium (returns to a section of a planar flow are
+      monotone);
     - NoCycleError, when the budget runs out otherwise;
     - NonFiniteError, on a backward search, at a node in one of the escape
       regions R+ or R- of `_escape_abscissa`, where the reversed field blows
@@ -466,25 +472,24 @@ def find_limit_cycle(
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
     # a forward search never enters an escape region
     x_esc = _escape_abscissa(params) if sgn == -1 else math.inf
+    halves = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
+    # per half-line: its returns (t, y), the nodes since the last of them and
+    # the largest x-range of a loop between two of them
+    returns: list[list[tuple[float, float]]] = [[] for _ in halves]
+    stretch: list[list | None] = [None] * len(halves)
+    amplitude = [0.0] * len(halves)
+    t_ref = None  # the latest interval between two returns to one half-line
 
     st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
-
-    window = 1
     window_end = st.t + _WINDOW
-    t_cap = window_end
     x_lo = x_hi = st.x
     y_lo = y_hi = st.y
-    crossings: list[tuple[float, float]] = []
-    t_budget_ref = _WINDOW
-    converged_at = None
-    recording: list[tuple[float, float, float, float, float]] | None = None
+    prev = (st.t, st.x, st.y, st.dx, st.dy)
 
     try:
         while True:
-            # crossings count from the first step after the probe window closes
-            returns = window > _PROBE
-            st.advance(t_cap)
-            t, x, y, dx = st.t, st.x, st.y, st.dx
+            st.advance()
+            t, x, y = st.t, st.x, st.y
             if x < x_lo:
                 x_lo = x
                 if x <= -x_esc and y <= -x:
@@ -497,70 +502,82 @@ def find_limit_cycle(
                 y_lo = y
             elif y > y_hi:
                 y_hi = y
-            if window == _PROBE and abs(dx) > abs(fastest_dx):
-                fastest_x, fastest_dx = x, dx
             if t >= window_end:
                 if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
                     raise ConvergedToEquilibriumError(
                         "state stopped moving; trajectory parked at an equilibrium",
                         point=PhasePoint(x, y),
                     )
-                if window == _PROBE:
-                    section_x, section_sign = fastest_x, 1 if fastest_dx > 0 else -1
-                    amplitude = x_hi - x_lo
-                    budget_start = t
-                    prev = (t, x, y, dx, st.dy)
                 # the next window starts from this node
-                window += 1
                 window_end = t + _WINDOW
-                t_cap = window_end if window <= _TRANSIENT_WINDOWS else None
                 x_lo = x_hi = x
                 y_lo = y_hi = y
-                fastest_x, fastest_dx = x, dx
-            if not returns:
-                continue
-            node = (t, x, y, dx, st.dy)
-            if recording is not None:
-                recording.append(node)
-            cross = _crossing_in_step(prev, node, section_x, section_sign)
-            if cross is None:
-                if not crossings and t - budget_start > max_periods * t_budget_ref:
-                    raise NoCycleError("no section crossings within the time budget")
-            elif converged_at is not None:
-                # the period after the accepted return is recorded: build the loop
-                t_start, strict, gap = converged_at
-                loop = _build_loop(recording, t_start, cross[0], stability, section_x,
-                                   section_sign, strict, gap)
-                if loop.diameter < _MIN_CYCLE_DIAMETER:
-                    raise ConvergedToEquilibriumError(
-                        "returns converged onto a point, not a cycle", point=PhasePoint(x, y)
-                    )
-                break
-            else:
-                crossings.append(cross)
-                if len(crossings) >= 2:
-                    (t_0, y_0), (t_c, y_c) = crossings[-2:]
-                    t_budget_ref = max(t_c - t_0, 1e-3)
+            if t_ref is None and t > max_periods * _WINDOW:
+                raise NoCycleError("no two returns to one section within the time budget")
+            node = (t, x, y, st.dx, st.dy)
+            x_prev = prev[1]
+            for k, (x_eq, y_eq) in enumerate(halves):
+                if stretch[k] is not None:
+                    stretch[k].append(node)
+                # the sign test of _half_line_crossing: most steps cross nothing
+                if (x > x_eq) == (x_prev > x_eq):
+                    continue
+                cross = _half_line_crossing(prev, node, x_eq, y_eq, -sgn)
+                if cross is None:
+                    continue
+                rets = returns[k]
+                rets.append(cross)
+                if len(rets) >= 2:
+                    (t_0, y_0), (t_c, y_c) = rets[-2:]
+                    t_ref = max(t_c - t_0, 1e-3)
                     gap = abs(y_c - y_0)
-                    out_of_budget = t - budget_start > max_periods * t_budget_ref
-                    recent = [y_r for _, y_r in crossings[-4:]]
-                    loose_ok = (
-                        len(crossings) >= 5
-                        and max(recent) - min(recent) < _LOOSE_RETURN_FRACTION * amplitude
-                    )
-                    if gap < _RETURN_TOL or (out_of_budget and loose_ok):
-                        converged_at = (t_c, gap < _RETURN_TOL, gap)
-                        recording = [prev, node]
-                    elif out_of_budget:
-                        raise NoCycleError(
-                            f"returns did not settle within {max_periods} estimated periods"
+                    converged = gap < _RETURN_TOL
+                    xs = [n[1] for n in stretch[k]]
+                    amplitude[k] = max(amplitude[k], max(xs) - min(xs))
+                    if not converged and _falls_into_equilibrium(rets, y_eq):
+                        raise ConvergedToEquilibriumError(
+                            "returns fall into the equilibrium below them",
+                            point=PhasePoint(x_eq, y_eq),
                         )
+                    if converged or t > max_periods * t_ref:
+                        recent = [y_r for _, y_r in rets[-4:]]
+                        if not (converged or len(rets) >= 5 and max(recent) - min(recent)
+                                < _LOOSE_RETURN_FRACTION * amplitude[k]):
+                            raise NoCycleError(
+                                f"returns did not settle within {max_periods} estimated periods"
+                            )
+                        loop = _build_loop(stretch[k], t_0, t_c, stability, x_eq, -sgn,
+                                           converged, gap)
+                        if loop.diameter < _MIN_CYCLE_DIAMETER:
+                            raise ConvergedToEquilibriumError(
+                                "returns converged onto a point, not a cycle",
+                                point=PhasePoint(x, y),
+                            )
+                        loop.stats = st.stats()
+                        return loop
+                    # a half-line not crossed since this one's previous return
+                    # lies outside the orbit's last loop: forget its returns
+                    for j, nodes in enumerate(stretch):
+                        if nodes is not None and len(nodes) > len(stretch[k]):
+                            returns[j].clear()
+                            stretch[j] = None
+                            amplitude[j] = 0.0
+                stretch[k] = [prev, node]
             prev = node
     except FHNError as exc:
         exc.stats = st.stats()
         raise
-    loop.stats = st.stats()
-    return loop
+
+
+def _falls_into_equilibrium(rets, y_eq: float) -> bool:
+    """Whether the last three returns (t, y) fall, with heights r0 > r1 > r2
+    above y_eq, toward the geometric limit (r2 - q r1)/(1 - q), q the ratio
+    of their steps, and that limit lies below 1% of r2."""
+    r0, r1, r2 = (y_r - y_eq for _, y_r in rets[-3:]) if len(rets) >= 3 else (0.0, 0.0, 0.0)
+    if not r0 > r1 > r2:
+        return False
+    q = (r2 - r1) / (r1 - r0)
+    return q < 1.0 and r2 - q * r1 < _INTO_EQUILIBRIUM * r2 * (1.0 - q)
 
 
 def _escape_abscissa(params: SystemParams) -> float:
@@ -602,25 +619,29 @@ def _escape_error(region: str, x_esc: float, t: float, x: float, y: float) -> No
     )
 
 
-def _crossing_in_step(prev, node, section_x: float, section_sign: int):
+def _half_line_crossing(prev, node, x_eq: float, y_eq: float, sign: int):
+    """(t, y) where the step from `prev` to `node` crosses the half-line
+    {x = x_eq, y > y_eq} above an equilibrium in the direction `sign` of x,
+    or None; the crossing is the cubic-Hermite root of x = x_eq in the step."""
     t0, x0, y0, dx0, dy0 = prev
     t1, x1, y1, dx1, dy1 = node
-    s0, s1 = x0 - section_x, x1 - section_x
+    s0, s1 = x0 - x_eq, x1 - x_eq
     if s0 == 0.0 or s0 * s1 >= 0.0:
         return None
-    if (1 if x1 > x0 else -1) != section_sign:
+    if (1 if x1 > x0 else -1) != sign:
         return None
     h = t1 - t0
     lo, hi = 0.0, 1.0
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        val = _hermite(mid, x0, x1, dx0, dx1, h) - section_x
+        val = _hermite(mid, x0, x1, dx0, dx1, h) - x_eq
         if (val > 0.0) == (s1 > 0.0):
             hi = mid
         else:
             lo = mid
     s = 0.5 * (lo + hi)
-    return t0 + s * h, float(_hermite(s, y0, y1, dy0, dy1, h))
+    y = float(_hermite(s, y0, y1, dy0, dy1, h))
+    return (t0 + s * h, y) if y > y_eq else None
 
 
 def _build_loop(nodes, t_start, t_end, stability, section_x, section_sign, strict, gap):

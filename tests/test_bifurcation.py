@@ -5,7 +5,8 @@ import pytest
 
 from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from fhn.dynamics import integrate_until
+from fhn.canard import LARGE_LENGTH
+from fhn.dynamics import Stability, integrate_until
 from fhn.errors import BracketFailureError
 from fhn.bifurcation import (
     BifKind,
@@ -295,11 +296,11 @@ class TestSweepPin:
     """The two recipe grids at eps 0.5 and the sweep's tol, every cycle record
     pinned bit for bit: period, length, converged flag and seed of each row."""
 
-    # sha256 over the rows of `_digest`, recorded before backward searches
-    # learned to end at the escape regions
+    # sha256 over the rows of `_digest`, recorded from the search on the
+    # half-lines above the equilibria
     DIGESTS = {
-        "b": "8a45ae89103cfd3f2df0c8a28ec328a7adf338b22ffa32d9cbfee21b2352917a",
-        "c": "4c90f970dd6c1cd899122a7b19f4dc93c26b4deaad8381556234770917858476",
+        "b": "01fad7ef91d4c21c8eba2d57fad1855ffb2cfc03ddefab2f25ad5b2e472d8c5f",
+        "c": "3048321a7961e32df7a2d4e7d1983a2dcf5c621cc61c02d097753b30a03fbcb7",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
 
@@ -321,3 +322,110 @@ class TestSweepPin:
         assert self._digest(rows) == self.DIGESTS[param]
         # a backward search with no cycle to find ends at the escape regions
         assert not any("StepSizeCollapseError" in (row.error or "") for row in rows)
+
+
+class TestAgreementWithWindowedSearch:
+    """Every converged relaxation cycle of the two recipe grids (tol 1e-9)
+    agrees to 1e-7 relative, in period and length, with the loop that the
+    windowed search measured: that search placed its section by a probe
+    window after a 20-unit transient and recorded one more period once its
+    returns agreed.  The values below were recorded from it."""
+
+    # (period, length) of the stable cycle of each row, from row 0; the rows
+    # after these hold no cycle longer than LARGE_LENGTH
+    CYCLES = {
+        "b": [  # rows 0-47
+            (10.056536912570664, 19.657802820548376),
+            (10.090773167678677, 19.63117992331071),
+            (10.125924007239014, 19.60444460820788),
+            (10.162024366143825, 19.57759301776109),
+            (10.199111361944333, 19.55062108695402),
+            (10.237224480779908, 19.523524529158145),
+            (10.276405783708753, 19.496298816729702),
+            (10.316700136227986, 19.4689391620029),
+            (10.358155464682106, 19.441440495478073),
+            (10.400823042917821, 19.41379744033859),
+            (10.444757814065824, 19.386004286437046),
+            (10.490018752238548, 19.358054958973558),
+            (10.536669271146543, 19.32994298471358),
+            (10.58477768610689, 19.301661453693402),
+            (10.634417739582126, 19.273202974662635),
+            (10.685669199608391, 19.244559626742138),
+            (10.738618545086197, 19.215722903522774),
+            (10.793359752663271, 19.18668364861133),
+            (10.84999520503127, 19.157431982457922),
+            (10.908636743429561, 19.12795721696606),
+            (10.969406893345074, 19.098247759483232),
+            (11.032440299681753, 19.068290997239846),
+            (11.097885415830682, 19.038073164821117),
+            (11.16590650396595, 19.007579187604552),
+            (11.236686018717826, 18.976792496371488),
+            (11.310427467763716, 18.945694805315192),
+            (11.387358870047613, 18.914265847672755),
+            (11.467736970793773, 18.882483052253633),
+            (11.55185242505474, 18.85032115125988),
+            (11.640036233317353, 18.817751696799984),
+            (11.732667818707498, 18.78474245259551),
+            (11.830185283699379, 18.75125663510605),
+            (11.933098606424906, 18.717251936749143),
+            (12.04200686873805, 18.68267926064089),
+            (12.157621122508914, 18.647481055030287),
+            (12.280795307488937, 18.61158907153238),
+            (12.412568959489704, 18.57492129019317),
+            (12.554227669512478, 18.53737759358882),
+            (12.707391165517706, 18.4988335004035),
+            (12.874146063725114, 18.459130779381944),
+            (13.057254270074225, 18.418062790834185),
+            (13.260496906665281, 18.37535042604597),
+            (13.48927867044599, 18.330600022026104),
+            (13.751779931827642, 18.283223471714937),
+            (14.06140935848942, 18.23226873036584),
+            (14.44292950038858, 18.175997538290204),
+            (14.952256626667861, 18.11052201281632),
+            (15.78534310253707, 18.022298946064183),
+        ],
+        "c": [  # rows 0-29
+            (14.244350664265468, 21.201422624640987),
+            (14.284360370771957, 21.197096499853135),
+            (14.325104796647118, 21.192678678781515),
+            (14.366622531950448, 21.18816366178861),
+            (14.408955933496692, 21.18354537293822),
+            (14.452151670202674, 21.17881707524137),
+            (14.496261373635875, 21.17397126322926),
+            (14.541342421246334, 21.168999540028516),
+            (14.587458885450076, 21.163892459902826),
+            (14.634682694338494, 21.15863934270663),
+            (14.683095064308041, 21.15322803479717),
+            (14.732788285732695, 21.147644616630604),
+            (14.783867974199048, 21.141873028018612),
+            (14.836455944185388, 21.135894586920276),
+            (14.890693926850048, 21.12968736131958),
+            (14.94674845485077, 21.123225340821374),
+            (15.004817391427878, 21.11647731946799),
+            (15.065138828890518, 21.10940535697706),
+            (15.12800348913845, 21.101962621516044),
+            (15.193772461114271, 21.09409026949948),
+            (15.262903318999463, 21.085712811183527),
+            (15.335990019010545, 21.076730947599415),
+            (15.413826461793697, 21.06701003786073),
+            (15.497513200227289, 21.056360477769864),
+            (15.588648883909151, 21.044502016270936),
+            (15.68970444739319, 21.030992897800907),
+            (15.80484558647425, 21.015071281952437),
+            (15.942078435407737, 20.99523243648142),
+            (16.12067487595744, 20.967723778086533),
+            (16.418987082757397, 20.916397897416505),
+        ],
+    }
+
+    @pytest.mark.parametrize("param", sorted(CYCLES))
+    def test_relaxation_cycles_agree(self, param):
+        lo, hi = TestSweepPin.GRIDS[param]
+        rows = sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+        want = self.CYCLES[param]
+        for row, (period, length) in zip(rows, want):
+            (rec,) = [r for r in row.cycles if r.stability is Stability.STABLE]
+            assert rec.converged
+            assert rec.period == pytest.approx(period, rel=1e-7, abs=0.0)
+            assert rec.length == pytest.approx(length, rel=1e-7, abs=0.0)
+        assert all(rec.length < LARGE_LENGTH for row in rows[len(want):] for rec in row.cycles)

@@ -412,6 +412,38 @@ _RECIPE_LOCATES = {
 }
 
 
+# the converged cycles longer than LARGE_LENGTH in the caches of the recipe
+# locates, c -> (period, length), as the windowed search measured them: it
+# placed its section by a probe window after a 20-unit transient and recorded
+# one more period once its returns agreed
+_WINDOWED_LOCATE_CYCLES = {
+    0.5: {
+        1.14: (15.551168574148996, 21.049413894962694),
+        1.1469999999999998: (16.066229955300237, 20.976334563853765),
+        1.1487499999999997: (16.32432328388151, 20.933506259509098),
+        1.149625: (16.58654518435278, 20.884031165577394),
+        1.1500624999999998: (17.193883429489148, 20.74220476655613),
+        1.1500761718749999: (17.516320029470165, 20.650084918459765),
+        1.1500770263671873: (17.618526752580046, 20.618172420450023),
+        1.1500774536132812: (17.73188870253115, 20.58111047232025),
+        1.150077667236328: (17.89141783009407, 20.525759591383284),
+        1.1500777206420896: (18.029664811446445, 20.474488443983766),
+    },
+    0.1: {
+        1.15: (13.459434159809398, 20.173565850871434),
+        1.15235: (13.657473519046178, 20.15919518210448),
+        1.1535250000000001: (13.881131675585323, 20.13821461771344),
+        1.1536718750000001: (13.960816861608407, 20.12929214426228),
+        1.1537453125000001: (14.042831197205004, 20.119356207701582),
+        1.15378203125: (14.153215936544285, 20.104915430315238),
+        1.1537912109375: (14.253791981617063, 20.090826643176793),
+        1.153793505859375: (14.352390694855224, 20.0762439066549),
+        1.1537940795898436: (14.482847276538166, 20.055858107638826),
+        1.1537941513061523: (14.759850499699837, 20.008646153934162),
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def recipe_locates():
     out = {}
@@ -464,6 +496,17 @@ class TestLocator:
         # the bisection premise: long cycles below c*, short ones above
         for c, lc in cache.items():
             assert (lc.length >= canard.EXPLOSION_LENGTH) == (c < c_star)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", sorted(_RECIPE_LOCATES))
+    def test_relaxation_cycles_agree_with_windowed_search(self, recipe_locates, eps):
+        _, cache = recipe_locates[eps]
+        want = _WINDOWED_LOCATE_CYCLES[eps]
+        assert sorted(c for c, lc in cache.items() if lc.length > canard.LARGE_LENGTH) == sorted(want)
+        for c, (period, length) in want.items():
+            assert cache[c].converged
+            assert cache[c].period == pytest.approx(period, rel=1e-7, abs=0.0)
+            assert cache[c].length == pytest.approx(length, rel=1e-7, abs=0.0)
 
     @pytest.mark.slow
     def test_canard_defining_property_at_eps_01(self, recipe_locates):

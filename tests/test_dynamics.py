@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from fhn import dynamics
 from fhn.bifurcation import equilibria, homoclinic_in_b
-from fhn.core import PhasePoint, SystemParams, TimeScale
+from fhn.core import PhasePoint, SystemParams, TimeScale, phi
 from fhn.dynamics import Stability, cycle_length, find_limit_cycle, integrate
 from fhn.errors import (
     ConvergedToEquilibriumError,
@@ -20,7 +20,7 @@ from fhn.errors import (
     NonFiniteError,
     StepSizeCollapseError,
 )
-from fhn.singular import FOLD_X, relaxation_period
+from fhn.singular import FOLD_X, equilibrium_abscissae, relaxation_period
 
 A_START = PhasePoint(-2.8, 1.64)
 
@@ -194,8 +194,8 @@ class TestFindLimitCycle:
 
 class TestSearchPins:
     """Every exit of the cycle search, recorded bit for bit from the search
-    of three hand-stepped loops that the one window loop replaced.  A failure
-    is pinned by type only."""
+    that counts returns on the half-lines above the equilibria from its first
+    step.  A failure is pinned by type only."""
 
     # (b, c, eps), seed (None: the sweep's backward seed, 1e-3 right of the
     # rightmost equilibrium), direction, tol, max_periods (None: the default),
@@ -204,21 +204,19 @@ class TestSearchPins:
     CYCLES = {
         "converged_forward": (
             (0.0, 1.1500794291496277, 0.5), (-2.8, 1.64), "forward", 1e-9, None,
-            "0x1.06bcdc1518d00p+3", "0x1.b000ef90becdep+1", True, "0x1.2b282c0000000p-29",
-            "c90b2f22b77215b201dff0cdd9fafaece10975df51da3adcfa389440a6543372"),
-        "unconverged_forward": (
-            (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "forward",
-            1e-9, 30, "0x1.1bbb9223f8e60p+2", "0x1.b6e400b793a01p-7", False,
-            "0x1.660c35cb4c000p-13",
-            "b8d41cf64a2bae984398c29ebb6e2465c70c1bed1d00f908115d523017d60e7e"),
+            "0x1.06bd2d31356aap+3", "0x1.b001efa50d302p+1", True, "0x1.5ab5200000000p-32",
+            "b5aa6ffdc3d84a9b09492570700f102d962829466e1d6811c72599aa8d1d7289"),
         "converged_backward": (
             (0.3692, 0.0, 0.5), None, "backward", 1e-9, 30,
-            "0x1.b5134dc449620p+2", "0x1.eda9e0c8bb2e9p+0", True, "0x1.0074a60000000p-28",
-            "9f93c4a0125b1604ca38298e36d87b845908bf92fed41bd1c826c91ef5c543c5"),
+            "0x1.b5132ccbe77c0p+2", "0x1.eda99c01e17d8p+0", True, "0x1.12b3ee0000000p-27",
+            "239b2faf948953d72ed96037be6684fdfed9ba46e303e82109bf6d3a348e5519"),
+        # above c_H, where no unstable cycle surrounds the stable focus: the
+        # reversed orbit spirals out of it so slowly that the loose exit
+        # takes its returns for a cycle
         "unconverged_backward": (
             (0.0, 1.1548, 0.5), None, "backward", 1e-9, 30,
-            "0x1.1c56fe08cf1a0p+2", "0x1.8daab926a145fp-8", False, "0x1.487396df00000p-19",
-            "1dab031fb4319ac0c26d4f4b4b167382719ac1d8648e478fabbd2b99131ec5f0"),
+            "0x1.1c58959a83b60p+2", "0x1.849ff950cd377p-8", False, "0x1.3d09a91b00000p-19",
+            "8d60260c106246d57bfa6e10860bada975ae4db4c72fca0117297080b51c4754"),
     }
 
     # (b, c, eps), seed, direction, tol, max_periods, exception type
@@ -234,30 +232,36 @@ class TestSearchPins:
         "step_collapse": (
             (0.0, 1.176217557533539, 0.5), (1.1772175575335388, 3.0775876565965907), "backward",
             1e-9, 30, NonFiniteError),
-        # each of the three equilibrium guards the window test replaced: the
-        # transient's displacement test, the probe's horizontal extent test
-        # and the extent test during the returns
-        "parked_in_transient": (
+        # the window extent test: on a seed that is an equilibrium, on a
+        # stable node approached without a return, and on a strongly damped
+        # stable focus, whose returns shrink a thousandfold per turn, at a
+        # ratio too uneven for the geometric test
+        "seed_on_equilibrium": (
             (0.0, -2.5, 0.3), (-2.5, 5.625), "forward", 1e-9, 30, ConvergedToEquilibriumError),
-        "parked_in_probe": (
+        "parked_on_node": (
             (0.0, 1.236757228580831, 0.05), (-2.40420244667499, 4.56561500213391), "forward",
             1e-10, 30, ConvergedToEquilibriumError),
         "parked_in_returns": (
             (0.0, 1.3, 0.5), (-2.8, 1.64), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+        # above c_H: returns that fall geometrically into the stable focus; the
+        # windowed search took them for an unconverged cycle
+        "unconverged_forward": (
+            (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "forward",
+            1e-9, 30, ConvergedToEquilibriumError),
     }
 
     # (accepted steps, rejected steps) of every exit above
     STATS = {
-        "converged_forward": (3476, 20),
-        "unconverged_forward": (3039, 32),
-        "converged_backward": (4880, 40),
-        "unconverged_backward": (1566, 0),
-        "returns_did_not_settle": (1728, 0),
-        "no_crossings": (1382, 0),
-        "step_collapse": (778, 9),
-        "parked_in_transient": (7, 0),
-        "parked_in_probe": (4206, 6),
-        "parked_in_returns": (1101, 6),
+        "converged_forward": (1880, 11),
+        "unconverged_forward": (1082, 32),
+        "converged_backward": (3741, 32),
+        "unconverged_backward": (1254, 0),
+        "returns_did_not_settle": (1410, 0),
+        "no_crossings": (1377, 0),
+        "step_collapse": (776, 9),
+        "seed_on_equilibrium": (7, 0),
+        "parked_on_node": (4205, 6),
+        "parked_in_returns": (1099, 6),
     }
 
     @staticmethod
@@ -284,6 +288,23 @@ class TestSearchPins:
         with pytest.raises(exc_type):
             self._search(*search)
 
+    # period and length of the two converged cycles as the windowed search
+    # measured them (it placed its section by a probe window after a 20-unit
+    # transient and recorded one more period once its returns agreed): a
+    # canard-window cycle and an unstable cycle beside the homoclinic, whose
+    # loops a 1e-8 return gap leaves uncertain by a few 1e-6
+    WINDOWED = {
+        "converged_forward": (8.210554162220888, 3.375028558422499),
+        "converged_backward": (6.829303209005531, 1.9283733835283619),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WINDOWED))
+    def test_converged_cycle_agrees_with_windowed_search(self, case):
+        lc = self._search(*self.CYCLES[case][:5])
+        period, length = self.WINDOWED[case]
+        assert lc.period == pytest.approx(period, rel=2e-5, abs=0.0)
+        assert lc.length == pytest.approx(length, rel=2e-5, abs=0.0)
+
     @pytest.mark.parametrize("case", sorted(STATS))
     def test_stats(self, case):
         # the loop and every search failure carry the stepper's counts
@@ -297,6 +318,49 @@ class TestSearchPins:
             stats = info.value.stats
         steps, rejected = self.STATS[case]
         assert stats == {"steps": steps, "rejected": rejected, "tol": search[3]}
+
+
+class TestHalfLineSection:
+    """Every loop starts on the half-line {x = x_eq, y > y_eq} above an
+    equilibrium, crossed leftward forward and rightward backward."""
+
+    SEARCHES = {
+        "one_equilibrium": ((0.0, 0.0, 0.1), (-2.8, 1.64), "forward"),
+        "three_enclosed": ((0.3, 0.0, 0.5), (-2.8, 1.64), "forward"),
+        "near_hopf_unconverged": ((0.0, 1.152, 0.5), (-2.8, 1.64), "forward"),
+        "around_e_plus": ((0.3692, 0.0, 0.5), None, "backward"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SEARCHES))
+    def test_loop_starts_on_a_half_line(self, case):
+        bce, seed, direction = self.SEARCHES[case]
+        lc = TestSearchPins._search(bce, seed, direction, 1e-9, 30)
+        assert lc.section_x in [x for x, _ in equilibrium_abscissae(SystemParams(*bce))]
+        assert abs(lc.x[0] - lc.section_x) <= 1e-12
+        assert lc.y[0] > phi(lc.section_x)
+        assert lc.section_sign == (-1 if direction == "forward" else 1)
+
+    def test_seeds_inside_and_outside_the_cycle_agree(self):
+        # the origin, an unstable node, lies inside the relaxation cycle, and
+        # x = -2.8 lies left of it
+        params = SystemParams(0.0, 0.0, 0.5)
+        outside = find_limit_cycle(params, A_START, tol=1e-10)
+        inside = find_limit_cycle(params, PhasePoint(0.1, 0.1), tol=1e-10)
+        assert outside.converged and inside.converged
+        assert inside.period == pytest.approx(outside.period, rel=1e-7, abs=0.0)
+        assert inside.length == pytest.approx(outside.length, rel=1e-7, abs=0.0)
+
+    def test_helper_takes_one_direction_above_the_equilibrium(self):
+        # steps across x = 1 at y = 2, leftward and rightward
+        left = ((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
+        right = ((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
+        t, y = dynamics._half_line_crossing(*left, 1.0, 1.0, -1)
+        assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
+        assert dynamics._half_line_crossing(*right, 1.0, 1.0, 1) == (t, y)
+        assert dynamics._half_line_crossing(*right, 1.0, 1.0, -1) is None
+        assert dynamics._half_line_crossing(*left, 1.0, 1.0, 1) is None
+        # the crossing lies below the equilibrium at y_eq = 2.5
+        assert dynamics._half_line_crossing(*left, 1.0, 2.5, -1) is None
 
 
 class TestEscapeCertificate:
