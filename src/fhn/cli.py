@@ -237,13 +237,15 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
         stable = next((c for c in row.cycles if c.stability is Stability.STABLE), None)
         unstable = next((c for c in row.cycles if c.stability is Stability.UNSTABLE), None)
         for rec in (stable, unstable):
-            flat += [rec.period, rec.length, rec.stability.value] if rec else [None, None, None]
+            flat += [rec.period, rec.length, rec.stability.value, rec.converged] if rec else [None] * 4
         flat.append(row.error)
         csv_rows.append(flat)
     header = ["param", "n_equilibria"]
     for k in (1, 2, 3):
         header += [f"eq{k}_x", f"eq{k}_class"]
-    header += ["cycle_T", "cycle_A", "cycle_stability", "cycle2_T", "cycle2_A", "cycle2_stability", "error"]
+    for prefix in ("cycle", "cycle2"):
+        header += [f"{prefix}_T", f"{prefix}_A", f"{prefix}_stability", f"{prefix}_converged"]
+    header.append("error")
     _write_csv(outdir / "bifurcation.csv", header, csv_rows)
 
     if args.landmarks is not None:

@@ -232,11 +232,12 @@ class TestBifurcateCommand:
             for prefix, stability in (("cycle", Stability.STABLE), ("cycle2", Stability.UNSTABLE)):
                 cyc = next((c for c in row.cycles if c.stability is stability), None)
                 if cyc is None:
-                    assert rec[f"{prefix}_T"] == ""
+                    assert rec[f"{prefix}_T"] == rec[f"{prefix}_converged"] == ""
                     continue
                 n_cycles += 1
                 assert float(rec[f"{prefix}_T"]) == cyc.period
                 assert float(rec[f"{prefix}_A"]) == cyc.length
+                assert rec[f"{prefix}_converged"] == str(cyc.converged)
         assert n_cycles >= 4
 
 
