@@ -218,8 +218,9 @@ def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
 
     The shot stops at x < -0.5, or once capture is proven: a return to the
     half-line {x = x_E+, y > y_E+} that lies more than _CAPTURE_MARGIN below
-    the previous one.  Crossings are cubic-Hermite roots between accepted nodes,
-    whose slow-time derivatives are the field's, as the stepper computes them.
+    the previous one.  Crossings are cubic-Hermite roots between accepted
+    nodes, whose slow-time derivatives are the field's, as the stepper
+    computes them.
     """
     x_eq = math.sqrt(4.0 - 1.0 / b)
     y_eq = phi(x_eq)

@@ -282,8 +282,9 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
         return CanardClass.HOPF_SMALL
     inside = _in_band_segments(cycle, MIDDLE_BAND)
     seg = np.hypot(np.roll(cycle.x, -1) - cycle.x, np.roll(cycle.y, -1) - cycle.y)
-    # twice round the loop, so that a run through its first sample is whole
-    # (a loop inside the band throughout is at least twice its diameter long)
+    # twice round the loop, so that a run through its first sample is whole;
+    # a loop inside the band all round is counted twice, but it is at least
+    # twice its diameter long, so past MIN_MIDDLE_ARC either way
     best = run = 0.0
     for k in list(range(len(seg))) * 2:
         if inside[k]:

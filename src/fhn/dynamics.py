@@ -472,12 +472,12 @@ def find_limit_cycle(
     stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
     # a forward search never enters an escape region
     x_esc = _escape_abscissa(params) if sgn == -1 else math.inf
-    halves = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
+    half_lines = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
     # per half-line: its returns (t, y), the nodes since the last of them and
     # the largest x-range of a loop between two of them
-    returns: list[list[tuple[float, float]]] = [[] for _ in halves]
-    stretch: list[list | None] = [None] * len(halves)
-    amplitude = [0.0] * len(halves)
+    returns: list[list[tuple[float, float]]] = [[] for _ in half_lines]
+    stretch: list[list | None] = [None] * len(half_lines)
+    amplitude = [0.0] * len(half_lines)
     t_ref = None  # the latest interval between two returns to one half-line
 
     st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
@@ -516,7 +516,7 @@ def find_limit_cycle(
                 raise NoCycleError("no two returns to one section within the time budget")
             node = (t, x, y, st.dx, st.dy)
             x_prev = prev[1]
-            for k, (x_eq, y_eq) in enumerate(halves):
+            for k, (x_eq, y_eq) in enumerate(half_lines):
                 if stretch[k] is not None:
                     stretch[k].append(node)
                 # the sign test of _half_line_crossing: most steps cross nothing
@@ -573,7 +573,9 @@ def _falls_into_equilibrium(rets, y_eq: float) -> bool:
     """Whether the last three returns (t, y) fall, with heights r0 > r1 > r2
     above y_eq, toward the geometric limit (r2 - q r1)/(1 - q), q the ratio
     of their steps, and that limit lies below 1% of r2."""
-    r0, r1, r2 = (y_r - y_eq for _, y_r in rets[-3:]) if len(rets) >= 3 else (0.0, 0.0, 0.0)
+    if len(rets) < 3:
+        return False
+    r0, r1, r2 = (y_r - y_eq for _, y_r in rets[-3:])
     if not r0 > r1 > r2:
         return False
     q = (r2 - r1) / (r1 - r0)
