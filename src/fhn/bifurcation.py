@@ -295,15 +295,17 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     s_stop = int(bad[0]) if len(bad) else len(d_s)
 
     # join the arcs where they agree best: both trace the descent of the
-    # stable manifold, the unstable arc from above, the stable arc exactly
-    ut = np.arange(ia, iend_u + 1)
-    ss = np.arange(0, s_stop)
-    du = arc.x[ut][:, None] - traj_s.x[ss][None, :]
-    dv = arc.y[ut][:, None] - traj_s.y[ss][None, :]
-    gap = np.hypot(du, dv)
-    iu_rel, is_rel = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    icut_u = int(ut[iu_rel])
-    icut_s = max(int(ss[is_rel]), 1)
+    # stable manifold, the unstable arc from above, the stable arc exactly.
+    # One unstable node at a time, keeping the first node with the least
+    # gap, which is the pair argmin picks over the whole gap matrix
+    sx, sy = traj_s.x[:s_stop], traj_s.y[:s_stop]
+    best, icut_u, icut_s = math.inf, ia, 0
+    for i in range(ia, iend_u + 1):
+        gap = np.hypot(arc.x[i] - sx, arc.y[i] - sy)
+        j = int(np.argmin(gap))
+        if gap[j] < best:
+            best, icut_u, icut_s = gap[j], i, j
+    icut_s = max(icut_s, 1)
 
     # forward-loop orientation: unstable arc first, then the stable descent,
     # at adaptive node resolution (uniform-time sampling starves the jumps)

@@ -1,6 +1,7 @@
-"""Singular-fold recognition, fold normal-form data, and canard location.
+"""Fold normal-form data, canard classification, and canard location.
 
-The fold normal form around a regular singular fold gives the asymptotic
+The normal-form coefficients at the folds of the b = 0 and c = 0 families
+are recorded in closed form.  The fold normal form gives the asymptotic
 Hopf and canard parameter offsets lambda_H = -B*eps and
 lambda_c = -(B + A)*eps.  Those are asymptotic in sqrt(eps) and carry a
 sign-orientation subtlety for the c-family, so the numerical explosion
@@ -14,7 +15,9 @@ tol 1e-11 only when that cycle's length lies within 1.0 of the threshold
 10, when it did not converge and its length lies inside the explosion
 window [5, 15], or when the loose search failed.  The explosion is
 exponentially narrow, so nearly every step is far from the threshold and
-is decided by the cheap search.
+is decided by the cheap search.  `classify_canard` names each located
+cycle Hopf-small, headless, headed or relaxation from its arc along the
+repelling middle branch.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhasePoint, SystemParams, eval_fast, eval_slow, f_scalar, fx, fxx, g_scalar, phi
+from .core import PhasePoint, SystemParams, phi
 from .dynamics import LimitCycle, find_limit_cycle
 from .errors import BracketFailureError, FHNError
 from .singular import FOLD_X
-
-_ZERO_TOL = 1e-10
 
 # classifier constants, fixed and recorded in CLI output metadata
 MIDDLE_BAND = 0.05
@@ -43,44 +44,6 @@ MIDDLE_SAMPLES = 2000
 SMALL_LENGTH = 5.0
 LARGE_LENGTH = 15.0
 EXPLOSION_LENGTH = 10.0
-
-
-@dataclass(frozen=True)
-class SingularFoldReport:
-    """Evaluated singular-fold and regularity conditions at a phase point."""
-
-    point: PhasePoint
-    param_name: str
-    checks: dict[str, tuple[float, bool]]
-
-    @property
-    def is_singular_fold(self) -> bool:
-        return all(self.checks[k][1] for k in ("f", "f_x", "f_xx", "f_y", "g"))
-
-    @property
-    def is_regular(self) -> bool:
-        return self.is_singular_fold and self.checks["g_x"][1] and self.checks["g_lambda"][1]
-
-
-def check_singular_fold(point: PhasePoint, params: SystemParams, param_name: str = "c") -> SingularFoldReport:
-    """Evaluate the five singular-fold conditions plus the two regularity ones.
-
-    The designated bifurcation parameter is `param_name` ('c' or 'b'); its
-    role only enters through the g_lambda condition.
-    """
-    if param_name not in ("b", "c"):
-        raise ValueError("param_name must be 'b' or 'c'")
-    g_lambda = -1.0 if param_name == "c" else -point.y
-    vals = {
-        "f": (eval_fast(point), abs(eval_fast(point)) <= _ZERO_TOL),
-        "f_x": (fx(point.x), abs(fx(point.x)) <= _ZERO_TOL),
-        "f_xx": (fxx(point.x), abs(fxx(point.x)) > _ZERO_TOL),
-        "f_y": (-1.0, True),
-        "g": (eval_slow(point, params), abs(eval_slow(point, params)) <= _ZERO_TOL),
-        "g_x": (1.0, True),
-        "g_lambda": (g_lambda, abs(g_lambda) > _ZERO_TOL),
-    }
-    return SingularFoldReport(point, param_name, vals)
 
 
 @dataclass(frozen=True)
@@ -159,29 +122,6 @@ def normal_form_case_ii() -> NormalFormCoeffs:
 
 
 _C_H = 2.0 / math.sqrt(3.0)
-
-
-def translated_field_case_i(xb: float, yb: float, cbar: float, eps: float) -> tuple[float, float]:
-    """Exact b = 0 field in fold-centred coordinates (x - c_H, y - phi(c_H), c_H - c)."""
-    x = xb + _C_H
-    y = yb + phi(_C_H)
-    c = _C_H - cbar
-    return f_scalar(x, y), eps * g_scalar(x, y, 0.0, c)
-
-
-def translated_field_case_ii(xb: float, yb: float, lam: float, eps: float) -> tuple[float, float]:
-    """Exact c = 0 field in fold-centred coordinates around E+ at b = 3/8.
-
-    The shift uses the geometric abscissa sqrt(4 - 8/3) = 2/sqrt(3); the
-    constant -lam * y_plus term that a first-order normal form drops is kept,
-    so this is an exact change of variables for every lam.
-    """
-    x_plus = math.sqrt(4.0 / 3.0)
-    y_plus = 8.0 * x_plus / 3.0
-    b = lam + 3.0 / 8.0
-    x = xb + x_plus
-    y = yb + y_plus
-    return f_scalar(x, y), eps * g_scalar(x, y, b, 0.0)
 
 
 @dataclass(frozen=True)
@@ -424,7 +364,12 @@ def explosion_scan(
     Hopf side and relaxation points below, and targets intermediate cycle
     lengths inside the window so both canard classes appear.  Records come
     back sorted by decreasing c, which is the small-to-large direction.
+
+    Thinning keeps at least two records of each class, so `n_points` must be
+    at least 8; a smaller value raises ValueError before any cycle search.
     """
+    if n_points < 2 * len(CanardClass):
+        raise ValueError(f"n_points must be at least {2 * len(CanardClass)}, got {n_points}")
     cache: dict[float, LimitCycle] = {}
     c_star = locate_canard_explosion(eps, bracket, c_tol=1e-9, cache=cache)
 

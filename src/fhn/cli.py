@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("singular", help="compose and classify an eps = 0 orbit")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--x0", type=float)
     sp.add_argument("--y0", type=float)
     sp.add_argument("--period-only", action="store_true", help="only the relaxation period")
@@ -160,8 +159,6 @@ def main(argv=None) -> int:
 
 
 def _cmd_singular(args, outdir: Path, manifest: RunManifest) -> None:
-    if args.eps != 0.0:
-        raise ValueError("the singular command requires eps = 0; use simulate for eps > 0")
     params = SystemParams(args.b, args.c, 0.0)
 
     if args.period_only:

@@ -105,11 +105,6 @@ def fx(x: float) -> float:
     return 4.0 - 3.0 * x * x
 
 
-def fxx(x: float) -> float:
-    """d2f/dx2 = -6x."""
-    return -6.0 * x
-
-
 F_Y = -1.0  # df/dy
 G_X = 1.0  # dg/dx
 
@@ -150,11 +145,11 @@ def solve_cubic(a3: float, a2: float, a1: float, a0: float) -> list[tuple[float,
     scale) collapses to the exact double/triple root configuration so fold
     geometry stays stable.  Each simple root gets one Newton polish step.
 
-    Returns [(root, multiplicity), ...] sorted ascending; degenerates to the
-    quadratic/linear solution when leading coefficients vanish.
+    Returns [(root, multiplicity), ...] sorted ascending.  Raises ValueError
+    when a3 = 0: no caller solves a lower-degree equation.
     """
     if a3 == 0.0:
-        return _solve_quadratic(a2, a1, a0)
+        raise ValueError("solve_cubic requires a nonzero leading coefficient a3")
 
     b, c, d = a2 / a3, a1 / a3, a0 / a3
     # depressed form t^3 + p t + q with x = t - b/3
@@ -209,27 +204,6 @@ def _polish(r: float, a3: float, a2: float, a1: float, a0: float) -> float:
     return r
 
 
-def _solve_quadratic(a2: float, a1: float, a0: float) -> list[tuple[float, int]]:
-    if a2 == 0.0:
-        if a1 == 0.0:
-            return []
-        return [(-a0 / a1, 1)]
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [(-a1 / (2.0 * a2), 2)]
-    s = math.sqrt(disc)
-    # numerically stable pair
-    q = -0.5 * (a1 + math.copysign(s, a1))
-    r1, r2 = q / a2, (a0 / q if q != 0.0 else 0.0)
-    return sorted([(r1, 1), (r2, 1)])
-
-
-def phi_roots(y: float) -> list[float]:
-    """All real solutions of phi(x) = y, ascending; a double root appears once."""
-    return [r for r, _ in solve_cubic(-1.0, 0.0, 4.0, -y)]
-
-
 def phi_roots_with_multiplicity(y: float) -> list[tuple[float, int]]:
+    """All real solutions of phi(x) = y with multiplicities, ascending."""
     return solve_cubic(-1.0, 0.0, 4.0, -y)

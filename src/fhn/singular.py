@@ -50,8 +50,6 @@ class Branch(Enum):
     LEFT_ATTRACTING = "left"
     MIDDLE_REPELLING = "middle"
     RIGHT_ATTRACTING = "right"
-    FOLD_MINUS = "fold-"
-    FOLD_PLUS = "fold+"
 
 
 class SegmentKind(Enum):
@@ -70,18 +68,6 @@ class Fate(Enum):
 def fold_points() -> tuple[PhasePoint, PhasePoint]:
     """Fold points (P-, P+) = -+(2/sqrt(3), 16/(3 sqrt(3))), closed form."""
     return (PhasePoint(-FOLD_X, -FOLD_Y), PhasePoint(FOLD_X, FOLD_Y))
-
-
-def branch_of(x: float) -> Branch:
-    if x == -FOLD_X:
-        return Branch.FOLD_MINUS
-    if x == FOLD_X:
-        return Branch.FOLD_PLUS
-    if x < -FOLD_X:
-        return Branch.LEFT_ATTRACTING
-    if x > FOLD_X:
-        return Branch.RIGHT_ATTRACTING
-    return Branch.MIDDLE_REPELLING
 
 
 def slow_flow_numerator(x: float, params: SystemParams) -> float:

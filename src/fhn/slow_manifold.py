@@ -71,11 +71,6 @@ def h_eps(y: float, graph: BranchGraph, params: SystemParams) -> float:
     return h0(y, graph) + params.eps * h1(y, graph, params)
 
 
-def dh0_dy(y: float, graph: BranchGraph) -> float:
-    """Slope of the zeroth-order graph: -f_y/f_x = 1/(4 - 3*h0^2)."""
-    return 1.0 / fx(h0(y, graph))
-
-
 def invariance_defect(y: float, graph: BranchGraph, params: SystemParams) -> float:
     """Residual eps * dh/dy * g - f evaluated on the truncated graph.
 

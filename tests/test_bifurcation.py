@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -199,6 +200,19 @@ class TestHomoclinicInB:
             hopf_in_b(eps)
         with pytest.raises(BracketFailureError, match="<= 1/4"):
             homoclinic_in_b(eps)
+
+    @pytest.mark.slow
+    def test_shadow_join_holds_no_gap_matrix(self):
+        # at eps 0.5 the (unstable arc x stable arc) gap matrix would hold
+        # 528 x 3526 floats, 14.9 MB per array; the join scans node by node
+        b_hom = float.fromhex(B_HOM_HEX[0.5])
+        tracemalloc.start()
+        try:
+            bifurcation._homoclinic_shadow(b_hom, 0.5, bifurcation._HOMOCLINIC_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestCaptureCertificate:

@@ -4,13 +4,11 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from fhn import canard
 from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _within_middle_band
-from fhn.core import PhasePoint, SystemParams, eval_fast, eval_slow, phi
+from fhn.core import PhasePoint, SystemParams, phi
 from fhn.dynamics import LimitCycle, Stability, find_limit_cycle
 from fhn.errors import (
     BracketFailureError,
@@ -22,45 +20,13 @@ from fhn.errors import (
 from fhn.canard import (
     CanardClass,
     asymptotic_loci,
-    check_singular_fold,
     classify_canard,
     locate_canard_explosion,
     normal_form_case_i,
     normal_form_case_ii,
     time_near_middle_branch,
-    translated_field_case_i,
-    translated_field_case_ii,
 )
-from fhn.singular import FOLD_X, FOLD_Y
-
-small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
-
-
-class TestSingularFoldChecks:
-    def test_fold_equilibrium_of_c_family(self):
-        report = check_singular_fold(
-            PhasePoint(FOLD_X, FOLD_Y), SystemParams(0.0, FOLD_X, 0.0), param_name="c"
-        )
-        assert report.is_singular_fold and report.is_regular
-        assert report.checks["f_xx"][0] == pytest.approx(-4.0 * math.sqrt(3.0), rel=1e-12)
-        assert report.checks["f_y"][0] == -1.0
-        assert report.checks["g_x"][0] == 1.0
-        assert report.checks["g_lambda"][0] == -1.0
-
-    def test_fold_equilibrium_of_b_family(self):
-        # at b = 3/8 the upper equilibrium sqrt(4 - 8/3) = 2/sqrt(3) is the fold
-        x_plus = math.sqrt(4.0 - 1.0 / 0.375)
-        assert x_plus == pytest.approx(FOLD_X, abs=1e-12)
-        report = check_singular_fold(
-            PhasePoint(x_plus, phi(x_plus)), SystemParams(0.375, 0.0, 0.0), param_name="b"
-        )
-        assert report.is_singular_fold and report.is_regular
-
-    def test_generic_point_fails_fold_slope(self):
-        report = check_singular_fold(PhasePoint(1.0, 3.0), SystemParams(0.0, 0.0, 0.0))
-        assert not report.is_singular_fold
-        value, ok = report.checks["f_x"]
-        assert value == 1.0 and not ok
+from fhn.singular import FOLD_X
 
 
 class TestNormalFormCoeffs:
@@ -84,47 +50,6 @@ class TestNormalFormCoeffs:
             b = (nf.dl3_dx + nf.l6) / 2.0
             assert a == nf.a_coeff and b == nf.b_coeff
             assert nf.a_coeff < 0  # non-degenerate, supercritical in the shifted parameter
-
-
-class TestTranslatedFields:
-    def test_case_i_origin_is_equilibrium(self):
-        fx, fy = translated_field_case_i(0.0, 0.0, 0.0, 0.3)
-        assert abs(fx) < 1e-15 and abs(fy) < 1e-15
-
-    def test_case_ii_origin_is_equilibrium(self):
-        fx, fy = translated_field_case_ii(0.0, 0.0, 0.0, 0.3)
-        assert abs(fx) < 1e-15 and abs(fy) < 1e-15
-
-    @settings(max_examples=60)
-    @given(small, small, small)
-    def test_case_i_matches_cubic_normal_form(self, xb, yb, cbar):
-        eps = 0.4
-        fx, fy = translated_field_case_i(xb, yb, cbar, eps)
-        want_x = -yb + xb * xb * (-2.0 * math.sqrt(3.0) - xb)
-        assert fx == pytest.approx(want_x, abs=1e-12)
-        assert fy == pytest.approx(eps * (xb + cbar), abs=1e-12)
-
-    @settings(max_examples=60)
-    @given(small, small, small)
-    def test_case_i_is_exact_coordinate_change(self, xb, yb, cbar):
-        eps = 0.4
-        c_h = 2.0 / math.sqrt(3.0)
-        p = PhasePoint(xb + c_h, yb + phi(c_h))
-        params = SystemParams(0.0, c_h - cbar, eps)
-        fx, fy = translated_field_case_i(xb, yb, cbar, eps)
-        assert fx == eval_fast(p)
-        assert fy == eps * eval_slow(p, params)
-
-    @settings(max_examples=60)
-    @given(small, small, st.floats(min_value=-0.05, max_value=0.05, allow_nan=False))
-    def test_case_ii_is_exact_coordinate_change(self, xb, yb, lam):
-        eps = 0.4
-        x_plus = math.sqrt(4.0 / 3.0)
-        p = PhasePoint(xb + x_plus, yb + 8.0 * x_plus / 3.0)
-        params = SystemParams(lam + 0.375, 0.0, eps)
-        fx, fy = translated_field_case_ii(xb, yb, lam, eps)
-        assert fx == eval_fast(p)
-        assert fy == eps * eval_slow(p, params)
 
 
 class TestAsymptoticLoci:
@@ -403,6 +328,19 @@ class TestScanSkipsFailedSearches:
         assert failed and failed[0] not in [r.c for r in records]
         assert stub.cs[-1] != failed[0]
         assert records
+
+
+class TestScanPointCount:
+    @pytest.mark.parametrize("n_points", [0, 7])
+    def test_fewer_than_eight_points_rejected_before_any_search(self, monkeypatch, n_points):
+        # thinning keeps two records of each of the four classes, so fewer
+        # than 8 points cannot be honoured
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_limit_cycle was called")
+
+        monkeypatch.setattr(canard, "find_limit_cycle", no_search)
+        with pytest.raises(ValueError, match="n_points"):
+            canard.explosion_scan(0.5, bracket=(1.14, 1.154), n_points=n_points)
 
 
 # recipe brackets and the explosion values located there

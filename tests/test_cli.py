@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fhn import cli
+from fhn import canard, cli
 from fhn.bifurcation import sweep_values
 from fhn.cli import main
 from fhn.core import SystemParams
@@ -127,9 +127,11 @@ class TestSingularCommand:
         assert man["status"] == "config-error"
 
     def test_nonzero_eps_rejected(self, tmp_path):
+        # singular has no --eps option: a usage error, so no manifest
         code = main(["singular", "--b", "0", "--c", "0", "--eps", "0.1", "--period-only",
                      "--out", str(tmp_path)])
         assert code == 2
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestSimulateCommand:
@@ -255,6 +257,16 @@ class TestCanardCommand:
         assert code == 4
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["status"] == "search-error"
+
+    def test_fewer_than_eight_points_rejected_before_any_search(self, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_limit_cycle was called")
+
+        monkeypatch.setattr(canard, "find_limit_cycle", no_search)
+        code = main(["canard", "--eps", "0.5", "--points", "7", "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error"
 
 
 class TestSlowManifoldCommand:

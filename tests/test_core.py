@@ -13,7 +13,6 @@ from fhn.core import (
     eval_slow,
     jacobian,
     phi,
-    phi_roots,
     phi_roots_with_multiplicity,
     solve_cubic,
 )
@@ -55,7 +54,7 @@ class TestSlowField:
 class TestPhiRoots:
     def test_odd_cubic_through_origin(self):
         assert phi(-2.0) == 0.0
-        assert phi_roots(0.0) == [-2.0, 0.0, 2.0]
+        assert phi_roots_with_multiplicity(0.0) == [(-2.0, 1), (0.0, 1), (2.0, 1)]
 
     def test_fold_level_double_root(self):
         roots = phi_roots_with_multiplicity(FOLD_Y)
@@ -66,13 +65,14 @@ class TestPhiRoots:
 
     def test_single_root_against_bisection_oracle(self):
         oracle = bisect_root(lambda x: 4.0 * x - x**3 - 10.0, -5.0, 0.0)
-        roots = phi_roots(10.0)
+        roots = phi_roots_with_multiplicity(10.0)
         assert len(roots) == 1
-        assert roots[0] == pytest.approx(oracle, abs=1e-12)
+        (root, mult), = roots
+        assert root == pytest.approx(oracle, abs=1e-12) and mult == 1
 
     @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
     def test_roots_map_back(self, y):
-        for r in phi_roots(y):
+        for r, _ in phi_roots_with_multiplicity(y):
             assert abs(phi(r) - y) <= 1e-10
 
     @given(finite, finite)
@@ -96,12 +96,11 @@ class TestSolveCubic:
         roots = solve_cubic(2.0, 0.0, 0.0, 0.0)
         assert roots == [(0.0, 3)]
 
-    def test_quadratic_degeneracy(self):
-        roots = solve_cubic(0.0, 1.0, -3.0, 2.0)
-        assert [r for r, _ in roots] == pytest.approx([1.0, 2.0])
-
-    def test_linear_degeneracy(self):
-        assert solve_cubic(0.0, 0.0, 2.0, -5.0) == [(2.5, 1)]
+    def test_zero_leading_coefficient_rejected(self):
+        # quadratic and linear equations are not solved
+        for coeffs in ((0.0, 1.0, -3.0, 2.0), (0.0, 0.0, 2.0, -5.0)):
+            with pytest.raises(ValueError):
+                solve_cubic(*coeffs)
 
 
 class TestJacobian:

@@ -16,10 +16,8 @@ from fhn.singular import (
     FOLD_X,
     FOLD_Y,
     LANDING_X,
-    Branch,
     Fate,
     SegmentKind,
-    branch_of,
     classify_singular_fate,
     equilibrium_abscissae,
     fold_points,
@@ -47,21 +45,6 @@ class TestFoldPoints:
         # g(P+) = 2/sqrt(3) - 0 - 2/sqrt(3) = 0: the singular-fold setup
         _, p_plus = fold_points()
         assert slow_flow_numerator(p_plus.x, SystemParams(0.0, FOLD_X)) == 0.0
-
-
-class TestBranchOf:
-    def test_left(self):
-        assert branch_of(-2.0) is Branch.LEFT_ATTRACTING
-
-    def test_middle(self):
-        assert branch_of(0.0) is Branch.MIDDLE_REPELLING
-
-    def test_exact_folds(self):
-        assert branch_of(FOLD_X) is Branch.FOLD_PLUS
-        assert branch_of(-FOLD_X) is Branch.FOLD_MINUS
-
-    def test_right(self):
-        assert branch_of(1.2) is Branch.RIGHT_ATTRACTING
 
 
 class TestSlowFlow:
@@ -241,25 +224,21 @@ class TestEquilibriumGeometry:
     def test_branch_dichotomy_of_symmetric_family(self, b):
         roots = [x for x, _ in equilibrium_abscissae(SystemParams(b, 0.0))]
         assert len(roots) == 3
-        branches = {branch_of(x) for x in roots}
         if b < 0.375:
-            assert branches == {Branch.MIDDLE_REPELLING}
+            assert all(abs(x) < FOLD_X for x in roots)
         else:
-            assert branches == {
-                Branch.LEFT_ATTRACTING,
-                Branch.MIDDLE_REPELLING,
-                Branch.RIGHT_ATTRACTING,
-            }
+            left, middle, right = roots
+            assert left < -FOLD_X and abs(middle) < FOLD_X and right > FOLD_X
 
     def test_dichotomy_counterexamples_off_the_symmetric_family(self):
         # two equilibria on the right branch (negative b)
         roots = [x for x, _ in equilibrium_abscissae(SystemParams(-0.25, 2.0))]
         assert len(roots) == 3
-        assert sum(1 for x in roots if branch_of(x) is Branch.RIGHT_ATTRACTING) == 2
+        assert sum(1 for x in roots if x > FOLD_X) == 2
         # two on the middle branch plus one on the right (positive b)
         roots = [x for x, _ in equilibrium_abscissae(SystemParams(1.609375, 3.8125))]
         assert len(roots) == 3
-        assert sum(1 for x in roots if branch_of(x) is Branch.MIDDLE_REPELLING) == 2
+        assert sum(1 for x in roots if abs(x) < FOLD_X) == 2
 
 
 class TestRelaxationPeriod:

@@ -9,7 +9,6 @@ from fhn.errors import OutOfValidityError
 from fhn.singular import FOLD_Y, Branch
 from fhn.slow_manifold import (
     BranchGraph,
-    dh0_dy,
     h0,
     h1,
     h_eps,
@@ -61,13 +60,6 @@ class TestH0:
     def test_radical_rejected_in_complex_region(self):
         with pytest.raises(ValueError):
             h0_radical(1.0)
-
-    def test_slope_matches_implicit_derivative(self):
-        # dh0/dy = 1/(4 - 3 h0^2), checked against finite differences
-        for y in (-2.0, 0.0, 1.5, 4.0):
-            h = 1e-6
-            fd = (h0(y + h, LEFT) - h0(y - h, LEFT)) / (2.0 * h)
-            assert fd == pytest.approx(dh0_dy(y, LEFT), abs=1e-6)
 
 
 class TestH1:
