@@ -96,11 +96,14 @@ class TestSolveCubic:
         roots = solve_cubic(2.0, 0.0, 0.0, 0.0)
         assert roots == [(0.0, 3)]
 
-    def test_zero_leading_coefficient_rejected(self):
-        # quadratic and linear equations are not solved
-        for coeffs in ((0.0, 1.0, -3.0, 2.0), (0.0, 0.0, 2.0, -5.0)):
-            with pytest.raises(ValueError):
-                solve_cubic(*coeffs)
+    # a3 = 0 is rejected: quadratic and linear equations are not solved
+    def test_quadratic_degeneracy(self):
+        with pytest.raises(ValueError):
+            solve_cubic(0.0, 1.0, -3.0, 2.0)
+
+    def test_linear_degeneracy(self):
+        with pytest.raises(ValueError):
+            solve_cubic(0.0, 0.0, 2.0, -5.0)
 
 
 class TestJacobian:
