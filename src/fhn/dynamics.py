@@ -10,12 +10,15 @@ A cycle search integrates in slow time, backward for an unstable cycle so
 that it attracts, and counts returns from its first step on the half-lines
 {x = x_eq, y > y_eq} above the equilibria, which the flow crosses leftward
 only.  The loop is the stretch between the last two returns to the first
-half-line whose returns agree.  A state that moved less than 1e-6 in x and
-in y over a window of 10 time units has parked on an equilibrium.  A
-backward search also ends, in NonFiniteError, once its orbit enters one of
-the escape regions R+ = {x >= X, y >= -x} or R- = {x <= -X, y <= -x}
-(`_escape_abscissa`), where the reversed field provably blows up in finite
-time.  The returned loop and every search failure carry the step counts.
+half-line whose returns agree.  A forward search whose returns to a
+half-line shrink steadily restarts at their geometric limit, Aitken's
+estimate of the fixed point of the return map.  A state that moved less
+than 1e-6 in x and in y over a window of 10 time units has parked on an
+equilibrium.  A backward search also ends, in NonFiniteError, once its
+orbit enters one of the escape regions R+ = {x >= X, y >= -x} or
+R- = {x <= -X, y <= -x} (`_escape_abscissa`), where the reversed field
+provably blows up in finite time.  The returned loop and every search
+failure carry the step counts and the number of restarts.
 """
 
 from __future__ import annotations
@@ -379,8 +382,9 @@ class LimitCycle:
     section_x: float
     section_sign: int
     return_gap: float
-    # find_limit_cycle's step counts, in the form of Trajectory.stats (empty
-    # for a loop assembled otherwise, such as the homoclinic shadow)
+    # find_limit_cycle's step counts, in the form of Trajectory.stats, and
+    # its restarts (empty for a loop assembled otherwise, such as the
+    # homoclinic shadow)
     stats: dict = field(default_factory=dict)
 
     def min_distance_to(self, px: float, py: float) -> float:
@@ -436,13 +440,26 @@ def find_limit_cycle(
     them, from `section_x` = x_eq crossed in the direction `section_sign`
     (-1 forward, +1 backward).
 
+    The returns to a half-line iterate a monotone return map.  A forward
+    search restarts its orbit at (x_eq, y_eq + r), r the geometric limit of
+    the heights of the last three returns (Aitken's delta-squared), once the
+    last four step one way with step ratios q1, q2 in (0, 1),
+    |q2 - q1| < (1 - q2)/2, and the last two are still 1e-8 or more apart.
+    The restart point counts as the half-line's first return; the other
+    half-lines' returns and the window's extent start afresh, while time,
+    step size and budget run on.  A search that settles within three returns
+    never restarts.  A backward search does not restart: near a homoclinic
+    orbit an early extrapolation can overshoot the unstable cycle into the
+    escape region.
+
     If the budget of `max_periods` estimated periods (10 time units each
     until a half-line has two returns) runs out while the last four returns
     to a half-line jitter inside one percent of the amplitude, the largest
     x-range of a loop between returns to it (the regime near a canard
     explosion, where tolerance noise is amplified exponentially along the
     repelling branch), the loop between the last two is returned flagged
-    `converged=False` rather than raising.
+    `converged=False` rather than raising, unless the last three step one
+    way at a step ratio of 1 or more, which no cycle's returns do.
 
     The search ends without a cycle at one of these exits:
     - ConvergedToEquilibriumError: a state whose extent, max(x-range,
@@ -451,7 +468,8 @@ def find_limit_cycle(
       returns whose geometric limit lies below 1% of the last one's height
       above the equilibrium (returns to a section of a planar flow are
       monotone);
-    - NoCycleError, when the budget runs out otherwise;
+    - NoCycleError, when the budget runs out otherwise (also with fewer
+      than five returns since a restart);
     - NonFiniteError, on a backward search, at a node in one of the escape
       regions R+ or R- of `_escape_abscissa`, where the reversed field blows
       up in finite time; the test runs at each node that sets a new extreme
@@ -460,7 +478,7 @@ def find_limit_cycle(
     - the integrator's NonFiniteError (|x| or |y| above 1e6) or
       StepSizeCollapseError.
     The returned loop and every FHNError raised carry `stats`, the search's
-    step counts in the form of Trajectory.stats.
+    step counts in the form of Trajectory.stats plus `restarts`.
     """
     if params.eps <= 0.0:
         raise ValueError("find_limit_cycle requires eps > 0")
@@ -479,6 +497,7 @@ def find_limit_cycle(
     stretch: list[list | None] = [None] * len(half_lines)
     amplitude = [0.0] * len(half_lines)
     t_ref = None  # the latest interval between two returns to one half-line
+    restarts = 0
 
     st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
     window_end = st.t + _WINDOW
@@ -534,15 +553,20 @@ def find_limit_cycle(
                     converged = gap < _RETURN_TOL
                     xs = [n[1] for n in stretch[k]]
                     amplitude[k] = max(amplitude[k], max(xs) - min(xs))
-                    if not converged and _falls_into_equilibrium(rets, y_eq):
+                    step = None if converged else _geometric_limit(rets[-3:], y_eq)
+                    if _falls_into_equilibrium(step, y_c - y_eq):
                         raise ConvergedToEquilibriumError(
                             "returns fall into the equilibrium below them",
                             point=PhasePoint(x_eq, y_eq),
                         )
                     if converged or t > max_periods * t_ref:
                         recent = [y_r for _, y_r in rets[-4:]]
+                        # loose: the last four jitter inside 1% of the
+                        # amplitude, and the last three do not step one way
+                        # at a ratio >= 1, as returns leaving a focus do
                         if not (converged or len(rets) >= 5 and max(recent) - min(recent)
-                                < _LOOSE_RETURN_FRACTION * amplitude[k]):
+                                < _LOOSE_RETURN_FRACTION * amplitude[k]
+                                and (step is None or step[1] is not None)):
                             raise NoCycleError(
                                 f"returns did not settle within {max_periods} estimated periods"
                             )
@@ -553,8 +577,26 @@ def find_limit_cycle(
                                 "returns converged onto a point, not a cycle",
                                 point=PhasePoint(x, y),
                             )
-                        loop.stats = st.stats()
+                        loop.stats = dict(st.stats(), restarts=restarts)
                         return loop
+                    if sgn == 1 and _extrapolates(_geometric_limit(rets[-4:-1], y_eq), step):
+                        # restart on this half-line at the fixed point of the
+                        # return map that the last three returns approach; it
+                        # counts as the first return, and every other
+                        # half-line and the window start afresh from it
+                        y = y_eq + step[1]
+                        st.x, st.y = x_eq, y
+                        st.dx, st.dy = st._field(x_eq, y)
+                        node = (t, x_eq, y, st.dx, st.dy)
+                        restarts += 1
+                        returns = [[] for _ in half_lines]
+                        returns[k].append((t, y))
+                        stretch = [None] * len(half_lines)
+                        stretch[k] = [node]
+                        amplitude = [a if j == k else 0.0 for j, a in enumerate(amplitude)]
+                        x_lo = x_hi = x_eq
+                        y_lo = y_hi = y
+                        break
                     # a half-line not crossed since this one's previous return
                     # lies outside the orbit's last loop: forget its returns
                     for j, nodes in enumerate(stretch):
@@ -565,21 +607,40 @@ def find_limit_cycle(
                 stretch[k] = [prev, node]
             prev = node
     except FHNError as exc:
-        exc.stats = st.stats()
+        exc.stats = dict(st.stats(), restarts=restarts)
         raise
 
 
-def _falls_into_equilibrium(rets, y_eq: float) -> bool:
-    """Whether the last three returns (t, y) fall, with heights r0 > r1 > r2
-    above y_eq, toward the geometric limit (r2 - q r1)/(1 - q), q the ratio
-    of their steps, and that limit lies below 1% of r2."""
+def _geometric_limit(rets, y_eq: float):
+    """(q, limit) of three returns (t, y) whose heights r0, r1, r2 above y_eq
+    step one way, else None.  q = (r2 - r1)/(r1 - r0) > 0 is the ratio of
+    their steps.  For q < 1, limit = (r2 - q r1)/(1 - q) is the height that
+    steps shrinking by q approach, Aitken's delta-squared estimate of the
+    fixed point of the (monotone) return map; for q >= 1 it is None."""
     if len(rets) < 3:
-        return False
-    r0, r1, r2 = (y_r - y_eq for _, y_r in rets[-3:])
-    if not r0 > r1 > r2:
-        return False
+        return None
+    r0, r1, r2 = (y_r - y_eq for _, y_r in rets)
+    if not (r0 > r1 > r2 or r0 < r1 < r2):
+        return None
     q = (r2 - r1) / (r1 - r0)
-    return q < 1.0 and r2 - q * r1 < _INTO_EQUILIBRIUM * r2 * (1.0 - q)
+    return q, (r2 - q * r1) / (1.0 - q) if q < 1.0 else None
+
+
+def _falls_into_equilibrium(step, r2: float) -> bool:
+    """Whether returns whose last three give `step` of `_geometric_limit`,
+    the last at height r2 > 0, approach a limit below 1% of r2 (rising
+    returns approach one above r2)."""
+    return step is not None and step[1] is not None and step[1] < _INTO_EQUILIBRIUM * r2
+
+
+def _extrapolates(prior, step) -> bool:
+    """Whether four returns, whose first and last three give `prior` and
+    `step` of `_geometric_limit`, shrink steadily enough that `step`'s limit
+    may stand in for them: both ratios lie in (0, 1) and differ by less than
+    half of 1 - q2 (which bounds q1 below 1 once q2 < 1)."""
+    if prior is None or step is None or step[1] is None:
+        return False
+    return abs(step[0] - prior[0]) < 0.5 * (1.0 - step[0])
 
 
 def _escape_abscissa(params: SystemParams) -> float:

@@ -311,10 +311,11 @@ class TestSweepPin:
     pinned bit for bit: period, length, converged flag and seed of each row."""
 
     # sha256 over the rows of `_digest`, recorded from the search on the
-    # half-lines above the equilibria
+    # half-lines above the equilibria that restarts a forward search at the
+    # geometric limit of its returns
     DIGESTS = {
         "b": "01fad7ef91d4c21c8eba2d57fad1855ffb2cfc03ddefab2f25ad5b2e472d8c5f",
-        "c": "3048321a7961e32df7a2d4e7d1983a2dcf5c621cc61c02d097753b30a03fbcb7",
+        "c": "424e785b526f4c44ddb12b3c4a8a0e3be5db55e25ea0f0ad564e2c5aa15cf606",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
 

@@ -210,13 +210,6 @@ class TestSearchPins:
             (0.3692, 0.0, 0.5), None, "backward", 1e-9, 30,
             "0x1.b5132ccbe77c0p+2", "0x1.eda99c01e17d8p+0", True, "0x1.12b3ee0000000p-27",
             "239b2faf948953d72ed96037be6684fdfed9ba46e303e82109bf6d3a348e5519"),
-        # above c_H, where no unstable cycle surrounds the stable focus: the
-        # reversed orbit spirals out of it so slowly that the loose exit
-        # takes its returns for a cycle
-        "unconverged_backward": (
-            (0.0, 1.1548, 0.5), None, "backward", 1e-9, 30,
-            "0x1.1c58959a83b60p+2", "0x1.849ff950cd377p-8", False, "0x1.3d09a91b00000p-19",
-            "8d60260c106246d57bfa6e10860bada975ae4db4c72fca0117297080b51c4754"),
     }
 
     # (b, c, eps), seed, direction, tol, max_periods, exception type
@@ -248,20 +241,26 @@ class TestSearchPins:
         "unconverged_forward": (
             (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "forward",
             1e-9, 30, ConvergedToEquilibriumError),
+        # above c_H, where no unstable cycle surrounds the stable focus: the
+        # reversed orbit spirals out of it, its returns still growing at a
+        # step ratio above 1 when the budget runs out (the loose exit once
+        # took them for a cycle)
+        "unconverged_backward": (
+            (0.0, 1.1548, 0.5), None, "backward", 1e-9, 30, NoCycleError),
     }
 
-    # (accepted steps, rejected steps) of every exit above
+    # (accepted steps, rejected steps, restarts) of every exit above
     STATS = {
-        "converged_forward": (1880, 11),
-        "unconverged_forward": (1082, 32),
-        "converged_backward": (3741, 32),
-        "unconverged_backward": (1254, 0),
-        "returns_did_not_settle": (1410, 0),
-        "no_crossings": (1377, 0),
-        "step_collapse": (776, 9),
-        "seed_on_equilibrium": (7, 0),
-        "parked_on_node": (4205, 6),
-        "parked_in_returns": (1099, 6),
+        "converged_forward": (1880, 11, 0),
+        "unconverged_forward": (580, 9, 1),
+        "converged_backward": (3741, 32, 0),
+        "unconverged_backward": (1254, 0, 0),
+        "returns_did_not_settle": (1410, 0, 0),
+        "no_crossings": (1377, 0, 0),
+        "step_collapse": (776, 9, 0),
+        "seed_on_equilibrium": (7, 0, 0),
+        "parked_on_node": (4205, 6, 0),
+        "parked_in_returns": (1099, 6, 0),
     }
 
     @staticmethod
@@ -307,7 +306,8 @@ class TestSearchPins:
 
     @pytest.mark.parametrize("case", sorted(STATS))
     def test_stats(self, case):
-        # the loop and every search failure carry the stepper's counts
+        # the loop and every search failure carry the stepper's counts and
+        # the number of restarts at the limit of the returns
         if case in self.CYCLES:
             search = self.CYCLES[case][:5]
             stats = self._search(*search).stats
@@ -316,8 +316,8 @@ class TestSearchPins:
             with pytest.raises(FHNError) as info:
                 self._search(*search)
             stats = info.value.stats
-        steps, rejected = self.STATS[case]
-        assert stats == {"steps": steps, "rejected": rejected, "tol": search[3]}
+        steps, rejected, restarts = self.STATS[case]
+        assert stats == {"steps": steps, "rejected": rejected, "tol": search[3], "restarts": restarts}
 
 
 class TestHalfLineSection:
@@ -327,7 +327,9 @@ class TestHalfLineSection:
     SEARCHES = {
         "one_equilibrium": ((0.0, 0.0, 0.1), (-2.8, 1.64), "forward"),
         "three_enclosed": ((0.3, 0.0, 0.5), (-2.8, 1.64), "forward"),
-        "near_hopf_unconverged": ((0.0, 1.152, 0.5), (-2.8, 1.64), "forward"),
+        # the upper end c_H - 1e-5 of the default canard bracket
+        "near_hopf_unconverged": ((0.0, 2.0 / math.sqrt(3.0) - 1e-5, 0.5), (-2.8, 1.64), "forward"),
+        "near_hopf_restarted": ((0.0, 1.152, 0.5), (-2.8, 1.64), "forward"),
         "around_e_plus": ((0.3692, 0.0, 0.5), None, "backward"),
     }
 
@@ -339,6 +341,10 @@ class TestHalfLineSection:
         assert abs(lc.x[0] - lc.section_x) <= 1e-12
         assert lc.y[0] > phi(lc.section_x)
         assert lc.section_sign == (-1 if direction == "forward" else 1)
+        if case.startswith("near_hopf"):
+            # a converged loop after restarts, and one the loose exit returned
+            assert lc.stats["restarts"] >= 1
+            assert lc.converged is (case == "near_hopf_restarted")
 
     def test_seeds_inside_and_outside_the_cycle_agree(self):
         # the origin, an unstable node, lies inside the relaxation cycle, and
@@ -361,6 +367,54 @@ class TestHalfLineSection:
         assert dynamics._half_line_crossing(*left, 1.0, 1.0, 1) is None
         # the crossing lies below the equilibrium at y_eq = 2.5
         assert dynamics._half_line_crossing(*left, 1.0, 2.5, -1) is None
+
+
+class TestReturnExtrapolation:
+    """A forward search whose returns shrink geometrically restarts at their
+    limit, and still ends on two returns of the flow that agree."""
+
+    # eps, c, then period and length of the cycle from (-2.8, 1.64) at tol
+    # 1e-11 and max_periods 2000 by the search without restarts, run until
+    # its returns agreed (68k to 209k steps)
+    REFERENCES = [
+        (0.1, 1.1543405742339203, 2.147282229710868, 0.2806080862560973),
+        (0.1, 1.1546091066245199, 2.0219427824424656, 0.13112043369957294),
+        (0.5, 1.1543938006271288, 4.494645799745285, 0.2920485673360468),
+        (0.5, 1.154, 4.56564139730699, 0.4508458383745775),
+    ]
+
+    @pytest.mark.parametrize("eps, c, period, length", REFERENCES)
+    def test_near_hopf_cycle_converges_within_default_budget(self, eps, c, period, length):
+        lc = find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=1e-11)
+        assert lc.converged and lc.stats["restarts"] >= 1
+        # a return gap of 1e-8 leaves a weakly contracting cycle uncertain by
+        # gap / (1 - P'), P' the return map's slope
+        assert lc.period == pytest.approx(period, rel=1e-5, abs=0.0)
+        assert lc.length == pytest.approx(length, rel=2e-4, abs=0.0)
+
+    @pytest.mark.parametrize("r_star, a, q", [(0.3, 0.2, 0.9), (0.3, -0.2, 0.5), (1e-3, 2e-4, 0.99)])
+    def test_limit_of_geometric_returns(self, r_star, a, q):
+        y_eq = 1.5
+        rets = [(float(n), y_eq + r_star + a * q ** n) for n in range(3)]
+        ratio, limit = dynamics._geometric_limit(rets, y_eq)
+        assert ratio == pytest.approx(q, rel=1e-9)
+        assert limit == pytest.approx(r_star, rel=1e-9)
+
+    def test_limit_needs_steps_one_way_shrinking(self):
+        def rets(*heights):
+            return [(float(n), 2.0 + r) for n, r in enumerate(heights)]
+
+        assert dynamics._geometric_limit(rets(0.3, 0.2, 0.25), 2.0) is None
+        assert dynamics._geometric_limit(rets(0.3, 0.2, 0.2), 2.0) is None
+        q, limit = dynamics._geometric_limit(rets(0.1, 0.2, 0.4), 2.0)
+        assert q == pytest.approx(2.0) and limit is None
+
+    def test_restart_needs_steady_ratios(self):
+        # (q, limit) of the first and last three of four returns
+        assert dynamics._extrapolates((0.8, 0.1), (0.82, 0.1))
+        assert not dynamics._extrapolates((0.8, 0.1), (0.9, 0.1))
+        assert not dynamics._extrapolates(None, (0.82, 0.1))
+        assert not dynamics._extrapolates((0.8, 0.1), (1.01, None))
 
 
 class TestEscapeCertificate:
