@@ -165,14 +165,16 @@ class _Stepper:
             self.sy * (x - self.b * y - self.c),
         )
 
-    def advance(self, t_cap: float | None = None) -> None:
-        """Take one accepted step (clamped to t_cap when given).
+    def advance(self, t_cap: float = math.inf) -> None:
+        """Take one accepted step, clamped to t_cap.
 
         One straight-line RODAS step: the stages are scalar locals, the field
         is `_field` inlined with its operation order, and every sum runs in
         tableau order, so the arithmetic is that of the loop over `_A`, `_C`
-        and `_M`.
+        and `_M`.  The step control picks with conditional expressions the float
+        that `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
         """
+        isfinite, sqrt = math.isfinite, math.sqrt
         sx, sy, b, c = self.sx, self.sy, self.b, self.c
         t = self.t
         h = self.h
@@ -184,9 +186,10 @@ class _Stepper:
         j21 = sy
         j22 = -sy * b
         tol = self.tol
+        ux0, uy0 = (-x0 if x0 < 0.0 else x0), (-y0 if y0 < 0.0 else y0)
 
         for _ in range(_MAX_REJECTS):
-            if t_cap is not None and t + h > t_cap:
+            if t + h > t_cap:
                 h = t_cap - t
             if h < _H_FLOOR:
                 raise StepSizeCollapseError(f"step {h:.3e} below floor at t={t!r}")
@@ -194,7 +197,7 @@ class _Stepper:
             w11 = ghinv - j11
             w22 = ghinv - j22
             det = w11 * w22 - j12 * j21
-            if det == 0.0 or not math.isfinite(det):
+            if det == 0.0 or not isfinite(det):
                 h *= 0.5
                 continue
             inv = 1.0 / det
@@ -251,36 +254,38 @@ class _Stepper:
             xn = ax + k6x
             yn = ay + k6y
 
-            if not (math.isfinite(xn) and math.isfinite(yn)):
+            if not (isfinite(xn) and isfinite(yn)):
                 h *= 0.5
                 self.nreject += 1
                 continue
-            sc1 = tol + tol * max(abs(x0), abs(xn))
-            sc2 = tol + tol * max(abs(y0), abs(yn))
-            err = math.sqrt(0.5 * ((k6x / sc1) ** 2 + (k6y / sc2) ** 2))
+            uxn, uyn = (-xn if xn < 0.0 else xn), (-yn if yn < 0.0 else yn)
+            sc1 = tol + tol * (uxn if uxn > ux0 else ux0)
+            sc2 = tol + tol * (uyn if uyn > uy0 else uy0)
+            err = sqrt(0.5 * ((k6x / sc1) ** 2 + (k6y / sc2) ** 2))
             if err <= 1.0:
-                self.t = t + h
+                self.t = tn = t + h
                 self.x, self.y = xn, yn
                 self.dx = sx * (-yn + 4.0 * xn - xn * xn * xn)
                 self.dy = sy * (xn - b * yn - c)
                 self.naccept += 1
-                fac = min(6.0, max(0.2, 0.9 * err ** -0.25)) if err > 0.0 else 6.0
-                self.h = h * fac
-                if max(abs(xn), abs(yn)) > self.max_norm:
+                # no lower clamp: err <= 1 gives a factor of at least 0.9
+                fac = 0.9 * err ** -0.25 if err > 0.0 else 6.0
+                self.h = h * (fac if fac < 6.0 else 6.0)
+                if (uyn if uyn > uxn else uxn) > self.max_norm:
                     raise NonFiniteError(
-                        f"state left |u| <= {self.max_norm} at t={self.t!r}",
-                        last_state=PhasePoint(xn, yn) if math.isfinite(xn + yn) else None,
+                        f"state left |u| <= {self.max_norm} at t={tn!r}",
+                        last_state=PhasePoint(xn, yn) if isfinite(xn + yn) else None,
                     )
                 # parked on an equilibrium, err == 0 lets the step grow x6 per
                 # step without bound until t overflows
-                if not math.isfinite(self.t):
+                if not isfinite(tn):
                     raise NonFiniteError(
                         f"time left the finite range after t={t!r}",
                         last_state=PhasePoint(xn, yn),
                     )
                 return
             self.nreject += 1
-            h *= max(0.1, 0.9 * err ** -0.25)
+            h *= fac if (fac := 0.9 * err ** -0.25) > 0.1 else 0.1
         raise StepSizeCollapseError("step repeatedly rejected")
 
 
@@ -332,22 +337,25 @@ def integrate_until(
 
     st = _Stepper(start.x, start.y, params, scale, direction, tol, max_norm)
     ts, xs, ys, dxs, dys = [st.t], [st.x], [st.y], [st.dx], [st.dy]
+    advance = st.advance
+    add_t, add_x, add_y, add_dx, add_dy = ts.append, xs.append, ys.append, dxs.append, dys.append
     try:
         while True:
-            st.advance(t_cap=t_end)
-            ts.append(st.t)
-            xs.append(st.x)
-            ys.append(st.y)
-            dxs.append(st.dx)
-            dys.append(st.dy)
-            remainder = t_end - st.t
+            advance(t_end)
+            t, x, y = st.t, st.x, st.y
+            add_t(t)
+            add_x(x)
+            add_y(y)
+            add_dx(st.dx)
+            add_dy(st.dy)
+            remainder = t_end - t
             if remainder < _H_FLOOR:
                 if remainder > 0.0:
                     # t + (t_end - t) rounded short of t_end by less than
                     # the step floor: that is arrival, not a step to take
                     ts[-1] = t_end
                 break
-            if stop is not None and stop(st.t, st.x, st.y):
+            if stop is not None and stop(t, x, y):
                 break
     except NonFiniteError as exc:
         exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
@@ -500,6 +508,8 @@ def find_limit_cycle(
     restarts = 0
 
     st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
+    advance = st.advance
+    t_budget = max_periods * _WINDOW
     window_end = st.t + _WINDOW
     x_lo = x_hi = st.x
     y_lo = y_hi = st.y
@@ -507,7 +517,7 @@ def find_limit_cycle(
 
     try:
         while True:
-            st.advance()
+            advance()
             t, x, y = st.t, st.x, st.y
             if x < x_lo:
                 x_lo = x
@@ -531,13 +541,14 @@ def find_limit_cycle(
                 window_end = t + _WINDOW
                 x_lo = x_hi = x
                 y_lo = y_hi = y
-            if t_ref is None and t > max_periods * _WINDOW:
+            if t_ref is None and t > t_budget:
                 raise NoCycleError("no two returns to one section within the time budget")
             node = (t, x, y, st.dx, st.dy)
             x_prev = prev[1]
             for k, (x_eq, y_eq) in enumerate(half_lines):
-                if stretch[k] is not None:
-                    stretch[k].append(node)
+                nodes = stretch[k]
+                if nodes is not None:
+                    nodes.append(node)
                 # the sign test of _half_line_crossing: most steps cross nothing
                 if (x > x_eq) == (x_prev > x_eq):
                     continue
