@@ -3,6 +3,7 @@ import math
 import random
 import signal
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -496,7 +497,12 @@ class TestEscapeCertificate:
 
 
 class _LoopStepper(dynamics._Stepper):
-    """The tableau-driven loop form of the RODAS step: the reference kernel."""
+    """The tableau-driven loop form of the RODAS step: the reference kernel.
+
+    It counts in `hits` each branch of the step control that it takes;
+    TestKernelEquivalence puts a fresh Counter there for each test."""
+
+    hits: Counter = Counter()
 
     def _ref_field(self, x, y):
         return (
@@ -505,6 +511,7 @@ class _LoopStepper(dynamics._Stepper):
         )
 
     def advance(self, t_cap=None):
+        hits = self.hits
         b = self.b
         h = self.h
         x0, y0 = self.x, self.y
@@ -518,6 +525,7 @@ class _LoopStepper(dynamics._Stepper):
         for _ in range(dynamics._MAX_REJECTS):
             if t_cap is not None and self.t + h > t_cap:
                 h = t_cap - self.t
+                hits["clamped to t_cap"] += 1
             if h < dynamics._H_FLOOR:
                 raise StepSizeCollapseError(f"step {h:.3e} below floor at t={self.t!r}")
             ghinv = 1.0 / (h * dynamics._GAMMA)
@@ -555,26 +563,43 @@ class _LoopStepper(dynamics._Stepper):
             e1, e2 = k[5]
 
             if not (math.isfinite(xn) and math.isfinite(yn)):
+                hits["non-finite stage"] += 1
                 h *= 0.5
                 self.nreject += 1
                 continue
+            if any(u == 0.0 and math.copysign(1.0, u) < 0.0 for u in (x0, y0, xn, yn)):
+                hits["-0.0"] += 1
             sc1 = tol + tol * max(abs(x0), abs(xn))
             sc2 = tol + tol * max(abs(y0), abs(yn))
             err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
             if err <= 1.0:
+                t = self.t
                 self.t += h
                 self.x, self.y = xn, yn
                 self.dx, self.dy = self._ref_field(xn, yn)
                 self.naccept += 1
+                if err == 0.0:
+                    hits["err == 0"] += 1
+                elif 0.9 * err ** -0.25 > 6.0:
+                    hits["growth capped at 6"] += 1
                 fac = min(6.0, max(0.2, 0.9 * err ** -0.25)) if err > 0.0 else 6.0
                 self.h = h * fac
                 if max(abs(xn), abs(yn)) > self.max_norm:
+                    hits["max_norm"] += 1
                     raise NonFiniteError(
                         f"state left |u| <= {self.max_norm} at t={self.t!r}",
                         last_state=PhasePoint(xn, yn) if math.isfinite(xn + yn) else None,
                     )
+                if not math.isfinite(self.t):
+                    hits["t overflow"] += 1
+                    raise NonFiniteError(
+                        f"time left the finite range after t={t!r}",
+                        last_state=PhasePoint(xn, yn),
+                    )
                 return
             self.nreject += 1
+            if 0.9 * err ** -0.25 < 0.1:
+                hits["0.1 floor"] += 1
             h *= max(0.1, 0.9 * err ** -0.25)
         raise StepSizeCollapseError("step repeatedly rejected")
 
@@ -616,6 +641,17 @@ def _equivalence_cases():
                     if scale is TimeScale.FAST:
                         t_end /= eps
                     cases.append((start, params, t_end, scale, tol, direction, 1e8))
+    # the branches of the step control: a start exactly on an equilibrium
+    # (err == 0, growth x6, the last step clamped to t_end), coordinates of
+    # -0.0, and a backward run from far right whose blow-up rejects a step at
+    # the 0.1 floor and one on a non-finite stage before the step collapses
+    slow = TimeScale.SLOW
+    cases += [
+        (PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1), 5.0, slow, 1e-8, 1, 1e8),
+        (PhasePoint(-0.0, 1.0), SystemParams(0.0, 0.0, 0.1), 1.0, slow, 1e-8, 1, 1e8),
+        (PhasePoint(1.0, -0.0), SystemParams(0.0, 0.0, 0.1), 1.0, slow, 1e-8, -1, 1e8),
+        (PhasePoint(9220.0, -1.5), SystemParams(0.3, 1.0, 0.065), 2.0, slow, 1e-8, -1, 1e8),
+    ]
     # backward from beyond the right branch: blows up, a partial trajectory
     cases.append((PhasePoint(3.0, 0.0), SystemParams(0.0, 0.0, 0.5), 50.0, TimeScale.SLOW,
                   1e-8, -1, 1e4))
@@ -623,28 +659,60 @@ def _equivalence_cases():
 
 
 class TestKernelEquivalence:
-    """The straight-line step reproduces the loop form bit for bit."""
+    """The straight-line step reproduces the loop form bit for bit, on every
+    branch of its step control."""
 
-    def test_integrate_matches_loop_form(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def hits(self, monkeypatch):
+        hits = Counter()
+        monkeypatch.setattr(_LoopStepper, "hits", hits)
+        return hits
+
+    def test_integrate_matches_loop_form(self, monkeypatch, hits):
         cases = _equivalence_cases()
         new = [_outcome(lambda c=c: integrate(*c)) for c in cases]
         monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
         ref = [_outcome(lambda c=c: integrate(*c)) for c in cases]
         for case, got, want in zip(cases, new, ref):
             assert got == want, case
-        assert sum(o["stats"]["rejected"] > 0 for o in ref) >= 5
-        assert sum(o["stats"]["steps"] for o in ref) > 3000
+        stats = [o["stats"] for o in ref if "stats" in o]
+        assert sum(st["rejected"] > 0 for st in stats) >= 5
+        assert sum(st["steps"] for st in stats) > 3000
         assert ref[-1]["exc"][0] is NonFiniteError and len(ref[-1]["nodes"][0]) > 10
+        for branch in ("err == 0", "growth capped at 6", "clamped to t_cap", "-0.0",
+                       "0.1 floor", "non-finite stage", "max_norm"):
+            assert hits[branch] >= 1, branch
 
     def test_cycle_search_matches_loop_form(self, monkeypatch):
+        # a forward search that restarts, and a backward one
+        searches = [((0.0, 1.152, 0.5), (-2.8, 1.64), "forward", 1e-10, None),
+                    TestSearchPins.CYCLES["converged_backward"][:5]]
+
         def search():
-            lc = find_limit_cycle(SystemParams(0.0, 1.152, 0.5), A_START, tol=1e-10)
-            return [lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.period, lc.length,
-                    lc.section_x, lc.return_gap, lc.converged]
+            out = []
+            for case in searches:
+                lc = TestSearchPins._search(*case)
+                out.append([lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.period, lc.length,
+                            lc.section_x, lc.return_gap, lc.converged, lc.stats])
+            return out
 
         got = search()
         monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
         assert got == search()
+        assert got[0][-1]["restarts"] >= 1 and got[1][-1]["steps"] > 1000
+
+    def test_parked_run_matches_loop_form_until_time_overflows(self, monkeypatch, hits):
+        # on an equilibrium err == 0 grows the step x6 per step, and with
+        # t_end = inf only the overflow of t ends the run
+        def run():
+            return dynamics.integrate_until(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1),
+                                            math.inf, lambda t, x, y: x > 1.0)
+
+        got = _outcome(run)
+        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
+        assert got == _outcome(run)
+        assert got["exc"][0] is NonFiniteError and "time left the finite range" in got["exc"][1]
+        assert hits["t overflow"] == 1 and hits["err == 0"] > 300
 
     def test_homoclinic_in_b_pinned(self):
         # recorded from the hand-stepped manifold shooting this driver replaced
