@@ -474,8 +474,8 @@ def find_limit_cycle(
       y-range), over a window of 10 time units is below 1e-6, tested each
       time a window closes; a loop of that diameter; or three falling
       returns whose geometric limit lies below 1% of the last one's height
-      above the equilibrium (returns to a section of a planar flow are
-      monotone);
+      above the equilibrium, from four returns on at ratios steady enough
+      to restart (returns to a section of a planar flow are monotone);
     - NoCycleError, when the budget runs out otherwise (also with fewer
       than five returns since a restart);
     - NonFiniteError, on a backward search, at a node in one of the escape
@@ -565,7 +565,10 @@ def find_limit_cycle(
                     xs = [n[1] for n in stretch[k]]
                     amplitude[k] = max(amplitude[k], max(xs) - min(xs))
                     step = None if converged else _geometric_limit(rets[-3:], y_eq)
-                    if _falls_into_equilibrium(step, y_c - y_eq):
+                    prior = _geometric_limit(rets[-4:-1], y_eq)
+                    # from four returns on, two steady ratios: noise near a weak focus sets a lone one
+                    if _falls_into_equilibrium(step, y_c - y_eq) and (
+                            len(rets) < 4 or _extrapolates(prior, step)):
                         raise ConvergedToEquilibriumError(
                             "returns fall into the equilibrium below them",
                             point=PhasePoint(x_eq, y_eq),
@@ -590,7 +593,7 @@ def find_limit_cycle(
                             )
                         loop.stats = dict(st.stats(), restarts=restarts)
                         return loop
-                    if sgn == 1 and _extrapolates(_geometric_limit(rets[-4:-1], y_eq), step):
+                    if sgn == 1 and _extrapolates(prior, step):
                         # restart on this half-line at the fixed point of the
                         # return map that the last three returns approach; it
                         # counts as the first return, and every other

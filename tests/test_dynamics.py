@@ -393,6 +393,17 @@ class TestReturnExtrapolation:
         assert lc.period == pytest.approx(period, rel=1e-5, abs=0.0)
         assert lc.length == pytest.approx(length, rel=2e-4, abs=0.0)
 
+    # below c_H a small stable cycle surrounds the weak focus; once the
+    # returns step by about 1e-7, tolerance noise sets a lone step ratio
+    # (0.99932 then 0.999998 at eps 0.1) whose limit lies below the focus
+    @pytest.mark.parametrize("eps, c, tol, max_periods", [(0.5, 1.15469, 1e-9, 30.0),
+                                                          (0.1, 1.1547, 1e-11, 50.0)])
+    def test_unsteady_ratio_near_weak_focus_is_no_equilibrium(self, eps, c, tol, max_periods):
+        try:
+            find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=tol, max_periods=max_periods)
+        except FHNError as exc:
+            assert not isinstance(exc, ConvergedToEquilibriumError), exc
+
     @pytest.mark.parametrize("r_star, a, q", [(0.3, 0.2, 0.9), (0.3, -0.2, 0.5), (1e-3, 2e-4, 0.99)])
     def test_limit_of_geometric_returns(self, r_star, a, q):
         y_eq = 1.5
