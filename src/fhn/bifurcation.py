@@ -8,7 +8,8 @@ A shot ends as soon as its fate is certain: on escape past x = -0.5, or on
 capture, once two successive leftward crossings of the half-line
 {x = x_E+, y > y_E+} step down by more than the integration error (the flow
 crosses that half-line leftward only, so the orbit is then confined inside its
-last loop around E+).
+last loop around E+).  A sweep row also finds the unstable cycle inside a
+stable loop around E+.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .dynamics import (
     _half_line_crossing,
     cycle_length,
     find_limit_cycle,
+    find_unstable_cycle,
     integrate,
     integrate_until,
 )
-from .errors import BracketFailureError, FHNError, NonFiniteError
+from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import equilibrium_abscissae
 
 _HYPERBOLICITY_TOL = 1e-9
@@ -119,8 +121,9 @@ def hopf_in_b(eps: float) -> BifurcationPoint:
     """Hopf of E+- in the c = 0 family: b = (-4 + sqrt(16 + 3 eps))/eps.
 
     Closed-form root of Tr(J_{E+}) = -eps*b + 3/b - 8 = 0; tends to 3/8 as
-    eps -> 0.  Supercritical in b (negative cubic normal-form coefficient
-    with matching parameter orientation).  Raises ValueError for eps <= 0,
+    eps -> 0.  The cycles born here are unstable: at b above b_h they
+    surround the stable focus E+ inside the relaxation cycle, up to the
+    homoclinic value.  Raises ValueError for eps <= 0,
     and for eps >= 16, where b_h <= 1/4 and E+- do not exist.
     """
     if eps <= 0.0:
@@ -237,7 +240,7 @@ def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
         if x < -0.5:
             return True
         if last is not None and last[1] > x_eq >= x:
-            cross = _half_line_crossing(node(*last), node(t, x, y), x_eq, y_eq, -1)
+            cross = _half_line_crossing(node(*last), node(t, x, y), x_eq, y_eq)
             if cross is not None:
                 if y_return is not None and cross[1] < y_return - _CAPTURE_MARGIN:
                     return True
@@ -288,7 +291,7 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
     t_s = 40.0 + math.log(1e7) / max(crawl, 1e-3)
     try:
         traj_s = integrate(seed_s, params, t_s, tol=tol, direction=-1, max_norm=1e3)
-    except NonFiniteError as exc:
+    except IntegrationError as exc:
         traj_s = exc.trajectory
     d_s = np.hypot(traj_s.x, traj_s.y)
     bad = np.nonzero((d_s > 3.45) | (traj_s.x < -0.5))[0]
@@ -324,7 +327,6 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
         Stability.UNSTABLE,
         False,
         seed_u.x,
-        1,
         float(np.hypot(xs[-1], ys[-1])),
     )
 
@@ -382,11 +384,11 @@ def sweep_values(
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
-    Stable cycles come from forward integration (seeded from the last
-    stable cycle the sweep found); an unstable cycle is
-    attempted by backward integration seeded near a stable focus/node
-    whenever one exists.  Per-row failures are recorded in the row and never
-    abort the sweep.
+    The stable cycle is searched from the last stable cycle the sweep found.
+    When its loop starts on the half-line above the stable equilibrium with
+    x > 0 (E+ of the c = 0 family), `find_unstable_cycle` searches for the
+    unstable cycle between them.  Per-row failures are recorded in the row
+    and never abort the sweep.
     """
     if param_name not in ("b", "c"):
         raise ValueError("param_name must be 'b' or 'c'")
@@ -410,24 +412,15 @@ def sweep_values(
 
 
 def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol):
-    attempts = [("stable", "forward", seed_stable)]
-    stable_eq = [
-        e
-        for e in row.equilibria
-        if e.classification in (EquilibriumClass.STABLE_FOCUS, EquilibriumClass.STABLE_NODE)
-        and e.point.x > 0
-    ]
-    if stable_eq:
-        seed = PhasePoint(stable_eq[0].point.x + 1e-3, stable_eq[0].point.y)
-        attempts.append(("unstable", "backward", seed))
-    for label, direction, seed in attempts:
-        try:
-            lc = find_limit_cycle(params, seed, direction, tol=tol, max_periods=_SWEEP_MAX_PERIODS)
-        except FHNError as exc:
-            msg = f"{label}: {type(exc).__name__}"
-            row.error = f"{row.error}; {msg}" if row.error else msg
-            continue
-        row.cycles.append(
-            CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
-                        PhasePoint(float(lc.x[0]), float(lc.y[0])))
-        )
+    label, loops = "stable", []
+    try:
+        loops.append(find_limit_cycle(params, seed_stable, tol=tol, max_periods=_SWEEP_MAX_PERIODS))
+        stable_x = [e.point.x for e in row.equilibria if e.point.x > 0 and e.classification
+                    in (EquilibriumClass.STABLE_FOCUS, EquilibriumClass.STABLE_NODE)]
+        if stable_x and loops[0].section_x == stable_x[0]:
+            label = "unstable"
+            loops.append(find_unstable_cycle(params, loops[0], tol))
+    except FHNError as exc:
+        row.error = f"{label}: {type(exc).__name__}"
+    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
+                              PhasePoint(float(lc.x[0]), float(lc.y[0]))) for lc in loops]

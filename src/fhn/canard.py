@@ -101,7 +101,8 @@ def normal_form_case_ii() -> NormalFormCoeffs:
     The coefficient record keeps x_plus = 4/3, which is the square of the
     geometric fold abscissa sqrt(4/3); A and B depend only on the
     x-derivatives and l6, so they are unaffected either way:
-    A = -15/32 < 0 and B = -3/16, supercritical in b.
+    A = -15/32 < 0 and B = -3/16.  The cycles born at the Hopf point of E+
+    lie at b above it, around the stable focus, and are unstable.
     """
     x_plus = 4.0 / 3.0
     return NormalFormCoeffs(

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .core import PhasePoint, SystemParams, TimeScale
 from .dynamics import Stability, integrate
-from .errors import EquilibriumInPathError, FHNError, IntegrationError, NonFiniteError, SearchError
+from .errors import EquilibriumInPathError, FHNError, IntegrationError, SearchError
 from .singular import Fate, classify_singular_fate, relaxation_period
 from .slow_manifold import Branch, BranchGraph, h0, h1
 
@@ -196,11 +196,9 @@ def _cmd_simulate(args, outdir: Path, manifest: RunManifest) -> None:
     dt = args.dt_out if args.dt_out is not None else args.tmax / 2000.0
     try:
         traj = integrate(PhasePoint(args.x0, args.y0), params, args.tmax, scale, tol=args.tol)
-    except NonFiniteError as exc:
-        if exc.trajectory is not None:
-            _write_trajectory(outdir, exc.trajectory, dt)
-        if exc.last_state is not None:
-            manifest.outputs["last_state"] = [exc.last_state.x, exc.last_state.y]
+    except IntegrationError as exc:
+        _write_trajectory(outdir, exc.trajectory, dt)
+        manifest.outputs["last_state"] = [exc.last_state.x, exc.last_state.y]
         raise
     _write_trajectory(outdir, traj, dt)
     manifest.outputs["steps"] = traj.stats["steps"]

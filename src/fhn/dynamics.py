@@ -6,19 +6,14 @@ Rosenbrock method of order 4 with an embedded order-3 error estimate
 FitzHugh-Nagumo field with its exact 2x2 Jacobian.  Two loops drive the
 stepper: `integrate_until` for trajectories and `find_limit_cycle` for cycles.
 
-A cycle search integrates in slow time, backward for an unstable cycle so
-that it attracts, and counts returns from its first step on the half-lines
-{x = x_eq, y > y_eq} above the equilibria, which the flow crosses leftward
-only.  The loop is the stretch between the last two returns to the first
-half-line whose returns agree.  A forward search whose returns to a
-half-line shrink steadily restarts at their geometric limit, Aitken's
-estimate of the fixed point of the return map.  A state that moved less
-than 1e-6 in x and in y over a window of 10 time units has parked on an
-equilibrium.  A backward search also ends, in NonFiniteError, once its
-orbit enters one of the escape regions R+ = {x >= X, y >= -x} or
-R- = {x <= -X, y <= -x} (`_escape_abscissa`), where the reversed field
-provably blows up in finite time.  The returned loop and every search
-failure carry the step counts and the number of restarts.
+Cycles are found forward in slow time on the half-lines {x = x_eq, y > y_eq}
+above the equilibria, which the flow crosses leftward only.
+`find_limit_cycle` follows one orbit until two returns to a half-line agree,
+restarting it at the geometric limit of returns that shrink steadily.
+`find_unstable_cycle` finds the unstable cycle between a stable focus and a
+stable cycle around it as a root of the displacement P(y) - y of the return
+map P, one forward shot per value.  Loops and search failures carry step
+counts.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from .errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
     FHNError,
+    IntegrationError,
     NoCycleError,
     NonFiniteError,
     StepSizeCollapseError,
@@ -139,7 +135,6 @@ class _Stepper:
             raise ValueError("tol must lie in [1e-12, 1e-3]")
         self.b = params.b
         self.c = params.c
-        self.eps = params.eps
         # component scaling: fast scale integrates (f, eps*g), slow scale (f/eps, g)
         if scale is TimeScale.FAST:
             self.sx, self.sy = float(direction), direction * params.eps
@@ -306,8 +301,8 @@ def integrate(
     available through Trajectory.sample / sample_uniform.
 
     Raises StepSizeCollapseError if the step falls below 1e-14 and
-    NonFiniteError (carrying the partial trajectory) if the state blows up,
-    which is the legitimate outcome for divergent parameter regimes.
+    NonFiniteError if the state blows up, which is the legitimate outcome
+    for divergent parameter regimes; either carries the partial trajectory.
     """
     return integrate_until(start, params, t_end, None, scale, tol, direction, max_norm)
 
@@ -357,8 +352,10 @@ def integrate_until(
                 break
             if stop is not None and stop(t, x, y):
                 break
-    except NonFiniteError as exc:
+    except IntegrationError as exc:
         exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
+        if exc.last_state is None:
+            exc.last_state = PhasePoint(xs[-1], ys[-1])
         raise
     return _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
 
@@ -388,11 +385,9 @@ class LimitCycle:
     stability: Stability
     converged: bool
     section_x: float
-    section_sign: int
     return_gap: float
-    # find_limit_cycle's step counts, in the form of Trajectory.stats, and
-    # its restarts (empty for a loop assembled otherwise, such as the
-    # homoclinic shadow)
+    # the search's step counts as in Trajectory.stats, with its restarts or
+    # shots (empty for a loop assembled otherwise, such as the homoclinic shadow)
     stats: dict = field(default_factory=dict)
 
     def min_distance_to(self, px: float, py: float) -> float:
@@ -432,33 +427,28 @@ _MAX_NORM = 1e6
 def find_limit_cycle(
     params: SystemParams,
     seed: PhasePoint,
-    direction: str = "forward",
     tol: float = 1e-10,
     max_periods: float = 50.0,
 ) -> LimitCycle:
-    """Locate a limit cycle by convergence of Poincare returns.
+    """Locate a stable limit cycle by convergence of Poincare returns.
 
-    Integration runs in slow time, forward for stable cycles and backward
-    (`direction="backward"`) for unstable ones.  The sections are the
-    half-lines {x = x_eq, y > y_eq} above the equilibria: x' = (y_eq - y)/eps
-    there, so the flow crosses each leftward only, and a cycle crosses the
-    one above each equilibrium it encloses once.  Returns count from the
-    first step (rightward crossings backward).  The first half-line whose
-    last two returns agree to 1e-8 decides; the loop is the stretch between
-    them, from `section_x` = x_eq crossed in the direction `section_sign`
-    (-1 forward, +1 backward).
+    Integration runs forward in slow time.  The sections are the half-lines
+    {x = x_eq, y > y_eq} above the equilibria: x' = (y_eq - y)/eps there, so
+    the flow crosses each leftward only, and a cycle crosses the one above
+    each equilibrium it encloses once.  Returns count from the first step.
+    The first half-line whose last two returns agree to 1e-8 decides; the
+    loop is the stretch between them, from its leftward crossing of
+    `section_x` = x_eq.
 
-    The returns to a half-line iterate a monotone return map.  A forward
-    search restarts its orbit at (x_eq, y_eq + r), r the geometric limit of
+    The returns to a half-line iterate a monotone return map.  The search
+    restarts its orbit at (x_eq, y_eq + r), r the geometric limit of
     the heights of the last three returns (Aitken's delta-squared), once the
     last four step one way with step ratios q1, q2 in (0, 1),
     |q2 - q1| < (1 - q2)/2, and the last two are still 1e-8 or more apart.
     The restart point counts as the half-line's first return; the other
     half-lines' returns and the window's extent start afresh, while time,
     step size and budget run on.  A search that settles within three returns
-    never restarts.  A backward search does not restart: near a homoclinic
-    orbit an early extrapolation can overshoot the unstable cycle into the
-    escape region.
+    never restarts.
 
     If the budget of `max_periods` estimated periods (10 time units each
     until a half-line has two returns) runs out while the last four returns
@@ -478,26 +468,13 @@ def find_limit_cycle(
       to restart (returns to a section of a planar flow are monotone);
     - NoCycleError, when the budget runs out otherwise (also with fewer
       than five returns since a restart);
-    - NonFiniteError, on a backward search, at a node in one of the escape
-      regions R+ or R- of `_escape_abscissa`, where the reversed field blows
-      up in finite time; the test runs at each node that sets a new extreme
-      of x in its window, which every node in R+- does once x has passed the
-      window's earlier extreme, as x grows monotonically there;
     - the integrator's NonFiniteError (|x| or |y| above 1e6) or
       StepSizeCollapseError.
     The returned loop and every FHNError raised carry `stats`, the search's
     step counts in the form of Trajectory.stats plus `restarts`.
     """
-    if params.eps <= 0.0:
-        raise ValueError("find_limit_cycle requires eps > 0")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
     if not (math.isfinite(max_periods) and max_periods > 0.0):
         raise ValueError("max_periods must be finite and > 0")
-    sgn = 1 if direction == "forward" else -1
-    stability = Stability.STABLE if sgn == 1 else Stability.UNSTABLE
-    # a forward search never enters an escape region
-    x_esc = _escape_abscissa(params) if sgn == -1 else math.inf
     half_lines = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
     # per half-line: its returns (t, y), the nodes since the last of them and
     # the largest x-range of a loop between two of them
@@ -507,7 +484,7 @@ def find_limit_cycle(
     t_ref = None  # the latest interval between two returns to one half-line
     restarts = 0
 
-    st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, sgn, tol, _MAX_NORM)
+    st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, 1, tol, _MAX_NORM)
     advance = st.advance
     t_budget = max_periods * _WINDOW
     window_end = st.t + _WINDOW
@@ -521,12 +498,8 @@ def find_limit_cycle(
             t, x, y = st.t, st.x, st.y
             if x < x_lo:
                 x_lo = x
-                if x <= -x_esc and y <= -x:
-                    raise _escape_error("R-", x_esc, t, x, y)
             elif x > x_hi:
                 x_hi = x
-                if x >= x_esc and y >= -x:
-                    raise _escape_error("R+", x_esc, t, x, y)
             if y < y_lo:
                 y_lo = y
             elif y > y_hi:
@@ -552,7 +525,7 @@ def find_limit_cycle(
                 # the sign test of _half_line_crossing: most steps cross nothing
                 if (x > x_eq) == (x_prev > x_eq):
                     continue
-                cross = _half_line_crossing(prev, node, x_eq, y_eq, -sgn)
+                cross = _half_line_crossing(prev, node, x_eq, y_eq)
                 if cross is None:
                     continue
                 rets = returns[k]
@@ -584,8 +557,9 @@ def find_limit_cycle(
                             raise NoCycleError(
                                 f"returns did not settle within {max_periods} estimated periods"
                             )
-                        loop = _build_loop(stretch[k], t_0, t_c, stability, x_eq, -sgn,
-                                           converged, gap)
+                        nodes = np.array(stretch[k]).T
+                        loop = _build_loop(Trajectory(*nodes, TimeScale.SLOW, 1), t_0, t_c,
+                                           Stability.STABLE, x_eq, converged, gap)
                         if loop.diameter < _MIN_CYCLE_DIAMETER:
                             raise ConvergedToEquilibriumError(
                                 "returns converged onto a point, not a cycle",
@@ -593,7 +567,7 @@ def find_limit_cycle(
                             )
                         loop.stats = dict(st.stats(), restarts=restarts)
                         return loop
-                    if sgn == 1 and _extrapolates(prior, step):
+                    if _extrapolates(prior, step):
                         # restart on this half-line at the fixed point of the
                         # return map that the last three returns approach; it
                         # counts as the first return, and every other
@@ -622,6 +596,83 @@ def find_limit_cycle(
             prev = node
     except FHNError as exc:
         exc.stats = dict(st.stats(), restarts=restarts)
+        raise
+
+
+# a shot of find_unstable_cycle runs for at most this many periods of the
+# stable loop, and the root-find takes at most this many shots
+_SHOT_PERIODS = 3.0
+_MAX_SHOTS = 60
+
+
+def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e-10) -> LimitCycle:
+    """The unstable cycle between a stable equilibrium and a stable loop
+    `outer` that starts on the half-line above it, at x_eq = `outer.section_x`
+    and y_outer = `outer.y[0]`: a root of d(y) = P(y) - y, P the return map.
+
+    d < 0 beside a stable focus and d > 0 just inside a stable cycle, so an
+    unstable cycle lies between them (the Poincare-Bendixson annulus; Perko,
+    Differential Equations and Dynamical Systems, section 3.4).  Each value
+    of d is one forward shot from (x_eq, y) to its next return, for at most 3
+    periods of `outer`.  Illinois iteration runs on [y_eq + 1e-3 s,
+    y_outer - 1e-3 s], s = y_outer - y_eq, until |d| < 1e-8; the loop is the
+    last shot.  NoCycleError: no sign change from d < 0 to d > 0 there, a
+    shot that does not return, or 60 shots.  The loop and every FHNError
+    raised carry `stats`: the shots' step counts as in Trajectory.stats, and
+    `shots`.
+    """
+    x_eq, y_eq, y_outer = outer.section_x, phi(outer.section_x), float(outer.y[0])
+    t_budget = _SHOT_PERIODS * outer.period
+    stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
+
+    def shot(y):
+        x_last = x_eq
+
+        def returned(_t, x, _y):
+            # the orbit crosses x = x_eq leftward only above y_eq
+            nonlocal x_last
+            crossed = x_last > x_eq > x
+            x_last = x
+            return crossed
+
+        stats["shots"] += 1
+        try:
+            traj = integrate_until(PhasePoint(x_eq, y), params, t_budget, returned, tol=tol,
+                                   max_norm=_MAX_NORM)
+        except IntegrationError as exc:
+            stats["steps"] += exc.trajectory.stats["steps"]
+            stats["rejected"] += exc.trajectory.stats["rejected"]
+            raise
+        stats["steps"] += traj.stats["steps"]
+        stats["rejected"] += traj.stats["rejected"]
+        prev, node = zip(*(a[-2:].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
+        cross = _half_line_crossing(prev, node, x_eq, y_eq)
+        if cross is None:
+            raise NoCycleError(f"shot from y={y!r} did not return within t={t_budget!r}")
+        return cross[1] - y, cross[0], traj
+
+    try:
+        s = y_outer - y_eq
+        a, b = y_eq + 1e-3 * s, y_outer - 1e-3 * s
+        fa, fb = shot(a)[0], shot(b)[0]
+        if not fa < 0.0 < fb:
+            raise NoCycleError(f"displacement does not change sign from y={a!r} to y={b!r}")
+        while stats["shots"] < _MAX_SHOTS:
+            y = b - fb * (b - a) / (fb - fa)
+            d, t_return, traj = shot(y)
+            if abs(d) < _RETURN_TOL:
+                loop = _build_loop(traj, 0.0, t_return, Stability.UNSTABLE, x_eq, True, abs(d))
+                loop.stats = stats
+                return loop
+            # Illinois: keep the bracket, and halve the weight of an end kept twice
+            if (d < 0.0) != (fb < 0.0):
+                a, fa = b, fb
+            else:
+                fa *= 0.5
+            b, fb = y, d
+        raise NoCycleError(f"displacement still {fb:.3g} after {_MAX_SHOTS} shots")
+    except FHNError as exc:
+        exc.stats = dict(stats)
         raise
 
 
@@ -657,62 +708,21 @@ def _extrapolates(prior, step) -> bool:
     return abs(step[0] - prior[0]) < 0.5 * (1.0 - step[0])
 
 
-def _escape_abscissa(params: SystemParams) -> float:
-    """X(b, c, eps) of the escape regions R+ = {x >= X, y >= -x} and
-    R- = {x <= -X, y <= -x} of the time-reversed field.
-
-    X is the smallest X >= 3 (up to rounding) with 3 X^2 > 5 + k and
-    p(X) > 0, where k = eps max(1 + b, 0) and p(x) = x^3 - (5 + k) x - eps |c|.
-
-    In reversed slow time x' = (x^3 - 4x + y)/eps and y' = -x + b y + c.
-    - On the side x = X of R+ (y >= -X), x' >= (X^3 - 5X)/eps > 0, as X^2 >= 9.
-    - On the side y = -x (x >= X), eps (x + y)' = x^3 - 5x - eps (1 + b) x
-      + eps c >= p(x) > 0: p(X) > 0, and p' = 3x^2 - (5 + k) > 0 for x >= X.
-    The field points into R+ across its whole boundary, so R+ is
-    forward-invariant.  Inside it y >= -x gives x' >= (x^3 - 5x)/eps
-    >= 4 x^3 / (9 eps), so x grows monotonically and reaches infinity in
-    finite time: an orbit in R+ approaches no cycle.  R- follows by the
-    symmetry (x, y, c) -> (-x, -y, -c) of the field.
-    """
-    k = params.eps * max(1.0 + params.b, 0.0)
-    a, d = 5.0 + k, params.eps * abs(params.c)
-    if 27.0 > a and 27.0 - 3.0 * a - d > 0.0:
-        return 3.0
-    # otherwise X is the largest root of p (>= 3), approached by Newton from
-    # above, where p is increasing and convex: every iterate stays above it
-    x = math.sqrt(a) + d ** (1.0 / 3.0) + 1.0
-    while True:
-        nxt = x - (x * x * x - a * x - d) / (3.0 * x * x - a)
-        if not (nxt < x and nxt * nxt * nxt - a * nxt - d > 0.0):
-            return x
-        x = nxt
-
-
-def _escape_error(region: str, x_esc: float, t: float, x: float, y: float) -> NonFiniteError:
-    bound = f"x >= {x_esc!r}, y >= -x" if region == "R+" else f"x <= {-x_esc!r}, y <= -x"
-    return NonFiniteError(
-        f"backward orbit entered {region} = {{{bound}}} at t={t!r}, where it blows up",
-        last_state=PhasePoint(x, y),
-    )
-
-
-def _half_line_crossing(prev, node, x_eq: float, y_eq: float, sign: int):
+def _half_line_crossing(prev, node, x_eq: float, y_eq: float):
     """(t, y) where the step from `prev` to `node` crosses the half-line
-    {x = x_eq, y > y_eq} above an equilibrium in the direction `sign` of x,
-    or None; the crossing is the cubic-Hermite root of x = x_eq in the step."""
+    {x = x_eq, y > y_eq} above an equilibrium leftward, or None; the
+    crossing is the cubic-Hermite root of x = x_eq in the step."""
     t0, x0, y0, dx0, dy0 = prev
     t1, x1, y1, dx1, dy1 = node
     s0, s1 = x0 - x_eq, x1 - x_eq
-    if s0 == 0.0 or s0 * s1 >= 0.0:
-        return None
-    if (1 if x1 > x0 else -1) != sign:
+    if not s0 > 0.0 > s1:
         return None
     h = t1 - t0
     lo, hi = 0.0, 1.0
     for _ in range(70):
         mid = 0.5 * (lo + hi)
         val = _hermite(mid, x0, x1, dx0, dx1, h) - x_eq
-        if (val > 0.0) == (s1 > 0.0):
+        if not val > 0.0:
             hi = mid
         else:
             lo = mid
@@ -721,11 +731,7 @@ def _half_line_crossing(prev, node, x_eq: float, y_eq: float, sign: int):
     return (t0 + s * h, y) if y > y_eq else None
 
 
-def _build_loop(nodes, t_start, t_end, stability, section_x, section_sign, strict, gap):
-    arr = np.array(nodes)
-    traj = Trajectory(
-        arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4], TimeScale.SLOW, +1
-    )
+def _build_loop(traj, t_start, t_end, stability, section_x, strict, gap):
     period = t_end - t_start
     ts = np.linspace(t_start, t_end, _DENSE_N + 1)
     xs, ys = traj.sample(ts)
@@ -739,6 +745,5 @@ def _build_loop(nodes, t_start, t_end, stability, section_x, section_sign, stric
         stability,
         bool(strict),
         section_x,
-        section_sign,
         gap,
     )

@@ -26,7 +26,13 @@ class OutOfValidityError(FHNError):
 
 
 class IntegrationError(FHNError):
-    """The integrator could not carry a trajectory on."""
+    """The integrator could not carry a trajectory on; carries its partial
+    trajectory and last state."""
+
+    def __init__(self, message, last_state=None, trajectory=None):
+        super().__init__(message)
+        self.last_state = last_state
+        self.trajectory = trajectory
 
 
 class SearchError(FHNError):
@@ -39,11 +45,6 @@ class StepSizeCollapseError(IntegrationError):
 
 class NonFiniteError(IntegrationError):
     """Integration state blew up; carries the last finite state."""
-
-    def __init__(self, message, last_state=None, trajectory=None):
-        super().__init__(message)
-        self.last_state = last_state
-        self.trajectory = trajectory
 
 
 class NoCycleError(SearchError):

@@ -2,12 +2,13 @@ import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.canard import LARGE_LENGTH
-from fhn.dynamics import Stability, integrate_until
+from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate_until
 from fhn.errors import BracketFailureError
 from fhn.bifurcation import (
     BifKind,
@@ -215,6 +216,29 @@ class TestHomoclinicInB:
         assert peak < 5e6
 
 
+class TestUnstableBand:
+    """Between the Hopf value b_h and the homoclinic value b_hom of the c = 0
+    family, an unstable cycle surrounds the stable focus E+ inside the
+    relaxation cycle; forward shots find it across the band."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5, 1.0])
+    def test_unstable_cycle_grows_across_the_band(self, eps):
+        b_h, b_hom = hopf_in_b(eps).param_value, float.fromhex(B_HOM_HEX[eps])
+        lengths = []
+        for frac in (0.1, 0.5, 0.9):
+            b = b_h + frac * (b_hom - b_h)
+            params = SystemParams(b, 0.0, eps)
+            outer = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+            lc = find_unstable_cycle(params, outer, 1e-9)
+            assert lc.stability is Stability.UNSTABLE and lc.converged
+            assert phi(lc.section_x) < lc.y[0] < outer.y[0]
+            div = (4.0 - 3.0 * lc.x**2) / eps - b
+            assert math.exp(np.trapezoid(div, lc.t)) > 1.0
+            lengths.append(lc.length)
+        # born at the Hopf point, it grows toward the homoclinic loop
+        assert lengths == sorted(lengths)
+
+
 class TestCaptureCertificate:
     """A shot ended by the capture certificate has the fate of the full budget."""
 
@@ -312,9 +336,10 @@ class TestSweepPin:
 
     # sha256 over the rows of `_digest`, recorded from the search on the
     # half-lines above the equilibria that restarts a forward search at the
-    # geometric limit of its returns
+    # geometric limit of its returns, and ("b") the unstable cycle that
+    # forward shots find inside the stable loop of the row in (b_h, b_hom)
     DIGESTS = {
-        "b": "01fad7ef91d4c21c8eba2d57fad1855ffb2cfc03ddefab2f25ad5b2e472d8c5f",
+        "b": "3430963cd74919cb432cc3fe407e624f004c4e3e3e485709579371f77234c60e",
         "c": "424e785b526f4c44ddb12b3c4a8a0e3be5db55e25ea0f0ad564e2c5aa15cf606",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
@@ -335,8 +360,20 @@ class TestSweepPin:
         lo, hi = self.GRIDS[param]
         rows = sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
         assert self._digest(rows) == self.DIGESTS[param]
-        # a backward search with no cycle to find ends at the escape regions
         assert not any("StepSizeCollapseError" in (row.error or "") for row in rows)
+
+    def test_band_rows(self):
+        # the b-row between the Hopf and homoclinic values holds the unstable
+        # cycle born at the Hopf point, inside the relaxation cycle; the c-row
+        # above c_H, where the focus is stable, holds no cycle
+        params = SystemParams(0.0, 0.0, 0.5)
+        (row_b,) = bifurcation.sweep_values("b", [0.36745762711864405], params)
+        stable, unstable = row_b.cycles
+        assert stable.stability is Stability.STABLE and unstable.stability is Stability.UNSTABLE
+        assert unstable.converged and row_b.error is None
+        assert unstable.period == pytest.approx(4.908659, abs=1e-6)
+        (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
+        assert row_c.cycles == [] and row_c.error == "stable: ConvergedToEquilibriumError"
 
 
 class TestAgreementWithWindowedSearch:

@@ -85,7 +85,7 @@ def _loop(xs, ys):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     t = np.linspace(0.0, 1.0, len(xs))
-    return LimitCycle(t, xs, ys, 1.0, 0.0, Stability.STABLE, True, xs[0], 1, 0.0)
+    return LimitCycle(t, xs, ys, 1.0, 0.0, Stability.STABLE, True, xs[0], 0.0)
 
 
 def _middle_arc(x_hi, x_lo, n=400):
@@ -191,7 +191,7 @@ def phi_inv_right(y):
 
 def _stub_cycle(length, converged=True):
     z = np.zeros(3)
-    return LimitCycle(z, z, z, 1.0, length, Stability.STABLE, converged, 0.0, 1, 0.0)
+    return LimitCycle(z, z, z, 1.0, length, Stability.STABLE, converged, 0.0, 0.0)
 
 
 class _StubSearch:

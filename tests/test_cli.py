@@ -2,11 +2,12 @@ import argparse
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhn import canard, cli
+from fhn import canard, cli, dynamics
 from fhn.bifurcation import sweep_values
 from fhn.cli import main
 from fhn.core import SystemParams
@@ -162,6 +163,23 @@ class TestSimulateCommand:
             assert float(ra[1]) == pytest.approx(-float(rb[1]), abs=1e-7)
             assert float(ra[2]) == pytest.approx(-float(rb[2]), abs=1e-7)
 
+    def test_step_collapse_writes_partial_trajectory(self, tmp_path, monkeypatch):
+        # the forward field sends no orbit to the step floor; a backward run
+        # from far right, whose blow-up time falls below it, stands in
+        def backward(*args, **kwargs):
+            return dynamics.integrate(*args, **kwargs, direction=-1)
+
+        monkeypatch.setattr(cli, "integrate", backward)
+        code = main(["simulate", "--b", "0.3", "--c", "1", "--eps", "0.065", "--x0", "9220",
+                     "--y0", "-1.5", "--tmax", "1e-9", "--out", str(tmp_path)])
+        assert code == 3
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "integration-error" and "below floor" in man["error"]
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        assert header == ["time", "x", "y"] and len(rows) > 1
+        assert float(rows[0][1]) == 9220.0
+        assert man["outputs"]["last_state"][0] > 9220.0
+
     def test_full_precision_fields(self, tmp_path):
         main(["simulate", "--b", "0", "--c", "0", "--eps", "0.5", "--x0", "-2.8",
               "--y0", "1.64", "--tmax", "1", "--out", str(tmp_path)])
@@ -182,6 +200,20 @@ class TestBifurcateCommand:
         marks = json.loads((tmp_path / "landmarks.json").read_text())
         assert marks["pitchfork_b"] == 0.25
         assert marks["hopf_b"] == pytest.approx(0.36660, abs=1e-4)
+
+    def test_b_recipe_reports_unstable_cycle(self, tmp_path):
+        recipe = Path(__file__).parents[1] / "scripts" / "recipes" / "bif_b_sweep.json"
+        (run,) = json.loads(recipe.read_text())["runs"]
+        assert main(run["argv"] + ["--out", str(tmp_path)]) == 0
+        header, lines = read_csv(tmp_path / "bifurcation.csv")
+        rows = {float(line[0]): dict(zip(header, line)) for line in lines}
+        band = rows[0.36745762711864405]
+        assert band["cycle2_stability"] == "unstable" and band["cycle2_converged"] == "True"
+        assert float(band["cycle2_T"]) == pytest.approx(4.908659, abs=1e-6)
+        # an unstable search runs only inside a stable loop around a stable E+
+        for rec in rows.values():
+            if "unstable" in rec["error"]:
+                assert rec["cycle_T"] and rec["eq3_class"] in ("StableFocus", "StableNode")
 
     def test_zero_step_range_rejected(self, tmp_path):
         code = main(["bifurcate", "--param", "c", "--from", "0", "--to", "1", "--steps", "1",

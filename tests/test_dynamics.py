@@ -10,9 +10,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fhn import dynamics
+from fhn import bifurcation
 from fhn.bifurcation import equilibria, homoclinic_in_b
 from fhn.core import PhasePoint, SystemParams, TimeScale, phi
-from fhn.dynamics import Stability, cycle_length, find_limit_cycle, integrate
+from fhn.dynamics import Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
 from fhn.errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
@@ -88,6 +89,17 @@ class TestIntegrate:
         assert info.value.last_state is not None
         assert info.value.trajectory is not None
 
+    def test_step_collapse_carries_partial_trajectory(self):
+        # the reversed field blows up from far right in t ~ eps/(2 x^2), which
+        # falls below the step floor long before |x| reaches max_norm
+        with pytest.raises(StepSizeCollapseError) as info:
+            integrate(PhasePoint(9220.0, -1.5), SystemParams(0.3, 1.0, 0.065), 1.0, tol=1e-8,
+                      direction=-1)
+        tr, last = info.value.trajectory, info.value.last_state
+        assert len(tr.t) == tr.stats["steps"] + 1 > 1
+        assert tr.t[-1] < 1e-9 and tr.x[-1] > 9220.0
+        assert (last.x, last.y) == (tr.x[-1], tr.y[-1])
+
     def test_remainder_below_step_floor_is_arrival(self):
         # the step clamped to t_end starts before t_end/2, so t + (t_end - t)
         # rounds one ulp short of t_end and leaves a 1.8e-15 remainder
@@ -161,8 +173,9 @@ class TestFindLimitCycle:
 
     @pytest.mark.parametrize("direction", ["backwards", "Forward", "reverse", ""])
     def test_rejects_unknown_direction(self, direction):
-        # any value but "forward" used to search backward for an unstable cycle
-        with pytest.raises(ValueError):
+        # the search runs forward only: it takes no direction (any value but
+        # "forward" once searched backward for an unstable cycle)
+        with pytest.raises(TypeError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, direction=direction)
 
     @pytest.mark.parametrize("max_periods", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -194,83 +207,71 @@ class TestFindLimitCycle:
 
 
 class TestSearchPins:
-    """Every exit of the cycle search, recorded bit for bit from the search
-    that counts returns on the half-lines above the equilibria from its first
-    step.  A failure is pinned by type only."""
+    """Every exit of the cycle searches, recorded bit for bit: the stable
+    search that counts returns on the half-lines above the equilibria from
+    its first step, and the unstable search that shoots from the half-line
+    inside the stable loop, as a sweep row runs them.  A failure is pinned by
+    type only."""
 
-    # (b, c, eps), seed (None: the sweep's backward seed, 1e-3 right of the
-    # rightmost equilibrium), direction, tol, max_periods (None: the default),
-    # then period.hex(), length.hex(), converged, return_gap.hex() and the
-    # sha256 of the bytes of t, x and y
+    # (b, c, eps), seed, kind ("stable", or "unstable": the cycle inside the
+    # stable loop from the seed), tol, max_periods (None: the default), then
+    # period.hex(), length.hex(), converged, return_gap.hex() and the sha256
+    # of the bytes of t, x and y
     CYCLES = {
         "converged_forward": (
-            (0.0, 1.1500794291496277, 0.5), (-2.8, 1.64), "forward", 1e-9, None,
+            (0.0, 1.1500794291496277, 0.5), (-2.8, 1.64), "stable", 1e-9, None,
             "0x1.06bd2d31356aap+3", "0x1.b001efa50d302p+1", True, "0x1.5ab5200000000p-32",
             "b5aa6ffdc3d84a9b09492570700f102d962829466e1d6811c72599aa8d1d7289"),
+        # the unstable cycle beside the homoclinic, once found by a backward
+        # search (hence the name)
         "converged_backward": (
-            (0.3692, 0.0, 0.5), None, "backward", 1e-9, 30,
-            "0x1.b5132ccbe77c0p+2", "0x1.eda99c01e17d8p+0", True, "0x1.12b3ee0000000p-27",
-            "239b2faf948953d72ed96037be6684fdfed9ba46e303e82109bf6d3a348e5519"),
+            (0.3692, 0.0, 0.5), (-2.8, 1.64), "unstable", 1e-9, 30,
+            "0x1.b513407a3e615p+2", "0x1.eda9c50e12748p+0", True, "0x1.cfa1000000000p-29",
+            "1d227ceb4b6bf51a08b6a41b815acfc300fe046c91355deb2365682fe45981e9"),
     }
 
-    # (b, c, eps), seed, direction, tol, max_periods, exception type
+    # (b, c, eps), seed, kind, tol, max_periods, exception type
     FAILURES = {
-        "returns_did_not_settle": (
-            (0.0, 1.1557646863034265, 0.5), (1.1567646863034264, 3.0791975116868544), "backward",
-            1e-9, 30, NoCycleError),
         "no_crossings": (
-            (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "forward",
+            (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "stable",
             1e-10, 30, NoCycleError),
-        # no unstable cycle here: the reversed orbit enters the escape region
-        # R+ and blows up, which once ended at the step floor
-        "step_collapse": (
-            (0.0, 1.176217557533539, 0.5), (1.1772175575335388, 3.0775876565965907), "backward",
-            1e-9, 30, NonFiniteError),
         # the window extent test: on a seed that is an equilibrium, on a
         # stable node approached without a return, and on a strongly damped
         # stable focus, whose returns shrink a thousandfold per turn, at a
         # ratio too uneven for the geometric test
         "seed_on_equilibrium": (
-            (0.0, -2.5, 0.3), (-2.5, 5.625), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+            (0.0, -2.5, 0.3), (-2.5, 5.625), "stable", 1e-9, 30, ConvergedToEquilibriumError),
         "parked_on_node": (
-            (0.0, 1.236757228580831, 0.05), (-2.40420244667499, 4.56561500213391), "forward",
+            (0.0, 1.236757228580831, 0.05), (-2.40420244667499, 4.56561500213391), "stable",
             1e-10, 30, ConvergedToEquilibriumError),
         "parked_in_returns": (
-            (0.0, 1.3, 0.5), (-2.8, 1.64), "forward", 1e-9, 30, ConvergedToEquilibriumError),
+            (0.0, 1.3, 0.5), (-2.8, 1.64), "stable", 1e-9, 30, ConvergedToEquilibriumError),
         # above c_H: returns that fall geometrically into the stable focus; the
         # windowed search took them for an unconverged cycle
         "unconverged_forward": (
-            (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "forward",
+            (0.0, 1.1575466083772035, 0.5), (1.1561467535659298, 3.009144956698317), "stable",
             1e-9, 30, ConvergedToEquilibriumError),
-        # above c_H, where no unstable cycle surrounds the stable focus: the
-        # reversed orbit spirals out of it, its returns still growing at a
-        # step ratio above 1 when the budget runs out (the loose exit once
-        # took them for a cycle)
-        "unconverged_backward": (
-            (0.0, 1.1548, 0.5), None, "backward", 1e-9, 30, NoCycleError),
     }
 
-    # (accepted steps, rejected steps, restarts) of every exit above
+    # (accepted steps, rejected steps, restarts of a stable search or shots
+    # of an unstable one) of every exit above; the unstable search's counts
+    # are its shots' alone
     STATS = {
         "converged_forward": (1880, 11, 0),
         "unconverged_forward": (580, 9, 1),
-        "converged_backward": (3741, 32, 0),
-        "unconverged_backward": (1254, 0, 0),
-        "returns_did_not_settle": (1410, 0, 0),
+        "converged_backward": (10666, 74, 17),
         "no_crossings": (1377, 0, 0),
-        "step_collapse": (776, 9, 0),
         "seed_on_equilibrium": (7, 0, 0),
         "parked_on_node": (4205, 6, 0),
         "parked_in_returns": (1099, 6, 0),
     }
 
     @staticmethod
-    def _search(bce, seed, direction, tol, max_periods):
-        if seed is None:
-            e = max(equilibria(SystemParams(*bce)), key=lambda e: e.point.x).point
-            seed = (e.x + 1e-3, e.y)
+    def _search(bce, seed, kind, tol, max_periods):
+        params = SystemParams(*bce)
         kwargs = {} if max_periods is None else {"max_periods": max_periods}
-        return find_limit_cycle(SystemParams(*bce), PhasePoint(*seed), direction, tol=tol, **kwargs)
+        lc = find_limit_cycle(params, PhasePoint(*seed), tol=tol, **kwargs)
+        return lc if kind == "stable" else find_unstable_cycle(params, lc, tol)
 
     @pytest.mark.parametrize("case", sorted(CYCLES))
     def test_cycle(self, case):
@@ -317,31 +318,34 @@ class TestSearchPins:
             with pytest.raises(FHNError) as info:
                 self._search(*search)
             stats = info.value.stats
-        steps, rejected, restarts = self.STATS[case]
-        assert stats == {"steps": steps, "rejected": rejected, "tol": search[3], "restarts": restarts}
+        steps, rejected, count = self.STATS[case]
+        key = "restarts" if search[2] == "stable" else "shots"
+        assert stats == {"steps": steps, "rejected": rejected, "tol": search[3], key: count}
 
 
 class TestHalfLineSection:
     """Every loop starts on the half-line {x = x_eq, y > y_eq} above an
-    equilibrium, crossed leftward forward and rightward backward."""
+    equilibrium, which the flow crosses leftward only, and closes there."""
 
     SEARCHES = {
-        "one_equilibrium": ((0.0, 0.0, 0.1), (-2.8, 1.64), "forward"),
-        "three_enclosed": ((0.3, 0.0, 0.5), (-2.8, 1.64), "forward"),
+        "one_equilibrium": ((0.0, 0.0, 0.1), (-2.8, 1.64), "stable"),
+        "three_enclosed": ((0.3, 0.0, 0.5), (-2.8, 1.64), "stable"),
         # the upper end c_H - 1e-5 of the default canard bracket
-        "near_hopf_unconverged": ((0.0, 2.0 / math.sqrt(3.0) - 1e-5, 0.5), (-2.8, 1.64), "forward"),
-        "near_hopf_restarted": ((0.0, 1.152, 0.5), (-2.8, 1.64), "forward"),
-        "around_e_plus": ((0.3692, 0.0, 0.5), None, "backward"),
+        "near_hopf_unconverged": ((0.0, 2.0 / math.sqrt(3.0) - 1e-5, 0.5), (-2.8, 1.64), "stable"),
+        "near_hopf_restarted": ((0.0, 1.152, 0.5), (-2.8, 1.64), "stable"),
+        "around_e_plus": ((0.3692, 0.0, 0.5), (-2.8, 1.64), "unstable"),
     }
 
     @pytest.mark.parametrize("case", sorted(SEARCHES))
     def test_loop_starts_on_a_half_line(self, case):
-        bce, seed, direction = self.SEARCHES[case]
-        lc = TestSearchPins._search(bce, seed, direction, 1e-9, 30)
+        bce, seed, kind = self.SEARCHES[case]
+        lc = TestSearchPins._search(bce, seed, kind, 1e-9, 30)
         assert lc.section_x in [x for x, _ in equilibrium_abscissae(SystemParams(*bce))]
         assert abs(lc.x[0] - lc.section_x) <= 1e-12
         assert lc.y[0] > phi(lc.section_x)
-        assert lc.section_sign == (-1 if direction == "forward" else 1)
+        # it ends on its return, return_gap from its start
+        assert abs(lc.x[-1] - lc.section_x) <= 1e-12
+        assert abs(abs(lc.y[-1] - lc.y[0]) - lc.return_gap) <= 1e-12
         if case.startswith("near_hopf"):
             # a converged loop after restarts, and one the loose exit returned
             assert lc.stats["restarts"] >= 1
@@ -361,13 +365,13 @@ class TestHalfLineSection:
         # steps across x = 1 at y = 2, leftward and rightward
         left = ((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
         right = ((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
-        t, y = dynamics._half_line_crossing(*left, 1.0, 1.0, -1)
+        t, y = dynamics._half_line_crossing(*left, 1.0, 1.0)
         assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
-        assert dynamics._half_line_crossing(*right, 1.0, 1.0, 1) == (t, y)
-        assert dynamics._half_line_crossing(*right, 1.0, 1.0, -1) is None
-        assert dynamics._half_line_crossing(*left, 1.0, 1.0, 1) is None
+        assert dynamics._half_line_crossing(*right, 1.0, 1.0) is None
+        # a step that starts on the line crosses nothing
+        assert dynamics._half_line_crossing(left[1], (0.2, 1.0, 2.0, -10.0, 0.0), 0.5, 1.0) is None
         # the crossing lies below the equilibrium at y_eq = 2.5
-        assert dynamics._half_line_crossing(*left, 1.0, 2.5, -1) is None
+        assert dynamics._half_line_crossing(*left, 1.0, 2.5) is None
 
 
 class TestReturnExtrapolation:
@@ -429,9 +433,41 @@ class TestReturnExtrapolation:
         assert not dynamics._extrapolates((0.8, 0.1), (1.01, None))
 
 
+def _escape_abscissa(b: float, c: float, eps: float) -> float:
+    """X(b, c, eps) of the escape regions R+ = {x >= X, y >= -x} and
+    R- = {x <= -X, y <= -x} of the time-reversed field.
+
+    X is the smallest X >= 3 (up to rounding) with 3 X^2 > 5 + k and
+    p(X) > 0, where k = eps max(1 + b, 0) and p(x) = x^3 - (5 + k) x - eps |c|.
+
+    In reversed slow time x' = (x^3 - 4x + y)/eps and y' = -x + b y + c.
+    - On the side x = X of R+ (y >= -X), x' >= (X^3 - 5X)/eps > 0, as X^2 >= 9.
+    - On the side y = -x (x >= X), eps (x + y)' = x^3 - 5x - eps (1 + b) x
+      + eps c >= p(x) > 0: p(X) > 0, and p' = 3x^2 - (5 + k) > 0 for x >= X.
+    The field points into R+ across its whole boundary, so R+ is
+    forward-invariant.  Inside it y >= -x gives x' >= (x^3 - 5x)/eps
+    >= 4 x^3 / (9 eps), so x grows monotonically and reaches infinity in
+    finite time.  R- follows by the symmetry (x, y, c) -> (-x, -y, -c).
+    """
+    k = eps * max(1.0 + b, 0.0)
+    a, d = 5.0 + k, eps * abs(c)
+    if 27.0 > a and 27.0 - 3.0 * a - d > 0.0:
+        return 3.0
+    # otherwise X is the largest root of p (>= 3), approached by Newton from
+    # above, where p is increasing and convex: every iterate stays above it
+    x = math.sqrt(a) + d ** (1.0 / 3.0) + 1.0
+    while True:
+        nxt = x - (x * x * x - a * x - d) / (3.0 * x * x - a)
+        if not (nxt < x and nxt * nxt * nxt - a * nxt - d > 0.0):
+            return x
+        x = nxt
+
+
 class TestEscapeCertificate:
-    """The escape regions R+ = {x >= X, y >= -x} and R- = {x <= -X, y <= -x}
-    of the reversed field, which end a backward search without a cycle."""
+    """Backward integration against the escape regions R+ = {x >= X, y >= -x}
+    and R- = {x <= -X, y <= -x} of the reversed field, where every orbit
+    provably blows up in finite time: a backward run that enters one stays
+    in it and ends in NonFiniteError."""
 
     GRID = [(b, c, eps) for b in np.linspace(-0.5, 1.0, 7) for c in np.linspace(-3.0, 3.0, 7)
             for eps in np.geomspace(0.01, 1.0, 5)]
@@ -444,7 +480,7 @@ class TestEscapeCertificate:
 
     def test_abscissa_satisfies_the_inequalities(self):
         for b, c, eps in self.GRID + self.LARGE:
-            X = dynamics._escape_abscissa(SystemParams(b, c, eps))
+            X = _escape_abscissa(b, c, eps)
             k = eps * max(1.0 + b, 0.0)
 
             def p(x):
@@ -455,11 +491,11 @@ class TestEscapeCertificate:
             assert p(X) > 0.0
             # the smallest such X: 3, or within 1e-8 above the largest root of p
             assert X == 3.0 or p(X * (1.0 - 1e-8)) < 0.0, (b, c, eps)
-        assert all(dynamics._escape_abscissa(SystemParams(*bce)) > 3.0 for bce in self.LARGE)
+        assert all(_escape_abscissa(*bce) > 3.0 for bce in self.LARGE)
 
     def test_reversed_field_points_into_the_regions(self):
         for b, c, eps in self.GRID + self.LARGE:
-            X = dynamics._escape_abscissa(SystemParams(b, c, eps))
+            X = _escape_abscissa(b, c, eps)
             for s in np.geomspace(1e-6, 1e3, 40):
                 # the side x = X, y >= -X: rightward
                 assert self._reversed_field(X, -X + s, b, c, eps)[0] > 0.0
@@ -475,7 +511,7 @@ class TestEscapeCertificate:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_backward_orbit_never_leaves(self, bce, side, sign):
         params = SystemParams(*bce)
-        X = dynamics._escape_abscissa(params)
+        X = _escape_abscissa(*bce)
         x, y = {"x = X": (X + 1e-6, -X + 0.5), "y = -x": (X + 0.5, -X - 0.5 + 1e-6),
                 "corner": (X + 1e-6, -X + 2e-6)}[side]
         with pytest.raises(NonFiniteError) as info:
@@ -486,25 +522,57 @@ class TestEscapeCertificate:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_step_collapse_pin_ends_inside_the_region(self, sign):
-        # sign -1: the pin mirrored by (x, y, c) -> (-x, -y, -c) ends in R-
-        (b, c, eps), (x0, y0), *rest, _ = TestSearchPins.FAILURES["step_collapse"]
-        search = ((b, sign * c, eps), (sign * x0, sign * y0), *rest)
-        region = "R\\+" if sign == 1 else "R-"
-        with pytest.raises(NonFiniteError, match=region) as info:
-            TestSearchPins._search(*search)
-        last = info.value.last_state
-        X = dynamics._escape_abscissa(SystemParams(*search[0]))
+        # 1e-3 right of the stable focus above c_H, where no unstable cycle
+        # surrounds it, the backward orbit spirals out into R+ and blows up
+        # there (sign -1: mirrored by (x, y, c) -> (-x, -y, -c), into R-);
+        # a backward cycle search from this seed once ended at the step floor
+        b, c, eps = 0.0, sign * 1.176217557533539, 0.5
+        start = PhasePoint(sign * 1.1772175575335388, sign * 3.0775876565965907)
+        with pytest.raises(NonFiniteError) as info:
+            integrate(start, SystemParams(b, c, eps), 100.0, tol=1e-9, direction=-1, max_norm=1e4)
+        tr = info.value.trajectory
+        X = _escape_abscissa(b, c, eps)
         assert X == 3.0
+        inside = (sign * tr.x >= X) & (sign * (tr.x + tr.y) >= 0.0)
+        entry = int(np.argmax(inside))
+        assert inside[entry] and np.all(inside[entry:]) and entry > 100
+        last = info.value.last_state
         assert sign * last.x >= X and sign * (last.x + last.y) >= 0.0
 
-    def test_forward_search_runs_no_test(self, monkeypatch):
-        # a forward search never calls the certificate: its orbit is bounded
-        def no_call(_params):
-            raise AssertionError("forward search computed an escape abscissa")
 
-        monkeypatch.setattr(dynamics, "_escape_abscissa", no_call)
-        lc = find_limit_cycle(SystemParams(0.0, 1.152, 0.5), A_START, tol=1e-9)
-        assert lc.converged
+class TestUnstableCycle:
+    """The unstable cycle between the stable focus E+ and the relaxation cycle
+    around it, for b in (b_h, b_hom) at c = 0, as a root of the displacement
+    of the forward return map."""
+
+    @staticmethod
+    def _band_cycle(b, eps, tol=1e-9):
+        params = SystemParams(b, 0.0, eps)
+        outer = find_limit_cycle(params, A_START, tol=tol, max_periods=30)
+        return params, outer, find_unstable_cycle(params, outer, tol)
+
+    # b_h + 2e-4: the cycle born at the subcritical Hopf point, and its length
+    @pytest.mark.parametrize("eps, length", [(0.5, 0.30), (0.1, 0.26)])
+    def test_cycle_beside_hopf_repels(self, eps, length):
+        b = bifurcation.hopf_in_b(eps).param_value + 2e-4
+        params, outer, lc = self._band_cycle(b, eps)
+        assert lc.stability is Stability.UNSTABLE and lc.converged
+        assert lc.section_x == outer.section_x
+        assert lc.length == pytest.approx(length, abs=0.01)
+        # the Floquet multiplier exp(integral of div F dt) exceeds 1
+        div = (4.0 - 3.0 * lc.x**2) / eps - b
+        assert math.exp(np.trapezoid(div, lc.t)) > 1.0
+        assert lc.stats["shots"] >= 3 and lc.stats["steps"] > 0
+
+    def test_no_sign_change_raises_with_stats(self):
+        # the relaxation cycle around the unstable node at the origin: d > 0
+        # beside the node too, so no unstable cycle lies between them
+        params = SystemParams(0.0, 0.0, 0.5)
+        outer = find_limit_cycle(params, A_START, tol=1e-9)
+        with pytest.raises(NoCycleError, match="does not change sign") as info:
+            find_unstable_cycle(params, outer, 1e-9)
+        stats = info.value.stats
+        assert stats["shots"] == 2 and stats["steps"] > 0 and stats["tol"] == 1e-9
 
 
 class _LoopStepper(dynamics._Stepper):
@@ -695,9 +763,12 @@ class TestKernelEquivalence:
             assert hits[branch] >= 1, branch
 
     def test_cycle_search_matches_loop_form(self, monkeypatch):
-        # a forward search that restarts, and a backward one
-        searches = [((0.0, 1.152, 0.5), (-2.8, 1.64), "forward", 1e-10, None),
+        # a stable search that restarts, an unstable one, and a backward run
+        # from beside the focus E+ onto the unstable cycle, which attracts it
+        searches = [((0.0, 1.152, 0.5), (-2.8, 1.64), "stable", 1e-10, None),
                     TestSearchPins.CYCLES["converged_backward"][:5]]
+        params = SystemParams(0.3692, 0.0, 0.5)
+        e_plus = max(equilibria(params), key=lambda e: e.point.x).point
 
         def search():
             out = []
@@ -705,12 +776,15 @@ class TestKernelEquivalence:
                 lc = TestSearchPins._search(*case)
                 out.append([lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.period, lc.length,
                             lc.section_x, lc.return_gap, lc.converged, lc.stats])
+            out.append(_outcome(lambda: integrate(PhasePoint(e_plus.x + 1e-3, e_plus.y), params,
+                                                  120.0, tol=1e-9, direction=-1)))
             return out
 
         got = search()
         monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
         assert got == search()
-        assert got[0][-1]["restarts"] >= 1 and got[1][-1]["steps"] > 1000
+        assert got[0][-1]["restarts"] >= 1 and got[1][-1]["shots"] > 2
+        assert "exc" not in got[2] and got[2]["stats"]["steps"] > 1000
 
     def test_parked_run_matches_loop_form_until_time_overflows(self, monkeypatch, hits):
         # on an equilibrium err == 0 grows the step x6 per step, and with

@@ -20,7 +20,7 @@ relaxation_period(SystemParams(0.2, 0.0, 0.0))
 relaxation_period(SystemParams(0.25, 0.0, 0.0))
 t = np.linspace(0.0, 1.0, 200)
 x = 1.5 * np.cos(2.0 * np.pi * t)
-loop = LimitCycle(t, x, 4.0 * x - x**3, 1.0, 1.0, Stability.STABLE, True, 0.0, 1, 0.0)
+loop = LimitCycle(t, x, 4.0 * x - x**3, 1.0, 1.0, Stability.STABLE, True, 0.0, 0.0)
 classify_canard(loop)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
