@@ -94,10 +94,10 @@ class BifurcationPoint:
 def hopf_in_c(eps: float) -> tuple[BifurcationPoint, BifurcationPoint]:
     """Hopf pair of the b = 0 family at c = +-2/sqrt(3), analytic.
 
-    Eigenvalues there are +-i*sqrt(eps).  Subcritical in the c orientation:
-    the fold normal form has a negative cubic coefficient and the
-    translated parameter runs opposite to c, so the periodic solutions live
-    on c below the locus.
+    Eigenvalues there are +-i*sqrt(eps).  The cycles born at c = 2/sqrt(3)
+    live on c below it, around an unstable focus, and they are stable: their
+    multiplier (`LimitCycle.multiplier`) is below 1.  `kind` keeps its
+    recorded value until the first Lyapunov coefficient settles it.
     """
     if eps <= 0.0:
         raise ValueError("hopf_in_c requires eps > 0")

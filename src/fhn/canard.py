@@ -13,7 +13,7 @@ The locator bisects a caller's bracket, or by default the range
 each bisection step from a cycle searched at tol 1e-9 and searches again at
 tol 1e-11 only when that cycle's length lies within 1.0 of the threshold
 10, when it did not converge and its length lies inside the explosion
-window [5, 15], or when the loose search failed.  The explosion is
+window [5, 15], or when the tol-1e-9 search failed.  The explosion is
 exponentially narrow, so nearly every step is far from the threshold and
 is decided by the cheap search.  `classify_canard` names each located
 cycle Hopf-small, headless, headed or relaxation from its arc along the
@@ -262,14 +262,14 @@ _DEFAULT_BRACKET = (_C_H - 0.05, _C_H - 1e-5)
 # Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
 # a cycle lies on.  Cycles searched at _DECIDE_TOL differ in length from the
 # 1e-11 ones by far less than _DECIDE_MARGIN (at most 0.033 over the recipe
-# scans' bisection points), so a converged loose cycle farther than that
-# from the threshold decides the step.  An unconverged loop (returns still
-# jittering inside 1% of the amplitude) decides only outside the explosion
-# window [SMALL_LENGTH, LARGE_LENGTH], where no canard lies: the unconverged
-# cycles met there are small ones beside the Hopf point, whose 1e-11 search
-# is unconverged too, gives the same length to five digits and costs three
-# times as much.  Any other c is searched again at _CONFIRM_TOL, the tol of
-# every cycle the scan measures outside the locate.
+# scans' bisection points), so a converged _DECIDE_TOL cycle farther than
+# that from the threshold decides the step.  An unconverged loop (its last
+# Newton step above tol but below 1% of its x-range) decides only outside the
+# explosion window [SMALL_LENGTH, LARGE_LENGTH], where no canard lies: the
+# unconverged cycles met there are small ones beside the Hopf point, whose
+# 1e-11 search is unconverged too, gives the same length to 3% and costs
+# three times as much.  Any other c is searched again at _CONFIRM_TOL, the tol
+# of every cycle the scan measures outside the locate.
 _DECIDE_TOL = 1e-9
 _DECIDE_MARGIN = 1.0
 _CONFIRM_TOL = 1e-11
@@ -280,7 +280,7 @@ def _search(c: float, eps: float, tol: float) -> LimitCycle:
 
 
 def _decides(lc: LimitCycle) -> bool:
-    """Whether a loose cycle settles its side of EXPLOSION_LENGTH."""
+    """Whether a cycle searched at _DECIDE_TOL settles its side of EXPLOSION_LENGTH."""
     if lc.converged:
         return abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN
     return not SMALL_LENGTH <= lc.length <= LARGE_LENGTH

@@ -3,17 +3,17 @@
 The integrator is a six-stage, stiffly accurate, L-stable linearly implicit
 Rosenbrock method of order 4 with an embedded order-3 error estimate
 (coefficients from Hairer & Wanner's RODAS), specialized to the
-FitzHugh-Nagumo field with its exact 2x2 Jacobian.  Two loops drive the
-stepper: `integrate_until` for trajectories and `find_limit_cycle` for cycles.
+FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One loop drives the
+stepper, `integrate_until`; the cycle searches run through it.
 
-Cycles are found forward in slow time on the half-lines {x = x_eq, y > y_eq}
-above the equilibria, which the flow crosses leftward only.
-`find_limit_cycle` follows one orbit until two returns to a half-line agree,
-restarting it at the geometric limit of returns that shrink steadily.
-`find_unstable_cycle` finds the unstable cycle between a stable focus and a
-stable cycle around it as a root of the displacement P(y) - y of the return
-map P, one forward shot per value.  Loops and search failures carry step
-counts.
+A cycle is a fixed point of the return map P to a half-line {x = x_eq,
+y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
+routine finds it by Newton's method on the displacement P(y) - y, one forward
+run per value, with the slope P' from Liouville's divergence integral along
+the run: `find_limit_cycle` the cycle that the orbit from a seed approaches,
+`find_unstable_cycle` the unstable cycle between a stable focus and a stable
+cycle around it.  Loops carry their multiplier P'; loops and search failures
+carry step counts.
 """
 
 from __future__ import annotations
@@ -386,9 +386,12 @@ class LimitCycle:
     converged: bool
     section_x: float
     return_gap: float
-    # the search's step counts as in Trajectory.stats, with its restarts or
-    # shots (empty for a loop assembled otherwise, such as the homoclinic shadow)
+    # the search's step counts as in Trajectory.stats, with its shots (empty
+    # for a loop assembled otherwise, such as the homoclinic shadow)
     stats: dict = field(default_factory=dict)
+    # P'(y*) of the return map to the section at the loop's start (nan for a
+    # loop assembled otherwise)
+    multiplier: float = math.nan
 
     def min_distance_to(self, px: float, py: float) -> float:
         return float(np.min(np.hypot(self.x - px, self.y - py)))
@@ -412,13 +415,21 @@ def cycle_length(x, y) -> float:
 
 # the equilibrium test runs over windows of this many slow-time units
 _WINDOW = 10.0
-_LOOSE_RETURN_FRACTION = 0.01
-# falling returns whose geometric limit lies below this fraction of the last
-# one's height above the equilibrium spiral into the equilibrium
-_INTO_EQUILIBRIUM = 0.01
 _MIN_CYCLE_DIAMETER = 1e-6
-# successive returns this close are converged
-_RETURN_TOL = 1e-8
+# Newton on the return map stops once its step is below this many times the
+# integration tol: d(y) is noisy at up to 0.1 tol, the difference in the
+# integration error of two runs (measured at tol 1e-12 to 1e-8), and a canard
+# loop moves by 0.0185 in T when its start moves by 2.6e-8
+_NEWTON_EXIT = 1.0
+# with no sign change known, a step goes at most to twice the return's height
+# above the equilibrium (d > 0), or down to this fraction of it (d < 0)
+_FALL = 0.01
+# at the end of the budget, a last Newton step below this fraction of its
+# loop's x-range returns that loop unconverged
+_LOOSE_FRACTION = 0.01
+# three-point Gauss-Legendre nodes on [0, 1] and their weights
+_GAUSS = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
+          (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0))
 # samples of the returned loop
 _DENSE_N = 2000
 _MAX_NORM = 1e6
@@ -430,72 +441,120 @@ def find_limit_cycle(
     tol: float = 1e-10,
     max_periods: float = 50.0,
 ) -> LimitCycle:
-    """Locate a stable limit cycle by convergence of Poincare returns.
+    """Locate the limit cycle that the forward orbit from `seed` approaches,
+    as a fixed point of the return map P to a half-line.
 
-    Integration runs forward in slow time.  The sections are the half-lines
-    {x = x_eq, y > y_eq} above the equilibria: x' = (y_eq - y)/eps there, so
-    the flow crosses each leftward only, and a cycle crosses the one above
-    each equilibrium it encloses once.  Returns count from the first step.
-    The first half-line whose last two returns agree to 1e-8 decides; the
-    loop is the stretch between them, from its leftward crossing of
-    `section_x` = x_eq.
+    The sections are the half-lines {x = x_eq, y > y_eq} above the
+    equilibria: x' = (y_eq - y)/eps there, so the flow crosses each leftward
+    only, and a cycle crosses the one above each equilibrium it encloses
+    once.  The orbit runs from the seed until it returns to a half-line;
+    Newton's method on d(y) = P(y) - y then runs on that half-line from the
+    first of the two crossings (see `_return_map_root`), kept on the side
+    from which the orbit approaches the root.  Converged when the Newton
+    step is below `tol`; the loop starts on the half-line at `section_x` =
+    x_eq and carries the multiplier P'(y*), and it is labelled stable when
+    that is below 1.
 
-    The returns to a half-line iterate a monotone return map.  The search
-    restarts its orbit at (x_eq, y_eq + r), r the geometric limit of
-    the heights of the last three returns (Aitken's delta-squared), once the
-    last four step one way with step ratios q1, q2 in (0, 1),
-    |q2 - q1| < (1 - q2)/2, and the last two are still 1e-8 or more apart.
-    The restart point counts as the half-line's first return; the other
-    half-lines' returns and the window's extent start afresh, while time,
-    step size and budget run on.  A search that settles within three returns
-    never restarts.
-
-    If the budget of `max_periods` estimated periods (10 time units each
-    until a half-line has two returns) runs out while the last four returns
-    to a half-line jitter inside one percent of the amplitude, the largest
-    x-range of a loop between returns to it (the regime near a canard
-    explosion, where tolerance noise is amplified exponentially along the
-    repelling branch), the loop between the last two is returned flagged
-    `converged=False` rather than raising, unless the last three step one
-    way at a step ratio of 1 or more, which no cycle's returns do.
+    The budget is `max_periods` estimated periods of slow time (10 time
+    units each until the first return).  The one loose exit: when the budget
+    runs out, the last loop is returned flagged `converged=False` if its
+    Newton step is below 1% of its x-range.  That is the regime beside a
+    Hopf point, where the noise of d, about 0.1 tol, is divided by a small
+    1 - P'.
 
     The search ends without a cycle at one of these exits:
-    - ConvergedToEquilibriumError: a state whose extent, max(x-range,
-      y-range), over a window of 10 time units is below 1e-6, tested each
-      time a window closes; a loop of that diameter; or three falling
-      returns whose geometric limit lies below 1% of the last one's height
-      above the equilibrium, from four returns on at ratios steady enough
-      to restart (returns to a section of a planar flow are monotone);
-    - NoCycleError, when the budget runs out otherwise (also with fewer
-      than five returns since a restart);
+    - ConvergedToEquilibriumError, the one equilibrium certificate: an
+      extent, max(x-range, y-range), below 1e-6, of a run over a window of
+      10 time units (tested each time a window closes) or of a loop between
+      two crossings.  A run whose returns fall sends Newton down to at least
+      1% of its height above the equilibrium, so a search that falls into an
+      equilibrium meets the certificate within a few runs;
+    - NoCycleError, when the budget runs out otherwise;
     - the integrator's NonFiniteError (|x| or |y| above 1e6) or
       StepSizeCollapseError.
     The returned loop and every FHNError raised carry `stats`, the search's
-    step counts in the form of Trajectory.stats plus `restarts`.
+    step counts in the form of Trajectory.stats plus `shots`.
     """
     if not (math.isfinite(max_periods) and max_periods > 0.0):
         raise ValueError("max_periods must be finite and > 0")
-    half_lines = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
-    # per half-line: its returns (t, y), the nodes since the last of them and
-    # the largest x-range of a loop between two of them
-    returns: list[list[tuple[float, float]]] = [[] for _ in half_lines]
-    stretch: list[list | None] = [None] * len(half_lines)
-    amplitude = [0.0] * len(half_lines)
-    t_ref = None  # the latest interval between two returns to one half-line
-    restarts = 0
+    lines = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
+    return _return_map_root(params, lines, tol, max_periods, seed=seed)
 
-    st = _Stepper(seed.x, seed.y, params, TimeScale.SLOW, 1, tol, _MAX_NORM)
-    advance = st.advance
-    t_budget = max_periods * _WINDOW
-    window_end = st.t + _WINDOW
-    x_lo = x_hi = st.x
-    y_lo = y_hi = st.y
-    prev = (st.t, st.x, st.y, st.dx, st.dy)
 
-    try:
-        while True:
-            advance()
-            t, x, y = st.t, st.x, st.y
+def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e-10) -> LimitCycle:
+    """The unstable cycle between a stable equilibrium and a stable loop
+    `outer` that starts on the half-line above it, at x_eq = `outer.section_x`
+    and y_outer = `outer.y[0]`: a root of d(y) = P(y) - y, P the return map.
+
+    d < 0 beside a stable focus and d > 0 just inside a stable cycle, so an
+    unstable cycle lies between them (the Poincare-Bendixson annulus; Perko,
+    Differential Equations and Dynamical Systems, section 3.4).  The search
+    is that of `find_limit_cycle`, started on the bracket [y_eq + 1e-3 s,
+    y_outer - 1e-3 s], s = y_outer - y_eq, with a budget of 50 periods of
+    `outer`, and it keeps Newton inside the bracket.  NoCycleError: no sign
+    change from d < 0 to d > 0 there, or the budget runs out as in
+    `find_limit_cycle`.  The loop and every FHNError raised carry `stats`.
+    """
+    x_eq = outer.section_x
+    y_eq, y_outer = phi(x_eq), float(outer.y[0])
+    s = y_outer - y_eq
+    return _return_map_root(params, [(x_eq, y_eq)], tol, 50.0, t_ref=outer.period,
+                            bracket=(y_eq + 1e-3 * s, y_outer - 1e-3 * s))
+
+
+def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, bracket=None):
+    """Newton's method on the displacement d(y) = P(y) - y of the return map
+    to one of the half-lines `lines`.
+
+    Each run integrates forward until some half-line is crossed twice; its
+    stretch between the two crossings, from y to P(y), gives one value of d
+    on that half-line, the search's half-line from then on.  With a `seed`,
+    the first run is the transient from the seed, and the search takes a
+    root that the orbit approaches: d > 0 below it and d < 0 above it.
+    With a `bracket` (lo, hi) on the one half-line, both ends are shot
+    first, and the root taken has d(lo) < 0 < d(hi): a repelling cycle.
+    Every later run is a shot from (x_eq, y), the start counting as a
+    crossing.
+
+    A stretch also gives P'(y) = (y - y_eq)/(P(y) - y_eq) exp(integral of
+    div F dt), by Liouville's formula with div F = (4 - 3x^2)/eps - b,
+    integrated by a three-point Gauss rule on each step's Hermite x(t).  P
+    is increasing, so d keeps its sign from y to P(y): each value moves a
+    bracket end to the farther of the two.  The next y is the Newton step
+    y - d/(P' - 1) when it stays in the bracket, else the bracket's
+    midpoint.  While only one end is known, y is kept between the return
+    and twice its height above y_eq (d > 0), or 1% of that height (d < 0).
+
+    Converged when the Newton step |d/(P' - 1)| is below `tol`; the loop is
+    that stretch.  The slow time of all runs together is bounded by
+    `max_periods` times the last return time (`t_ref` before any).  When it
+    runs out, or the bracket closes below `tol` without a root, the last
+    stretch is returned unconverged if its Newton step is below 1% of its
+    x-range; otherwise NoCycleError.
+    """
+    stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
+    spent = 0.0
+
+    def run(k, y):
+        """Run from (x_eq, y) on half-line k, or from the seed (k None), to
+        the second crossing of a half-line with no crossing of one to its
+        right in between: the trajectory, that half-line, and the (t, y) of
+        its last two crossings (a start on it counts as one at t = 0)."""
+        nonlocal spent
+        start = seed if k is None else PhasePoint(lines[k][0], y)
+        hits = [] if k is None else [(k, 0)]
+        seen = [j == k for j in range(len(lines))]
+        right_since = [False] * len(lines)
+        n = 0
+        x_last = start.x
+        window_end = _WINDOW
+        x_lo = x_hi = start.x
+        y_lo = y_hi = start.y
+        parked = closed = False
+
+        def stop(t, x, y):
+            nonlocal n, x_last, window_end, x_lo, x_hi, y_lo, y_hi, parked, closed
+            n += 1
             if x < x_lo:
                 x_lo = x
             elif x > x_hi:
@@ -506,138 +565,26 @@ def find_limit_cycle(
                 y_hi = y
             if t >= window_end:
                 if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
-                    raise ConvergedToEquilibriumError(
-                        "state stopped moving; trajectory parked at an equilibrium",
-                        point=PhasePoint(x, y),
-                    )
-                # the next window starts from this node
+                    parked = True
+                    return True
                 window_end = t + _WINDOW
                 x_lo = x_hi = x
                 y_lo = y_hi = y
-            if t_ref is None and t > t_budget:
-                raise NoCycleError("no two returns to one section within the time budget")
-            node = (t, x, y, st.dx, st.dy)
-            x_prev = prev[1]
-            for k, (x_eq, y_eq) in enumerate(half_lines):
-                nodes = stretch[k]
-                if nodes is not None:
-                    nodes.append(node)
-                # the sign test of _half_line_crossing: most steps cross nothing
-                if (x > x_eq) == (x_prev > x_eq):
-                    continue
-                cross = _half_line_crossing(prev, node, x_eq, y_eq)
-                if cross is None:
-                    continue
-                rets = returns[k]
-                rets.append(cross)
-                if len(rets) >= 2:
-                    (t_0, y_0), (t_c, y_c) = rets[-2:]
-                    t_ref = max(t_c - t_0, 1e-3)
-                    gap = abs(y_c - y_0)
-                    converged = gap < _RETURN_TOL
-                    xs = [n[1] for n in stretch[k]]
-                    amplitude[k] = max(amplitude[k], max(xs) - min(xs))
-                    step = None if converged else _geometric_limit(rets[-3:], y_eq)
-                    prior = _geometric_limit(rets[-4:-1], y_eq)
-                    # from four returns on, two steady ratios: noise near a weak focus sets a lone one
-                    if _falls_into_equilibrium(step, y_c - y_eq) and (
-                            len(rets) < 4 or _extrapolates(prior, step)):
-                        raise ConvergedToEquilibriumError(
-                            "returns fall into the equilibrium below them",
-                            point=PhasePoint(x_eq, y_eq),
-                        )
-                    if converged or t > max_periods * t_ref:
-                        recent = [y_r for _, y_r in rets[-4:]]
-                        # loose: the last four jitter inside 1% of the
-                        # amplitude, and the last three do not step one way
-                        # at a ratio >= 1, as returns leaving a focus do
-                        if not (converged or len(rets) >= 5 and max(recent) - min(recent)
-                                < _LOOSE_RETURN_FRACTION * amplitude[k]
-                                and (step is None or step[1] is not None)):
-                            raise NoCycleError(
-                                f"returns did not settle within {max_periods} estimated periods"
-                            )
-                        nodes = np.array(stretch[k]).T
-                        loop = _build_loop(Trajectory(*nodes, TimeScale.SLOW, 1), t_0, t_c,
-                                           Stability.STABLE, x_eq, converged, gap)
-                        if loop.diameter < _MIN_CYCLE_DIAMETER:
-                            raise ConvergedToEquilibriumError(
-                                "returns converged onto a point, not a cycle",
-                                point=PhasePoint(x, y),
-                            )
-                        loop.stats = dict(st.stats(), restarts=restarts)
-                        return loop
-                    if _extrapolates(prior, step):
-                        # restart on this half-line at the fixed point of the
-                        # return map that the last three returns approach; it
-                        # counts as the first return, and every other
-                        # half-line and the window start afresh from it
-                        y = y_eq + step[1]
-                        st.x, st.y = x_eq, y
-                        st.dx, st.dy = st._field(x_eq, y)
-                        node = (t, x_eq, y, st.dx, st.dy)
-                        restarts += 1
-                        returns = [[] for _ in half_lines]
-                        returns[k].append((t, y))
-                        stretch = [None] * len(half_lines)
-                        stretch[k] = [node]
-                        amplitude = [a if j == k else 0.0 for j, a in enumerate(amplitude)]
-                        x_lo = x_hi = x_eq
-                        y_lo = y_hi = y
-                        break
-                    # a half-line not crossed since this one's previous return
-                    # lies outside the orbit's last loop: forget its returns
-                    for j, nodes in enumerate(stretch):
-                        if nodes is not None and len(nodes) > len(stretch[k]):
-                            returns[j].clear()
-                            stretch[j] = None
-                            amplitude[j] = 0.0
-                stretch[k] = [prev, node]
-            prev = node
-    except FHNError as exc:
-        exc.stats = dict(st.stats(), restarts=restarts)
-        raise
-
-
-# a shot of find_unstable_cycle runs for at most this many periods of the
-# stable loop, and the root-find takes at most this many shots
-_SHOT_PERIODS = 3.0
-_MAX_SHOTS = 60
-
-
-def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e-10) -> LimitCycle:
-    """The unstable cycle between a stable equilibrium and a stable loop
-    `outer` that starts on the half-line above it, at x_eq = `outer.section_x`
-    and y_outer = `outer.y[0]`: a root of d(y) = P(y) - y, P the return map.
-
-    d < 0 beside a stable focus and d > 0 just inside a stable cycle, so an
-    unstable cycle lies between them (the Poincare-Bendixson annulus; Perko,
-    Differential Equations and Dynamical Systems, section 3.4).  Each value
-    of d is one forward shot from (x_eq, y) to its next return, for at most 3
-    periods of `outer`.  Illinois iteration runs on [y_eq + 1e-3 s,
-    y_outer - 1e-3 s], s = y_outer - y_eq, until |d| < 1e-8; the loop is the
-    last shot.  NoCycleError: no sign change from d < 0 to d > 0 there, a
-    shot that does not return, or 60 shots.  The loop and every FHNError
-    raised carry `stats`: the shots' step counts as in Trajectory.stats, and
-    `shots`.
-    """
-    x_eq, y_eq, y_outer = outer.section_x, phi(outer.section_x), float(outer.y[0])
-    t_budget = _SHOT_PERIODS * outer.period
-    stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
-
-    def shot(y):
-        x_last = x_eq
-
-        def returned(_t, x, _y):
-            # the orbit crosses x = x_eq leftward only above y_eq
-            nonlocal x_last
-            crossed = x_last > x_eq > x
+            for j, (x_eq, _) in enumerate(lines):
+                if x_last > x_eq > x:
+                    hits.append((j, n))
+                    if seen[j] and not right_since[j]:
+                        closed = True
+                        return True
+                    seen[j], right_since[j] = True, False
+                    for i, (x_i, _) in enumerate(lines):
+                        if x_i < x_eq:
+                            right_since[i] = True
             x_last = x
-            return crossed
+            return False
 
-        stats["shots"] += 1
         try:
-            traj = integrate_until(PhasePoint(x_eq, y), params, t_budget, returned, tol=tol,
+            traj = integrate_until(start, params, max_periods * t_ref - spent, stop, tol=tol,
                                    max_norm=_MAX_NORM)
         except IntegrationError as exc:
             stats["steps"] += exc.trajectory.stats["steps"]
@@ -645,67 +592,102 @@ def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e
             raise
         stats["steps"] += traj.stats["steps"]
         stats["rejected"] += traj.stats["rejected"]
-        prev, node = zip(*(a[-2:].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
-        cross = _half_line_crossing(prev, node, x_eq, y_eq)
-        if cross is None:
-            raise NoCycleError(f"shot from y={y!r} did not return within t={t_budget!r}")
-        return cross[1] - y, cross[0], traj
+        spent += traj.t[-1]
+        if parked:
+            raise ConvergedToEquilibriumError(
+                "state stopped moving; trajectory parked at an equilibrium",
+                point=PhasePoint(traj.x[-1], traj.y[-1]),
+            )
+        if not closed:
+            return traj, None, None
+        j = hits[-1][0]
+        ends = []
+        for i in [i for line, i in hits if line == j][-2:]:
+            nodes = zip(*(a[i - 1:i + 1].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
+            cross = (0.0, start.y) if i == 0 else _half_line_crossing(*nodes, *lines[j])
+            if cross is None:
+                raise ConvergedToEquilibriumError(
+                    "orbit crossed the section at the equilibrium", point=PhasePoint(*lines[j]))
+            ends.append(cross)
+        return traj, j, ends
 
     try:
-        s = y_outer - y_eq
-        a, b = y_eq + 1e-3 * s, y_outer - 1e-3 * s
-        fa, fb = shot(a)[0], shot(b)[0]
-        if not fa < 0.0 < fb:
-            raise NoCycleError(f"displacement does not change sign from y={a!r} to y={b!r}")
-        while stats["shots"] < _MAX_SHOTS:
-            y = b - fb * (b - a) / (fb - fa)
-            d, t_return, traj = shot(y)
-            if abs(d) < _RETURN_TOL:
-                loop = _build_loop(traj, 0.0, t_return, Stability.UNSTABLE, x_eq, True, abs(d))
-                loop.stats = stats
-                return loop
-            # Illinois: keep the bracket, and halve the weight of an end kept twice
-            if (d < 0.0) != (fb < 0.0):
-                a, fa = b, fb
+        lo = hi = last = None
+        if seed is None:
+            k, y, pending = 0, bracket[0], [bracket[1]]
+        else:
+            k, y, pending = None, None, []
+        while max_periods * t_ref > spent:
+            if k is not None:
+                stats["shots"] += 1
+            traj, j, ends = run(k, y)
+            if j is None:
+                break
+            (t_0, y), (t_c, y_c) = ends
+            if j != k:
+                k, lo, hi = j, None, None
+            x_eq, y_eq = lines[k]
+            t_ref = t_c - t_0
+            tail = traj.t >= t_0
+            if max(np.ptp(traj.x[tail]), np.ptp(traj.y[tail])) < _MIN_CYCLE_DIAMETER:
+                raise ConvergedToEquilibriumError(
+                    "shots converged onto a point, not a cycle", point=PhasePoint(x_eq, y_eq))
+            d = y_c - y
+            slope = (y - y_eq) / (y_c - y_eq) * math.exp(min(_divergence(traj, t_0, t_c, params), 700.0))
+            step = d / (slope - 1.0) if slope != 1.0 else math.inf
+            last = (traj, t_0, t_c, d, slope, step)
+            # d keeps its sign from y to y_c; lo is the end from which the
+            # root lies in the direction of d (seeded) or against it
+            if (d > 0.0) == (seed is not None):
+                lo = max(y, y_c) if lo is None else max(lo, y, y_c)
             else:
-                fa *= 0.5
-            b, fb = y, d
-        raise NoCycleError(f"displacement still {fb:.3g} after {_MAX_SHOTS} shots")
+                hi = min(y, y_c) if hi is None else min(hi, y, y_c)
+            if pending:
+                y = pending.pop()
+                continue
+            if seed is None and (lo is None or hi is None):
+                raise NoCycleError(
+                    f"displacement does not change sign from y={bracket[0]!r} to y={bracket[1]!r}")
+            if abs(step) < _NEWTON_EXIT * tol:
+                return _build_loop(last, x_eq, True, stats)
+            y_new = y - step
+            if hi is None:
+                cap = y_eq + 2.0 * (lo - y_eq)
+                y = y_new if lo <= y_new <= cap else cap
+            elif lo is None:
+                floor = y_eq + _FALL * (hi - y_eq)
+                y = y_new if floor <= y_new <= hi else floor
+            elif hi - lo < _NEWTON_EXIT * tol:
+                # a sign change narrower than the exit where Newton does not
+                # settle: a jump of d, not a root
+                break
+            else:
+                y = y_new if lo <= y_new <= hi else 0.5 * (lo + hi)
+        if last is not None:
+            loop = _build_loop(last, lines[k][0], False, stats)
+            if abs(last[-1]) < _LOOSE_FRACTION * np.ptp(loop.x):
+                return loop
+        raise NoCycleError(f"returns did not settle within {max_periods} estimated periods")
     except FHNError as exc:
         exc.stats = dict(stats)
         raise
 
 
-def _geometric_limit(rets, y_eq: float):
-    """(q, limit) of three returns (t, y) whose heights r0, r1, r2 above y_eq
-    step one way, else None.  q = (r2 - r1)/(r1 - r0) > 0 is the ratio of
-    their steps.  For q < 1, limit = (r2 - q r1)/(1 - q) is the height that
-    steps shrinking by q approach, Aitken's delta-squared estimate of the
-    fixed point of the (monotone) return map; for q >= 1 it is None."""
-    if len(rets) < 3:
-        return None
-    r0, r1, r2 = (y_r - y_eq for _, y_r in rets)
-    if not (r0 > r1 > r2 or r0 < r1 < r2):
-        return None
-    q = (r2 - r1) / (r1 - r0)
-    return q, (r2 - q * r1) / (1.0 - q) if q < 1.0 else None
-
-
-def _falls_into_equilibrium(step, r2: float) -> bool:
-    """Whether returns whose last three give `step` of `_geometric_limit`,
-    the last at height r2 > 0, approach a limit below 1% of r2 (rising
-    returns approach one above r2)."""
-    return step is not None and step[1] is not None and step[1] < _INTO_EQUILIBRIUM * r2
-
-
-def _extrapolates(prior, step) -> bool:
-    """Whether four returns, whose first and last three give `prior` and
-    `step` of `_geometric_limit`, shrink steadily enough that `step`'s limit
-    may stand in for them: both ratios lie in (0, 1) and differ by less than
-    half of 1 - q2 (which bounds q1 below 1 once q2 < 1)."""
-    if prior is None or step is None or step[1] is None:
-        return False
-    return abs(step[0] - prior[0]) < 0.5 * (1.0 - step[0])
+def _divergence(traj, t_0, t_c, params):
+    """Integral of div F = (4 - 3x^2)/eps - b over [t_0, t_c] of `traj`,
+    where t_c lies in its last step: a three-point Gauss rule on each
+    step's cubic-Hermite x(t)."""
+    i = int(np.searchsorted(traj.t, t_0, side="right")) - 1
+    t, x, dx = traj.t[i:], traj.x[i:], traj.dx[i:]
+    h = np.diff(t)
+    a, b = t[:-1].copy(), t[1:].copy()
+    a[0], b[-1] = t_0, t_c
+    span = b - a
+    total = 0.0
+    for node, weight in _GAUSS:
+        xs = _hermite((a - t[:-1] + node * span) / h, x[:-1], x[1:], dx[:-1], dx[1:], h)
+        total += weight * float(np.dot(span, 4.0 - 3.0 * xs * xs))
+    return total / params.eps - params.b * (t_c - t_0)
 
 
 def _half_line_crossing(prev, node, x_eq: float, y_eq: float):
@@ -731,19 +713,22 @@ def _half_line_crossing(prev, node, x_eq: float, y_eq: float):
     return (t0 + s * h, y) if y > y_eq else None
 
 
-def _build_loop(traj, t_start, t_end, stability, section_x, strict, gap):
-    period = t_end - t_start
-    ts = np.linspace(t_start, t_end, _DENSE_N + 1)
+def _build_loop(stretch, section_x, converged, stats):
+    """The loop of `stretch` = (trajectory, t_0, t_c, d, P', Newton step),
+    labelled by its multiplier P'."""
+    traj, t_0, t_c, d, slope, _ = stretch
+    ts = np.linspace(t_0, t_c, _DENSE_N + 1)
     xs, ys = traj.sample(ts)
-    length = cycle_length(xs, ys)
     return LimitCycle(
-        ts - t_start,
+        ts - t_0,
         xs,
         ys,
-        period,
-        length,
-        stability,
-        bool(strict),
+        t_c - t_0,
+        cycle_length(xs, ys),
+        Stability.STABLE if slope < 1.0 else Stability.UNSTABLE,
+        converged,
         section_x,
-        gap,
+        abs(d),
+        dict(stats),
+        slope,
     )

@@ -88,6 +88,24 @@ class TestHopfInC:
         assert slope != 0.0
 
 
+class TestHopfCycleMultipliers:
+    """The side of the c-Hopf point where its cycles live, read from their
+    multipliers: stable cycles below c_H (b = 0), around an unstable focus.
+    TestUnstableCycle checks the unstable ones above b_h (c = 0)."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_cycles_below_c_hopf_attract(self, eps):
+        c_h = hopf_in_c(eps)[0].param_value
+        for offset in (1e-3, 1e-4):
+            lc = find_limit_cycle(SystemParams(0.0, c_h - offset, eps), PhasePoint(-2.8, 1.64),
+                                  tol=1e-9)
+            assert lc.converged and lc.stability is Stability.STABLE
+            assert lc.multiplier < 1.0
+        # the Hopf-born cycle itself, small (at eps 0.1, c_H - 1e-3 lies past
+        # the canard explosion, on a relaxation cycle)
+        assert lc.length < 0.2 and lc.multiplier > 0.9
+
+
 class TestPitchfork:
     def test_locus(self):
         assert pitchfork_in_b().param_value == 0.25
@@ -334,13 +352,13 @@ class TestSweepPin:
     """The two recipe grids at eps 0.5 and the sweep's tol, every cycle record
     pinned bit for bit: period, length, converged flag and seed of each row."""
 
-    # sha256 over the rows of `_digest`, recorded from the search on the
-    # half-lines above the equilibria that restarts a forward search at the
-    # geometric limit of its returns, and ("b") the unstable cycle that
-    # forward shots find inside the stable loop of the row in (b_h, b_hom)
+    # sha256 over the rows of `_digest`, recorded from Newton's method on the
+    # return map to the half-lines above the equilibria, from the sweep's
+    # seed and ("b") from the bracket inside the stable loop of the row in
+    # (b_h, b_hom), where it finds the unstable cycle
     DIGESTS = {
-        "b": "3430963cd74919cb432cc3fe407e624f004c4e3e3e485709579371f77234c60e",
-        "c": "424e785b526f4c44ddb12b3c4a8a0e3be5db55e25ea0f0ad564e2c5aa15cf606",
+        "b": "fef424ad3c0ac97d174b2d898a53cddec8661ce44306b5296e9a40aec2d5c675",
+        "c": "4ed8c30140ec4d3cc7ba85c4b5bc8d8e9cbeb07995729bb27faec27f104ca4ea",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
 
