@@ -18,6 +18,13 @@ exponentially narrow, so nearly every step is far from the threshold and
 is decided by the cheap search.  `classify_canard` names each located
 cycle Hopf-small, headless, headed or relaxation from its arc along the
 repelling middle branch.
+
+Every cycle search starts at (1.8, phi(1.8)) on the attracting right branch
+of the critical manifold, below its fold.  The attracting slow manifold
+contracts nearby orbits at the rate (3x^2 - 4)/eps, so by the time the orbit
+has climbed to the fold and jumped it lies on a relaxation cycle to within
+the search tol for eps up to 0.5: the search ends after one period, with no
+transient down the left branch and no Newton shot.
 """
 
 from __future__ import annotations
@@ -223,21 +230,31 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
         return CanardClass.HOPF_SMALL
     inside = _in_band_segments(cycle, MIDDLE_BAND)
     seg = np.hypot(np.roll(cycle.x, -1) - cycle.x, np.roll(cycle.y, -1) - cycle.y)
-    # twice round the loop, so that a run through its first sample is whole;
-    # a loop inside the band all round is counted twice, but it is at least
-    # twice its diameter long, so past MIN_MIDDLE_ARC either way
-    best = run = 0.0
-    for k in list(range(len(seg))) * 2:
-        if inside[k]:
-            run += seg[k]
-            best = max(best, run)
-        else:
-            run = 0.0
-    if best < MIN_MIDDLE_ARC:
+    if _longest_run(inside, seg) < MIN_MIDDLE_ARC:
         return CanardClass.RELAXATION
     if np.any(cycle.x < -FOLD_X):
         return CanardClass.HEADED
     return CanardClass.HEADLESS
+
+
+def _longest_run(inside: np.ndarray, seg: np.ndarray) -> float:
+    """Longest summed run of `seg` over consecutive `inside` segments of a
+    closed loop, a run through the last segment going on at the first.
+
+    Each run is summed in loop order, one addition at a time, so the value is
+    that of a walk twice round the loop; a loop inside the band all round is
+    summed twice round, but it is at least twice its diameter long, so past
+    MIN_MIDDLE_ARC either way.
+    """
+    if inside.all():
+        return float(np.add.accumulate(np.concatenate([seg, seg]))[-1])
+    # start at a segment outside the band, so that no run wraps round
+    first_out = int(np.argmin(inside))
+    inside, seg = np.roll(inside, -first_out), np.roll(seg, -first_out)
+    edges = np.flatnonzero(np.diff(inside.astype(np.int8), append=np.int8(0)))
+    # a run starts after a rise at edges[2i] and ends at the fall edges[2i + 1]
+    return max((float(np.add.accumulate(seg[a + 1:b + 1])[-1])
+                for a, b in zip(edges[::2], edges[1::2])), default=0.0)
 
 
 def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
@@ -254,14 +271,29 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
     return in_band & np.roll(in_band, -1)
 
 
-_SCAN_SEED = PhasePoint(-2.8, 1.64)
+# Every canard search starts on the attracting right branch of the critical
+# manifold, at x_s = 1.8.  The orbit climbs to the fold, jumps and meets the
+# section after 5.1 slow-time units (eps 0.5, c = 1.14); a start left of the
+# left branch, such as (-2.8, 1.64), runs down that branch first and takes
+# 13.3.  The attracting slow manifold S_a^eps contracts nearby orbits at the
+# rate (3x^2 - 4)/eps (Fenichel theory; Krupa & Szmolyan, J. Differential
+# Equations 174, 2001), so the climb shrinks the seed's O(eps) offset from
+# S_a^eps by exp(-I/eps), I the integral of (3x^2 - 4)^2/(x - c) dx from the
+# fold to x_s: e^-27 at eps 0.5.  The first return then lies within 5e-14 of
+# the cycle at eps 0.5 and 2e-14 at eps 0.1 (c = 1.14 and 1.15), so a
+# relaxation search ends after one period with no Newton shot at tol 1e-11.
+# Lower seeds contract less: from 1.7 the first return lies 1.4e-10 off, a
+# shot more per search at tol 1e-11, and from 1.3, beside the fold, 1e-2 off.
+# Each 0.1 above 1.8 adds about 3.5% to a locate's search steps.  At eps 1
+# the offset left is 3e-8, one shot more than from (-2.8, 1.64).
+_SCAN_SEED = PhasePoint(1.8, phi(1.8))
 # below the Hopf value; its ends straddle the explosion window for eps from 0.02 to 3
 _DEFAULT_BRACKET = (_C_H - 0.05, _C_H - 1e-5)
 
 
 # Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
 # a cycle lies on.  Cycles searched at _DECIDE_TOL differ in length from the
-# 1e-11 ones by far less than _DECIDE_MARGIN (at most 0.033 over the recipe
+# 1e-11 ones by far less than _DECIDE_MARGIN (at most 0.032 over the recipe
 # scans' bisection points), so a converged _DECIDE_TOL cycle farther than
 # that from the threshold decides the step.  An unconverged loop (its last
 # Newton step above tol but below 1% of its x-range) decides only outside the

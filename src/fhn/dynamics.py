@@ -468,7 +468,10 @@ def find_limit_cycle(
       10 time units (tested each time a window closes) or of a loop between
       two crossings.  A run whose returns fall sends Newton down to at least
       1% of its height above the equilibrium, so a search that falls into an
-      equilibrium meets the certificate within a few runs;
+      equilibrium meets the certificate within a few runs.  It is raised
+      only where the trace (4 - 3 x_eq^2)/eps - b of that equilibrium is
+      <= 0; beside a repelling one the extent falls because the cycle
+      around it is below what `tol` resolves, and NoCycleError is raised;
     - NoCycleError, when the budget runs out otherwise;
     - the integrator's NonFiniteError (|x| or |y| above 1e6) or
       StepSizeCollapseError.
@@ -594,10 +597,9 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         stats["rejected"] += traj.stats["rejected"]
         spent += traj.t[-1]
         if parked:
-            raise ConvergedToEquilibriumError(
-                "state stopped moving; trajectory parked at an equilibrium",
-                point=PhasePoint(traj.x[-1], traj.y[-1]),
-            )
+            x_end = traj.x[-1]
+            raise _fell_onto(params, min(lines, key=lambda line: abs(line[0] - x_end)),
+                             "state stopped moving; trajectory parked at an equilibrium")
         if not closed:
             return traj, None, None
         j = hits[-1][0]
@@ -606,8 +608,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             nodes = zip(*(a[i - 1:i + 1].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
             cross = (0.0, start.y) if i == 0 else _half_line_crossing(*nodes, *lines[j])
             if cross is None:
-                raise ConvergedToEquilibriumError(
-                    "orbit crossed the section at the equilibrium", point=PhasePoint(*lines[j]))
+                raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
             ends.append(cross)
         return traj, j, ends
 
@@ -630,8 +631,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             t_ref = t_c - t_0
             tail = traj.t >= t_0
             if max(np.ptp(traj.x[tail]), np.ptp(traj.y[tail])) < _MIN_CYCLE_DIAMETER:
-                raise ConvergedToEquilibriumError(
-                    "shots converged onto a point, not a cycle", point=PhasePoint(x_eq, y_eq))
+                raise _fell_onto(params, lines[k], "shots converged onto a point, not a cycle")
             d = y_c - y
             slope = (y - y_eq) / (y_c - y_eq) * math.exp(min(_divergence(traj, t_0, t_c, params), 700.0))
             step = d / (slope - 1.0) if slope != 1.0 else math.inf
@@ -671,6 +671,22 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
     except FHNError as exc:
         exc.stats = dict(stats)
         raise
+
+
+def _fell_onto(params, line, message):
+    """The error for a search whose extent fell below 1e-6 at the equilibrium
+    (x_eq, y_eq) = `line`: ConvergedToEquilibriumError when the trace of the
+    Jacobian there, (4 - 3 x_eq^2)/eps - b, is <= 0, else NoCycleError.
+
+    Beside a repelling focus the extent falls only because the cycle around
+    it is too small for `tol` to resolve: d(y) inside it is below the
+    integration noise, so Newton steps fall through it onto the focus."""
+    x_eq, y_eq = line
+    trace = (4.0 - 3.0 * x_eq * x_eq) / params.eps - params.b
+    if trace <= 0.0:
+        return ConvergedToEquilibriumError(message, point=PhasePoint(x_eq, y_eq))
+    return NoCycleError(f"{message}; the equilibrium at x={x_eq!r} repels (trace {trace:.3e}), "
+                        "so any cycle around it is too small for this tol")
 
 
 def _divergence(traj, t_0, t_c, params):

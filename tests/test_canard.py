@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from fhn import canard
 from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _within_middle_band
 from fhn.core import PhasePoint, SystemParams, phi
-from fhn.dynamics import LimitCycle, Stability, find_limit_cycle
+from fhn.dynamics import LimitCycle, Stability, find_limit_cycle, integrate
 from fhn.errors import (
     BracketFailureError,
     ConvergedToEquilibriumError,
@@ -177,6 +177,55 @@ class TestMiddleBand:
         np.testing.assert_array_equal(_within_middle_band(x, y, band), self._tree_mask(x, y, band))
 
 
+def _longest_run_walk(inside, seg):
+    """Walk twice round the loop, adding each in-band segment to the current
+    run; the oracle for `canard._longest_run`."""
+    best = run = 0.0
+    for k in list(range(len(seg))) * 2:
+        if inside[k]:
+            run += seg[k]
+            best = max(best, run)
+        else:
+            run = 0.0
+    return best
+
+
+def _band_segments(lc):
+    inside = canard._in_band_segments(lc, canard.MIDDLE_BAND)
+    seg = np.hypot(np.roll(lc.x, -1) - lc.x, np.roll(lc.y, -1) - lc.y)
+    return inside, seg
+
+
+class TestLongestRun:
+    SEG = np.array([0.3, 0.1, 0.7, 0.2, 0.5, 0.4])
+
+    @pytest.mark.parametrize("inside", [
+        [True] * 6,  # all in band: summed twice round
+        [False] * 6,
+        [True, True, False, False, True, True],  # a run through index 0
+        [True, False, True, True, False, True],
+        [False, True, True, True, True, True],
+        [True, True, True, True, True, False],
+        [False, False, True, False, False, False],
+    ])
+    def test_edge_cases_match_walk(self, inside):
+        inside = np.array(inside)
+        got = canard._longest_run(inside, self.SEG)
+        assert got == _longest_run_walk(inside, self.SEG)
+
+    def test_run_through_index_0_is_whole(self):
+        inside = np.array([True, True, False, False, True, True])
+        assert canard._longest_run(inside, self.SEG) == ((0.5 + 0.4) + 0.3) + 0.1
+
+    def test_random_masks_match_walk(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 50))
+            inside = rng.uniform(size=n) < rng.uniform()
+            seg = rng.uniform(size=n) * 10.0 ** rng.uniform(-8.0, 2.0, size=n)
+            assert canard._longest_run(inside, seg) == _longest_run_walk(inside, seg)
+
+
 def phi_inv_right(y):
     """Right-branch root by bisection; test-local oracle."""
     lo, hi = 2.0 / math.sqrt(3.0) + 1e-9, 4.0
@@ -330,6 +379,21 @@ class TestScanSkipsFailedSearches:
         assert records
 
 
+class TestScanSeed:
+    # the seed on the attracting right branch reaches the section on the
+    # relaxation cycle to within tol, so the search costs about one period
+    @pytest.mark.parametrize("eps, c", [(0.5, 1.14), (0.1, 1.15)])
+    def test_relaxation_search_costs_little_more_than_a_period(self, eps, c):
+        lc = canard._search(c, eps, 1e-9)
+        assert lc.converged and lc.stats["shots"] == 0
+        period = integrate(PhasePoint(lc.x[0], lc.y[0]), SystemParams(0.0, c, eps), lc.period, tol=1e-9)
+        assert lc.stats["steps"] <= 1.3 * period.stats["steps"]
+
+    def test_seed_lies_on_the_attracting_branch(self):
+        seed = canard._SCAN_SEED
+        assert seed.x > FOLD_X and seed.y == phi(seed.x)
+
+
 class TestScanPointCount:
     @pytest.mark.parametrize("n_points", [0, 7])
     def test_fewer_than_eight_points_rejected_before_any_search(self, monkeypatch, n_points):
@@ -459,6 +523,14 @@ class TestLocator:
         assert canards, "bisection cache should contain canard cycles"
         for lc in canards:
             assert time_near_middle_branch(lc, 5.0 * eps) >= 0.1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", sorted(_RECIPE_LOCATES))
+    def test_longest_run_matches_walk_on_located_cycles(self, recipe_locates, eps):
+        _, cache = recipe_locates[eps]
+        for lc in cache.values():
+            inside, seg = _band_segments(lc)
+            assert canard._longest_run(inside, seg) == _longest_run_walk(inside, seg)
 
     @pytest.mark.slow
     def test_located_value_near_fold_parameter(self, recipe_locates):

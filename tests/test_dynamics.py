@@ -408,6 +408,20 @@ class TestReturnExtrapolation:
         except FHNError as exc:
             assert not isinstance(exc, ConvergedToEquilibriumError), exc
 
+    # 1e-7 below c_H the focus repels and a stable cycle of L about 0.004
+    # surrounds it, but d inside that cycle is below the tol noise, so Newton
+    # falls through it onto the focus: the extent certificate fires there,
+    # and names no cycle, not a convergence to the equilibrium
+    @pytest.mark.parametrize("eps, message", [(0.2, "shots converged onto a point"),
+                                              (1.0, "shots converged onto a point"),
+                                              (2.0, "parked")])
+    def test_extent_beside_repelling_focus_is_no_cycle(self, eps, message):
+        c = 2.0 / math.sqrt(3.0) - 1e-7
+        assert (4.0 - 3.0 * c * c) / eps > 0.0
+        with pytest.raises(NoCycleError, match=message) as info:
+            find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=1e-9)
+        assert "repels" in str(info.value) and info.value.stats["steps"] > 0
+
 
 class TestNewtonOnReturnMap:
     """The one search: Newton's method on d(y) = P(y) - y, with P' from the
