@@ -3,8 +3,9 @@
 The integrator is a six-stage, stiffly accurate, L-stable linearly implicit
 Rosenbrock method of order 4 with an embedded order-3 error estimate
 (coefficients from Hairer & Wanner's RODAS), specialized to the
-FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One loop drives the
-stepper, `integrate_until`; the cycle searches run through it.
+FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One function both takes
+the steps and drives them, `integrate_until`, with the step written inline
+and its state in locals; `integrate` and the cycle searches run through it.
 
 A cycle is a fixed point of the return map P to a half-line {x = x_eq,
 y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
@@ -53,21 +54,6 @@ _C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136, -6.058818238834054),
 )
 _M = (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0, 1.0)
-# the straight-line step in _Stepper.advance reads the tableau from these
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-) = _A
-(
-    (_C21,),
-    (_C31, _C32),
-    (_C41, _C42, _C43),
-    (_C51, _C52, _C53, _C54),
-    (_C61, _C62, _C63, _C64, _C65),
-) = _C
 
 _H_FLOOR = 1e-14
 _MAX_REJECTS = 200
@@ -121,169 +107,6 @@ def _hermite(s, p0, p1, d0, d1, h):
     )
 
 
-class _Stepper:
-    """One-state adaptive Rosenbrock driver for the FitzHugh-Nagumo field.
-
-    State is advanced in the requested time scale; `direction=-1` integrates
-    the time-reversed field so that timestamps always increase.
-    """
-
-    def __init__(self, x, y, params: SystemParams, scale: TimeScale, direction: int, tol: float, max_norm: float):
-        if params.eps <= 0.0:
-            raise ValueError("stiff integration requires eps > 0")
-        if not 1e-12 <= tol <= 1e-3:
-            raise ValueError("tol must lie in [1e-12, 1e-3]")
-        self.b = params.b
-        self.c = params.c
-        # component scaling: fast scale integrates (f, eps*g), slow scale (f/eps, g)
-        if scale is TimeScale.FAST:
-            self.sx, self.sy = float(direction), direction * params.eps
-        else:
-            self.sx, self.sy = direction / params.eps, float(direction)
-        self.tol = tol
-        self.max_norm = max_norm
-        self.t = 0.0
-        self.x = float(x)
-        self.y = float(y)
-        self.dx, self.dy = self._field(self.x, self.y)
-        fn = math.hypot(self.dx, self.dy)
-        self.h = min(1e-3, 0.01 * tol ** 0.25 / (fn + 1e-6) + 1e-9)
-        self.naccept = 0
-        self.nreject = 0
-
-    def stats(self) -> dict:
-        return {"steps": self.naccept, "rejected": self.nreject, "tol": self.tol}
-
-    def _field(self, x, y):
-        return (
-            self.sx * (-y + 4.0 * x - x * x * x),
-            self.sy * (x - self.b * y - self.c),
-        )
-
-    def advance(self, t_cap: float = math.inf) -> None:
-        """Take one accepted step, clamped to t_cap.
-
-        One straight-line RODAS step: the stages are scalar locals, the field
-        is `_field` inlined with its operation order, and every sum runs in
-        tableau order, so the arithmetic is that of the loop over `_A`, `_C`
-        and `_M`.  The step control picks with conditional expressions the float
-        that `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
-        """
-        isfinite, sqrt = math.isfinite, math.sqrt
-        sx, sy, b, c = self.sx, self.sy, self.b, self.c
-        t = self.t
-        h = self.h
-        x0, y0 = self.x, self.y
-        f0x, f0y = self.dx, self.dy
-        # exact Jacobian of the scaled field
-        j11 = sx * (4.0 - 3.0 * x0 * x0)
-        j12 = -sx
-        j21 = sy
-        j22 = -sy * b
-        tol = self.tol
-        ux0, uy0 = (-x0 if x0 < 0.0 else x0), (-y0 if y0 < 0.0 else y0)
-
-        for _ in range(_MAX_REJECTS):
-            if t + h > t_cap:
-                h = t_cap - t
-            if h < _H_FLOOR:
-                raise StepSizeCollapseError(f"step {h:.3e} below floor at t={t!r}")
-            ghinv = 1.0 / (h * _GAMMA)
-            w11 = ghinv - j11
-            w22 = ghinv - j22
-            det = w11 * w22 - j12 * j21
-            if det == 0.0 or not isfinite(det):
-                h *= 0.5
-                continue
-            inv = 1.0 / det
-            hinv = 1.0 / h
-
-            # each stage solves (I/(h*gamma) - J) k = r in closed form
-            k1x = (f0x * w22 + f0y * j12) * inv
-            k1y = (w11 * f0y + j21 * f0x) * inv
-
-            ax = x0 + _A21 * k1x
-            ay = y0 + _A21 * k1y
-            c1 = _C21 * hinv
-            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x
-            ry = sy * (ax - b * ay - c) + c1 * k1y
-            k2x = (rx * w22 + ry * j12) * inv
-            k2y = (w11 * ry + j21 * rx) * inv
-
-            ax = x0 + _A31 * k1x + _A32 * k2x
-            ay = y0 + _A31 * k1y + _A32 * k2y
-            c1, c2 = _C31 * hinv, _C32 * hinv
-            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x
-            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y
-            k3x = (rx * w22 + ry * j12) * inv
-            k3y = (w11 * ry + j21 * rx) * inv
-
-            ax = x0 + _A41 * k1x + _A42 * k2x + _A43 * k3x
-            ay = y0 + _A41 * k1y + _A42 * k2y + _A43 * k3y
-            c1, c2, c3 = _C41 * hinv, _C42 * hinv, _C43 * hinv
-            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x
-            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y
-            k4x = (rx * w22 + ry * j12) * inv
-            k4y = (w11 * ry + j21 * rx) * inv
-
-            ax = x0 + _A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x
-            ay = y0 + _A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y
-            c1, c2, c3, c4 = _C51 * hinv, _C52 * hinv, _C53 * hinv, _C54 * hinv
-            rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x
-            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y
-            k5x = (rx * w22 + ry * j12) * inv
-            k5y = (w11 * ry + j21 * rx) * inv
-
-            ax = x0 + _A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x
-            ay = y0 + _A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y
-            c1, c2, c3, c4, c5 = _C61 * hinv, _C62 * hinv, _C63 * hinv, _C64 * hinv, _C65 * hinv
-            rx = (sx * (-ay + 4.0 * ax - ax * ax * ax)
-                  + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x)
-            ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y + c5 * k5y
-            k6x = (rx * w22 + ry * j12) * inv
-            k6y = (w11 * ry + j21 * rx) * inv
-
-            # RODAS is stiffly accurate (_M is the last row of _A, then 1), so
-            # the _M-weighted sum is the last stage's argument plus k6; k6 is
-            # also the embedded error estimate
-            xn = ax + k6x
-            yn = ay + k6y
-
-            if not (isfinite(xn) and isfinite(yn)):
-                h *= 0.5
-                self.nreject += 1
-                continue
-            uxn, uyn = (-xn if xn < 0.0 else xn), (-yn if yn < 0.0 else yn)
-            sc1 = tol + tol * (uxn if uxn > ux0 else ux0)
-            sc2 = tol + tol * (uyn if uyn > uy0 else uy0)
-            err = sqrt(0.5 * ((k6x / sc1) ** 2 + (k6y / sc2) ** 2))
-            if err <= 1.0:
-                self.t = tn = t + h
-                self.x, self.y = xn, yn
-                self.dx = sx * (-yn + 4.0 * xn - xn * xn * xn)
-                self.dy = sy * (xn - b * yn - c)
-                self.naccept += 1
-                # no lower clamp: err <= 1 gives a factor of at least 0.9
-                fac = 0.9 * err ** -0.25 if err > 0.0 else 6.0
-                self.h = h * (fac if fac < 6.0 else 6.0)
-                if (uyn if uyn > uxn else uxn) > self.max_norm:
-                    raise NonFiniteError(
-                        f"state left |u| <= {self.max_norm} at t={tn!r}",
-                        last_state=PhasePoint(xn, yn) if isfinite(xn + yn) else None,
-                    )
-                # parked on an equilibrium, err == 0 lets the step grow x6 per
-                # step without bound until t overflows
-                if not isfinite(tn):
-                    raise NonFiniteError(
-                        f"time left the finite range after t={t!r}",
-                        last_state=PhasePoint(xn, yn),
-                    )
-                return
-            self.nreject += 1
-            h *= fac if (fac := 0.9 * err ** -0.25) > 0.1 else 0.1
-        raise StepSizeCollapseError("step repeatedly rejected")
-
-
 def integrate(
     start: PhasePoint,
     params: SystemParams,
@@ -319,9 +142,16 @@ def integrate_until(
 ) -> Trajectory:
     """`integrate`, ended early at the first accepted node where `stop(t, x, y)` holds.
 
-    This is the one loop that drives the stepper for a trajectory; `stop`
-    may be None.  With `t_end = inf` no step is clamped and `stop` alone
-    ends the run.
+    This is the one loop that steps and drives a trajectory; `stop` may be
+    None.  With `t_end = inf` no step is clamped and `stop` alone ends the
+    run.  State is advanced in the requested time scale; `direction=-1`
+    integrates the time-reversed field so that timestamps always increase.
+
+    Each step is the straight-line RODAS step: the stages are scalar locals,
+    the field is inlined with its operation order, and every sum runs in
+    tableau order, so the arithmetic is that of the loop over `_A`, `_C` and
+    `_M`.  The step control picks with conditional expressions the float
+    that `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -329,20 +159,138 @@ def integrate_until(
         raise ValueError("t_end must be positive")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
+    if not 1e-12 <= tol <= 1e-3:
+        raise ValueError("tol must lie in [1e-12, 1e-3]")
 
-    st = _Stepper(start.x, start.y, params, scale, direction, tol, max_norm)
-    ts, xs, ys, dxs, dys = [st.t], [st.x], [st.y], [st.dx], [st.dy]
-    advance = st.advance
+    isfinite, sqrt = math.isfinite, math.sqrt
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
+    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _C
+    b, c = params.b, params.c
+    # component scaling: fast scale integrates (f, eps*g), slow scale (f/eps, g)
+    if scale is TimeScale.FAST:
+        sx, sy = float(direction), direction * params.eps
+    else:
+        sx, sy = direction / params.eps, float(direction)
+    # the constant entries of the exact Jacobian of the scaled field
+    j12, j21, j22 = -sx, sy, -sy * b
+    t = 0.0
+    x, y = float(start.x), float(start.y)
+    fx = sx * (-y + 4.0 * x - x * x * x)
+    fy = sy * (x - b * y - c)
+    h = min(1e-3, 0.01 * tol ** 0.25 / (math.hypot(fx, fy) + 1e-6) + 1e-9)
+    ux, uy = (-x if x < 0.0 else x), (-y if y < 0.0 else y)
+    naccept = nreject = 0
+    ts, xs, ys, dxs, dys = [t], [x], [y], [fx], [fy]
     add_t, add_x, add_y, add_dx, add_dy = ts.append, xs.append, ys.append, dxs.append, dys.append
     try:
         while True:
-            advance(t_end)
-            t, x, y = st.t, st.x, st.y
+            j11 = sx * (4.0 - 3.0 * x * x)
+            for _ in range(_MAX_REJECTS):
+                if t + h > t_end:
+                    h = t_end - t
+                if h < _H_FLOOR:
+                    raise StepSizeCollapseError(f"step {h:.3e} below floor at t={t!r}")
+                ghinv = 1.0 / (h * _GAMMA)
+                w11 = ghinv - j11
+                w22 = ghinv - j22
+                det = w11 * w22 - j12 * j21
+                if det == 0.0 or not isfinite(det):
+                    h *= 0.5
+                    continue
+                inv = 1.0 / det
+                hinv = 1.0 / h
+
+                # each stage solves (I/(h*gamma) - J) k = r in closed form
+                k1x = (fx * w22 + fy * j12) * inv
+                k1y = (w11 * fy + j21 * fx) * inv
+
+                ax = x + a21 * k1x
+                ay = y + a21 * k1y
+                c1 = c21 * hinv
+                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x
+                ry = sy * (ax - b * ay - c) + c1 * k1y
+                k2x = (rx * w22 + ry * j12) * inv
+                k2y = (w11 * ry + j21 * rx) * inv
+
+                ax = x + a31 * k1x + a32 * k2x
+                ay = y + a31 * k1y + a32 * k2y
+                c1, c2 = c31 * hinv, c32 * hinv
+                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x
+                ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y
+                k3x = (rx * w22 + ry * j12) * inv
+                k3y = (w11 * ry + j21 * rx) * inv
+
+                ax = x + a41 * k1x + a42 * k2x + a43 * k3x
+                ay = y + a41 * k1y + a42 * k2y + a43 * k3y
+                c1, c2, c3 = c41 * hinv, c42 * hinv, c43 * hinv
+                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x
+                ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y
+                k4x = (rx * w22 + ry * j12) * inv
+                k4y = (w11 * ry + j21 * rx) * inv
+
+                ax = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
+                ay = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
+                c1, c2, c3, c4 = c51 * hinv, c52 * hinv, c53 * hinv, c54 * hinv
+                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x
+                ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y
+                k5x = (rx * w22 + ry * j12) * inv
+                k5y = (w11 * ry + j21 * rx) * inv
+
+                ax = x + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x
+                ay = y + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y
+                c1, c2, c3, c4, c5 = c61 * hinv, c62 * hinv, c63 * hinv, c64 * hinv, c65 * hinv
+                rx = (sx * (-ay + 4.0 * ax - ax * ax * ax)
+                      + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x)
+                ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y + c5 * k5y
+                k6x = (rx * w22 + ry * j12) * inv
+                k6y = (w11 * ry + j21 * rx) * inv
+
+                # RODAS is stiffly accurate (_M is the last row of _A, then 1),
+                # so the _M-weighted sum is the last stage's argument plus k6;
+                # k6 is also the embedded error estimate
+                xn = ax + k6x
+                yn = ay + k6y
+
+                if not (isfinite(xn) and isfinite(yn)):
+                    h *= 0.5
+                    nreject += 1
+                    continue
+                uxn, uyn = (-xn if xn < 0.0 else xn), (-yn if yn < 0.0 else yn)
+                sc1 = tol + tol * (uxn if uxn > ux else ux)
+                sc2 = tol + tol * (uyn if uyn > uy else uy)
+                err = sqrt(0.5 * ((k6x / sc1) ** 2 + (k6y / sc2) ** 2))
+                if err <= 1.0:
+                    break
+                nreject += 1
+                h *= fac if (fac := 0.9 * err ** -0.25) > 0.1 else 0.1
+            else:
+                raise StepSizeCollapseError("step repeatedly rejected")
+
+            t_prev, t = t, t + h
+            x, y, ux, uy = xn, yn, uxn, uyn
+            fx = sx * (-yn + 4.0 * xn - xn * xn * xn)
+            fy = sy * (xn - b * yn - c)
+            naccept += 1
+            # no lower clamp: err <= 1 gives a factor of at least 0.9
+            fac = 0.9 * err ** -0.25 if err > 0.0 else 6.0
+            h *= fac if fac < 6.0 else 6.0
+            if (uyn if uyn > uxn else uxn) > max_norm:
+                raise NonFiniteError(
+                    f"state left |u| <= {max_norm} at t={t!r}",
+                    last_state=PhasePoint(xn, yn) if isfinite(xn + yn) else None,
+                )
+            # parked on an equilibrium, err == 0 lets the step grow x6 per
+            # step without bound until t overflows
+            if not isfinite(t):
+                raise NonFiniteError(
+                    f"time left the finite range after t={t_prev!r}",
+                    last_state=PhasePoint(xn, yn),
+                )
             add_t(t)
             add_x(x)
             add_y(y)
-            add_dx(st.dx)
-            add_dy(st.dy)
+            add_dx(fx)
+            add_dy(fy)
             remainder = t_end - t
             if remainder < _H_FLOOR:
                 if remainder > 0.0:
@@ -353,14 +301,14 @@ def integrate_until(
             if stop is not None and stop(t, x, y):
                 break
     except IntegrationError as exc:
-        exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
+        exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol)
         if exc.last_state is None:
             exc.last_state = PhasePoint(xs[-1], ys[-1])
         raise
-    return _make_traj(ts, xs, ys, dxs, dys, scale, direction, st)
+    return _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol)
 
 
-def _make_traj(ts, xs, ys, dxs, dys, scale, direction, st: _Stepper) -> Trajectory:
+def _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol) -> Trajectory:
     return Trajectory(
         np.array(ts),
         np.array(xs),
@@ -369,7 +317,7 @@ def _make_traj(ts, xs, ys, dxs, dys, scale, direction, st: _Stepper) -> Trajecto
         np.array(dys),
         scale,
         direction,
-        stats=st.stats(),
+        stats={"steps": naccept, "rejected": nreject, "tol": tol},
     )
 
 

@@ -18,6 +18,7 @@ from fhn.errors import (
     ConvergedToEquilibriumError,
     DegenerateLoopError,
     FHNError,
+    IntegrationError,
     NoCycleError,
     NonFiniteError,
     StepSizeCollapseError,
@@ -658,15 +659,42 @@ class TestUnstableCycle:
         assert stats["shots"] == 2 and stats["steps"] > 0 and stats["tol"] == 1e-9
 
 
-class _LoopStepper(dynamics._Stepper):
+class _LoopStepper:
     """The tableau-driven loop form of the RODAS step: the reference kernel.
 
-    It counts in `hits` each branch of the step control that it takes;
-    TestKernelEquivalence puts a fresh Counter there for each test."""
+    State is advanced in the requested time scale; `direction=-1` integrates
+    the time-reversed field.  It counts in `hits` each branch of the step
+    control that it takes; TestKernelEquivalence puts a fresh Counter there
+    for each test."""
 
     hits: Counter = Counter()
 
-    def _ref_field(self, x, y):
+    def __init__(self, x, y, params, scale, direction, tol, max_norm):
+        if params.eps <= 0.0:
+            raise ValueError("stiff integration requires eps > 0")
+        if not 1e-12 <= tol <= 1e-3:
+            raise ValueError("tol must lie in [1e-12, 1e-3]")
+        self.b = params.b
+        self.c = params.c
+        if scale is TimeScale.FAST:
+            self.sx, self.sy = float(direction), direction * params.eps
+        else:
+            self.sx, self.sy = direction / params.eps, float(direction)
+        self.tol = tol
+        self.max_norm = max_norm
+        self.t = 0.0
+        self.x = float(x)
+        self.y = float(y)
+        self.dx, self.dy = self._field(self.x, self.y)
+        fn = math.hypot(self.dx, self.dy)
+        self.h = min(1e-3, 0.01 * tol ** 0.25 / (fn + 1e-6) + 1e-9)
+        self.naccept = 0
+        self.nreject = 0
+
+    def stats(self):
+        return {"steps": self.naccept, "rejected": self.nreject, "tol": self.tol}
+
+    def _field(self, x, y):
         return (
             self.sx * (-y + 4.0 * x - x * x * x),
             self.sy * (x - self.b * y - self.c),
@@ -708,7 +736,7 @@ class _LoopStepper(dynamics._Stepper):
                     for a, (k1, k2) in zip(dynamics._A[i - 1], k):
                         ax += a * k1
                         ay += a * k2
-                    fx_i, fy_i = self._ref_field(ax, ay)
+                    fx_i, fy_i = self._field(ax, ay)
                 r1, r2 = fx_i, fy_i
                 if i > 0:
                     hinv = 1.0 / h
@@ -738,7 +766,7 @@ class _LoopStepper(dynamics._Stepper):
                 t = self.t
                 self.t += h
                 self.x, self.y = xn, yn
-                self.dx, self.dy = self._ref_field(xn, yn)
+                self.dx, self.dy = self._field(xn, yn)
                 self.naccept += 1
                 if err == 0.0:
                     hits["err == 0"] += 1
@@ -764,6 +792,47 @@ class _LoopStepper(dynamics._Stepper):
                 hits["0.1 floor"] += 1
             h *= max(0.1, 0.9 * err ** -0.25)
         raise StepSizeCollapseError("step repeatedly rejected")
+
+
+def _loop_integrate_until(start, params, t_end, stop, scale=TimeScale.SLOW, tol=1e-8, direction=1,
+                          max_norm=1e8):
+    """The reference driver: `dynamics.integrate_until` as a loop that calls
+    `_LoopStepper.advance` once per accepted step and appends its state."""
+    if params.eps <= 0.0:
+        raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if direction not in (+1, -1):
+        raise ValueError("direction must be +1 or -1")
+
+    st = _LoopStepper(start.x, start.y, params, scale, direction, tol, max_norm)
+    ts, xs, ys, dxs, dys = [st.t], [st.x], [st.y], [st.dx], [st.dy]
+
+    def traj():
+        return dynamics.Trajectory(np.array(ts), np.array(xs), np.array(ys), np.array(dxs),
+                                   np.array(dys), scale, direction, stats=st.stats())
+
+    try:
+        while True:
+            st.advance(t_end)
+            ts.append(st.t)
+            xs.append(st.x)
+            ys.append(st.y)
+            dxs.append(st.dx)
+            dys.append(st.dy)
+            remainder = t_end - st.t
+            if remainder < dynamics._H_FLOOR:
+                if remainder > 0.0:
+                    ts[-1] = t_end
+                break
+            if stop is not None and stop(st.t, st.x, st.y):
+                break
+    except IntegrationError as exc:
+        exc.trajectory = traj()
+        if exc.last_state is None:
+            exc.last_state = PhasePoint(xs[-1], ys[-1])
+        raise
+    return traj()
 
 
 def _outcome(fn):
@@ -820,9 +889,17 @@ def _equivalence_cases():
     return cases
 
 
+def _drive_by_loop_form(monkeypatch):
+    """Route every run of the cycle searches and the homoclinic shots
+    through the reference driver."""
+    monkeypatch.setattr(dynamics, "integrate_until", _loop_integrate_until)
+    monkeypatch.setattr(bifurcation, "integrate_until", _loop_integrate_until)
+
+
 class TestKernelEquivalence:
-    """The straight-line step reproduces the loop form bit for bit, on every
-    branch of its step control."""
+    """`integrate_until`, with its straight-line step inline, reproduces the
+    loop-form reference driver bit for bit, on every branch of its step
+    control."""
 
     @pytest.fixture(autouse=True)
     def hits(self, monkeypatch):
@@ -830,11 +907,10 @@ class TestKernelEquivalence:
         monkeypatch.setattr(_LoopStepper, "hits", hits)
         return hits
 
-    def test_integrate_matches_loop_form(self, monkeypatch, hits):
+    def test_integrate_matches_loop_form(self, hits):
         cases = _equivalence_cases()
         new = [_outcome(lambda c=c: integrate(*c)) for c in cases]
-        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
-        ref = [_outcome(lambda c=c: integrate(*c)) for c in cases]
+        ref = [_outcome(lambda c=c: _loop_integrate_until(*c[:3], None, *c[3:])) for c in cases]
         for case, got, want in zip(cases, new, ref):
             assert got == want, case
         stats = [o["stats"] for o in ref if "stats" in o]
@@ -864,23 +940,37 @@ class TestKernelEquivalence:
             return out
 
         got = search()
-        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
+        _drive_by_loop_form(monkeypatch)
         assert got == search()
         assert got[0][-1]["shots"] >= 1 and got[1][-1]["shots"] > 2
         assert "exc" not in got[2] and got[2]["stats"]["steps"] > 1000
 
-    def test_parked_run_matches_loop_form_until_time_overflows(self, monkeypatch, hits):
+    def test_parked_run_matches_loop_form_until_time_overflows(self, hits):
         # on an equilibrium err == 0 grows the step x6 per step, and with
         # t_end = inf only the overflow of t ends the run
-        def run():
-            return dynamics.integrate_until(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1),
-                                            math.inf, lambda t, x, y: x > 1.0)
+        def run(driver):
+            return driver(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1), math.inf,
+                          lambda t, x, y: x > 1.0)
 
-        got = _outcome(run)
-        monkeypatch.setattr(dynamics, "_Stepper", _LoopStepper)
-        assert got == _outcome(run)
+        got = _outcome(lambda: run(dynamics.integrate_until))
+        assert got == _outcome(lambda: run(_loop_integrate_until))
         assert got["exc"][0] is NonFiniteError and "time left the finite range" in got["exc"][1]
         assert hits["t overflow"] == 1 and hits["err == 0"] > 300
+
+    def test_homoclinic_shots_match_loop_form(self, monkeypatch):
+        # the fate shots on either side of the located value, which end on
+        # escape and on capture, and the shadow of the loop there
+        b_hom = float.fromhex("0x1.7a2e340fe31a6p-2")
+
+        def shoot():
+            out = [bifurcation._wu_escapes_outward(b, 0.5, 1e-10) for b in (b_hom - 1e-4, b_hom + 1e-4)]
+            lc = bifurcation._homoclinic_shadow(b_hom, 0.5)
+            return out + [lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.return_gap]
+
+        got = shoot()
+        _drive_by_loop_form(monkeypatch)
+        assert got == shoot()
+        assert got[:2] == [True, False]
 
     def test_homoclinic_in_b_pinned(self):
         # recorded from the hand-stepped manifold shooting this driver replaced
