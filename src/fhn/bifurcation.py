@@ -341,7 +341,11 @@ class CycleRecord:
     length: float
     stability: Stability
     converged: bool
+    # the loop's rightmost sample, where the next row's stable search starts
     seed: PhasePoint
+
+
+_SEARCH_COUNTS = ("steps", "rejected", "shots")
 
 
 @dataclass
@@ -350,6 +354,9 @@ class DiagramRow:
     equilibria: list[Equilibrium]
     cycles: list[CycleRecord] = field(default_factory=list)
     error: str | None = None
+    # the summed steps, rejected steps and Newton shots of the row's cycle
+    # searches, failed ones included
+    stats: dict = field(default_factory=lambda: dict.fromkeys(_SEARCH_COUNTS, 0))
 
 
 def sweep(
@@ -384,11 +391,18 @@ def sweep_values(
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
-    The stable cycle is searched from the last stable cycle the sweep found.
-    When its loop starts on the half-line above the stable equilibrium with
-    x > 0 (E+ of the c = 0 family), `find_unstable_cycle` searches for the
-    unstable cycle between them.  Per-row failures are recorded in the row
-    and never abort the sweep.
+    The stable cycle is searched from the rightmost sample of the last
+    stable loop the sweep found (from (-2.8, 1.64) until there is one).  On
+    a relaxation loop that sample is where the orbit lands on the attracting
+    right branch, so the climb to the section contracts the offset between
+    neighbouring rows' cycles (Fenichel); on a small loop it lies about a
+    quarter turn before the section.  Either way the search's first return
+    is close to the new cycle, where a start on the section would pay a
+    whole period to reach it.  When the loop starts on the half-line above
+    the stable equilibrium with x > 0 (E+ of the c = 0 family),
+    `find_unstable_cycle` searches for the unstable cycle between them.
+    Per-row failures are recorded in the row and never abort the sweep;
+    `DiagramRow.stats` sums the step counts of the row's searches.
     """
     if param_name not in ("b", "c"):
         raise ValueError("param_name must be 'b' or 'c'")
@@ -412,7 +426,7 @@ def sweep_values(
 
 
 def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol):
-    label, loops = "stable", []
+    label, loops, failed = "stable", [], []
     try:
         loops.append(find_limit_cycle(params, seed_stable, tol=tol, max_periods=_SWEEP_MAX_PERIODS))
         stable_x = [e.point.x for e in row.equilibria if e.point.x > 0 and e.classification
@@ -422,5 +436,13 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
             loops.append(find_unstable_cycle(params, loops[0], tol))
     except FHNError as exc:
         row.error = f"{label}: {type(exc).__name__}"
-    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
-                              PhasePoint(float(lc.x[0]), float(lc.y[0]))) for lc in loops]
+        failed.append(exc.stats)
+    searches = [lc.stats for lc in loops] + failed
+    row.stats = {key: sum(st[key] for st in searches) for key in _SEARCH_COUNTS}
+    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged, _rightmost(lc))
+                  for lc in loops]
+
+
+def _rightmost(lc: LimitCycle) -> PhasePoint:
+    i = int(np.argmax(lc.x))
+    return PhasePoint(float(lc.x[i]), float(lc.y[i]))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.canard import LARGE_LENGTH
 from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate_until
-from fhn.errors import BracketFailureError
+from fhn.errors import BracketFailureError, FHNError
 from fhn.bifurcation import (
     BifKind,
     EquilibriumClass,
@@ -348,19 +349,31 @@ class TestSweep:
             assert rec.period > 0 and rec.length > 0
 
 
+@functools.cache
+def _recipe_rows(param):
+    """The recipe grid of `param` at eps 0.5 and the sweep's tol 1e-9."""
+    lo, hi = TestSweepPin.GRIDS[param]
+    return sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+
+
 class TestSweepPin:
     """The two recipe grids at eps 0.5 and the sweep's tol, every cycle record
     pinned bit for bit: period, length, converged flag and seed of each row."""
 
     # sha256 over the rows of `_digest`, recorded from Newton's method on the
-    # return map to the half-lines above the equilibria, from the sweep's
-    # seed and ("b") from the bracket inside the stable loop of the row in
-    # (b_h, b_hom), where it finds the unstable cycle
+    # return map to the half-lines above the equilibria, each row's stable
+    # search started at the rightmost sample of the previous stable loop, and
+    # ("b") from the bracket inside the stable loop of the row in (b_h,
+    # b_hom), where it finds the unstable cycle
     DIGESTS = {
-        "b": "fef424ad3c0ac97d174b2d898a53cddec8661ce44306b5296e9a40aec2d5c675",
-        "c": "4ed8c30140ec4d3cc7ba85c4b5bc8d8e9cbeb07995729bb27faec27f104ca4ea",
+        "b": "74a9e20a9af61c1549b5646772f81826bca3f2672128161d513697c7d6124ace",
+        "c": "7b382bf7b6723a76b1b19c1778f06c8864e2d16ba8b25aa364454f22850e2fa4",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
+    # summed search steps of each grid; from a start on the section, 121.3k
+    # (b) and 86.2k (c): a converged row paid one period to reach its first
+    # return and a second one to close the loop
+    STEP_BUDGETS = {"b": 90_000, "c": 65_000}
 
     @staticmethod
     def _digest(rows):
@@ -375,10 +388,57 @@ class TestSweepPin:
 
     @pytest.mark.parametrize("param", sorted(GRIDS))
     def test_recipe_grid(self, param):
-        lo, hi = self.GRIDS[param]
-        rows = sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+        rows = _recipe_rows(param)
         assert self._digest(rows) == self.DIGESTS[param]
         assert not any("StepSizeCollapseError" in (row.error or "") for row in rows)
+
+    @pytest.mark.parametrize("param", sorted(GRIDS))
+    def test_step_budget(self, param):
+        rows = _recipe_rows(param)
+        assert sum(row.stats["steps"] for row in rows) <= self.STEP_BUDGETS[param]
+        # failed searches count too: every row searched
+        assert all(row.stats["steps"] > 0 for row in rows)
+
+    # a relaxation row of each grid, c's smallest stable cycle (L 0.36, beside
+    # the Hopf point), and b's row in (b_h, b_hom), whose unstable cycle is
+    # the b grid's only small loop
+    WARM_ROWS = [("b", 20), ("b", 47), ("c", 20), ("c", 32)]
+
+    @pytest.mark.parametrize("param, i", WARM_ROWS)
+    def test_warm_row_agrees_with_cold_search(self, param, i):
+        rows = _recipe_rows(param)
+        row = rows[i]
+        v = row.param_value
+        params = SystemParams(v if param == "b" else 0.0, v if param == "c" else 0.0, 0.5)
+        cold = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-11)
+        want = [cold] + ([find_unstable_cycle(params, cold, 1e-11)] if len(row.cycles) > 1 else [])
+        assert [rec.stability for rec in row.cycles] == [lc.stability for lc in want]
+        for rec, lc in zip(row.cycles, want):
+            assert rec.converged
+            assert rec.period == pytest.approx(lc.period, rel=1e-7, abs=0.0)
+        # the row's search, rerun from the previous row's record, gives its
+        # loop, and the record's seed is that loop's rightmost sample
+        loop = find_limit_cycle(params, rows[i - 1].cycles[0].seed, tol=1e-9, max_periods=30)
+        assert loop.period == row.cycles[0].period
+        k = int(np.argmax(loop.x))
+        assert (row.cycles[0].seed.x, row.cycles[0].seed.y) == (loop.x[k], loop.y[k])
+
+    def test_row_stats_sum_the_searches(self):
+        # the band row's stable and unstable searches, and a failed search
+        params = SystemParams(0.0, 0.0, 0.5)
+        (row_b,) = bifurcation.sweep_values("b", [0.36745762711864405], params)
+        b_params = SystemParams(0.36745762711864405, 0.0, 0.5)
+        outer = find_limit_cycle(b_params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+        inner = find_unstable_cycle(b_params, outer, 1e-9)
+        assert row_b.stats == {key: outer.stats[key] + inner.stats[key]
+                               for key in ("steps", "rejected", "shots")}
+        (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
+        with pytest.raises(FHNError) as info:
+            find_limit_cycle(SystemParams(0.0, 1.1576271186440679, 0.5), PhasePoint(-2.8, 1.64),
+                             tol=1e-9, max_periods=30)
+        assert row_c.stats == {key: info.value.stats[key] for key in ("steps", "rejected", "shots")}
+        (row_eq,) = bifurcation.sweep_values("c", [1.0], params, cycles=False)
+        assert row_eq.stats == {"steps": 0, "rejected": 0, "shots": 0}
 
     def test_band_rows(self):
         # the b-row between the Hopf and homoclinic values holds the unstable
@@ -490,8 +550,7 @@ class TestAgreementWithWindowedSearch:
 
     @pytest.mark.parametrize("param", sorted(CYCLES))
     def test_relaxation_cycles_agree(self, param):
-        lo, hi = TestSweepPin.GRIDS[param]
-        rows = sweep(param, lo, hi, 60, SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+        rows = _recipe_rows(param)
         want = self.CYCLES[param]
         for row, (period, length) in zip(rows, want):
             (rec,) = [r for r in row.cycles if r.stability is Stability.STABLE]
