@@ -2,14 +2,13 @@
 
 Analytic loci are returned in closed form (Hopf in c at +-2/sqrt(3), the
 pitchfork at b = 1/4, Hopf in b at (-4 + sqrt(16 + 3 eps))/eps); the
-homoclinic locus is found by bisection on the fate of the saddle's unstable
-manifold W^u, which escapes outward below it and is captured by E+ above it.
-A shot ends as soon as its fate is certain: on escape past x = -0.5, or on
-capture, once two successive leftward crossings of the half-line
-{x = x_E+, y > y_E+} step down by more than the integration error (the flow
-crosses that half-line leftward only, so the orbit is then confined inside its
-last loop around E+).  A sweep row also finds the unstable cycle inside a
-stable loop around E+.
+homoclinic locus is the root of the splitting function Delta(b) = y_u - y_s,
+where the saddle's unstable manifold W^u, run forward, and its stable
+manifold W^s, run backward, first cross the half-line {x = x_E+, y > y_E+}
+(the flow crosses it leftward only).  Delta > 0 below the locus, where W^u
+escapes outward, and Delta < 0 above it, where E+ captures W^u; the last two
+runs, joined on the half-line, trace the homoclinic loop.  A sweep row also
+finds the unstable cycle inside a stable loop around E+.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhasePoint, SystemParams, TimeScale, f_scalar, g_scalar, jacobian, phi
+from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from .dynamics import (
     LimitCycle,
     Stability,
@@ -28,7 +27,7 @@ from .dynamics import (
     cycle_length,
     find_limit_cycle,
     find_unstable_cycle,
-    integrate,
+    integrate,  # noqa: F401 - perfbench's tracer rebinds it here
     integrate_until,
 )
 from .errors import BracketFailureError, FHNError, IntegrationError
@@ -142,182 +141,176 @@ def _hopf_b_value(eps: float) -> float:
     return (-4.0 + math.sqrt(16.0 + 3.0 * eps)) / eps
 
 
-# the search interval above the Hopf value, the tolerance and slow-time budget
-# of every shot, and the drop between successive returns to the half-line
-# above E+ that proves capture (well above the integration error of a shot)
+# offsets above the Hopf value: the lower end of the bracket, the first upper
+# end (doubled while W^u still lies outside W^s) and the largest; the
+# tolerance and slow-time budget of every run; the bracket width, or secant
+# step, at which the root is taken; the most values of the splitting function
+_HOMOCLINIC_LOW = 1e-6
+_HOMOCLINIC_FIRST = 2e-3
 _HOMOCLINIC_BRACKET = 0.02
 _HOMOCLINIC_TOL = 1e-10
 _HOMOCLINIC_T_BUDGET = 400.0
-_CAPTURE_MARGIN = 1e-6
+_HOMOCLINIC_B_TOL = 1e-12
+_HOMOCLINIC_MAX_SPLITS = 60
 
 
 def homoclinic_in_b(eps: float) -> BifurcationPoint:
-    """Homoclinic locus of the c = 0 family by shooting along the saddle's W^u.
+    """Homoclinic locus of the c = 0 family: the root of the splitting
+    function Delta(b) = y_u - y_s of the saddle's manifolds.
 
-    Above the Hopf value b_h the unstable manifold of the saddle at the
-    origin, after its excursion around E+, escapes outward to the left
-    branch; above the homoclinic value it is captured by E+.  The locus is
-    found by bisection on that fate over [b_h + 1e-3, b_h + 0.02] down to an
-    interval of 1e-12; the lower end drops to b_h itself when W^u is already
-    captured at b_h + 1e-3 (small eps, where the loop is born close to the
-    Hopf value).  Each shot runs for at most 400 slow-time units and ends as
-    soon as its fate is certain: at x < -0.5 on escape, and on capture once
-    a leftward crossing of the half-line {x = x_E+, y > y_E+} lies more than
-    1e-6 below the previous one.  The flow crosses that half-line only
-    leftward, so its returns are monotone and the orbit stays inside its last
-    loop, which lies in x >= -0.5.  The returned point carries a shadow of the
-    homoclinic loop traced from both invariant manifolds of the saddle.
+    W^u is run forward, and W^s backward, from 1e-6 along the saddle's
+    eigenvectors to their first crossings y_u and y_s of the half-line
+    {x = x_E+, y > y_E+} above E+, which the flow crosses leftward only.  On
+    it W^u lies outside W^s (Delta > 0, W^u escapes outward) below the
+    homoclinic value and inside it (Delta < 0, captured by E+) above; Delta
+    is smooth in b, the planar split function of Kuznetsov (Elements of
+    Applied Bifurcation Theory, section 6.2).  The bracket's lower end is
+    b_h + 1e-6; its upper end starts at b_h + 2e-3, and while Delta > 0 there
+    it becomes the lower end and its offset doubles, up to b_h + 0.02.  The
+    root is then found by the Illinois variant of the secant method, down to
+    a bracket or a secant step of 1e-12.  Each run ends at its crossing,
+    within 400 slow-time units.
 
-    Raises BracketFailureError when the fate does not change over the bracket,
-    and when b_h <= 1/4 (eps >= 16), where the origin is not a saddle at the
+    The returned point carries the homoclinic loop: the last W^u run up to
+    its crossing joined to the last W^s run reversed from its own, so both
+    ends lie 1e-6 from the saddle.  Its `stats` sum the steps and rejected
+    steps of every run, with `shots` the number of values of Delta.
+
+    Raises BracketFailureError, carrying those `stats`, when Delta does not
+    change sign over the bracket or a run ends without its crossing, and
+    when b_h <= 1/4 (eps >= 16), where the origin is not a saddle at the
     Hopf value.
     """
     if eps <= 0.0:
         raise ValueError("homoclinic_in_b requires eps > 0")
-    tol = _HOMOCLINIC_TOL
     b_h = _hopf_b_value(eps)
     if b_h <= 0.25:
         raise BracketFailureError(
             f"Hopf value b_h={b_h} <= 1/4 at eps={eps}: the origin is not a saddle there"
         )
-    lo, hi = b_h + 1e-3, b_h + _HOMOCLINIC_BRACKET
-    if not _wu_escapes_outward(lo, eps, tol):
-        lo = b_h
-        if not _wu_escapes_outward(lo, eps, tol):
+    stats = {"steps": 0, "rejected": 0, "tol": _HOMOCLINIC_TOL, "shots": 0}
+    try:
+        lo = b_h + _HOMOCLINIC_LOW
+        d_lo, _, _ = _split(lo, eps, stats)
+        if not d_lo > 0.0:
             raise BracketFailureError(
-                f"unstable manifold already captured at the Hopf value b={b_h} at eps={eps}"
-            )
-    if _wu_escapes_outward(hi, eps, tol):
-        raise BracketFailureError(
-            f"unstable manifold still escapes at the upper bracket end b={hi} at eps={eps}"
-        )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _wu_escapes_outward(mid, eps, tol):
-            lo = mid
-        else:
-            hi = mid
-    b_hom = 0.5 * (lo + hi)
-    params = SystemParams(b_hom, 0.0, eps)
+                f"unstable manifold already inside the stable one at b={lo} at eps={eps}")
+        hi = b_h + _HOMOCLINIC_FIRST
+        while True:
+            d_hi, arc_u, arc_s = _split(hi, eps, stats)
+            if d_hi <= 0.0:
+                break
+            if hi - b_h >= _HOMOCLINIC_BRACKET:
+                raise BracketFailureError(
+                    f"unstable manifold still outside the stable one at b={hi} at eps={eps}")
+            lo, d_lo = hi, d_hi
+            hi = b_h + min(2.0 * (hi - b_h), _HOMOCLINIC_BRACKET)
+        b, d, side = hi, d_hi, 0
+        while d != 0.0 and hi - lo > _HOMOCLINIC_B_TOL:
+            b_new = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+            if abs(b_new - b) < _HOMOCLINIC_B_TOL:
+                break
+            if stats["shots"] >= _HOMOCLINIC_MAX_SPLITS:
+                raise BracketFailureError(
+                    f"splitting function did not settle in [{lo!r}, {hi!r}] at eps={eps}")
+            b = b_new
+            d, arc_u, arc_s = _split(b, eps, stats)
+            # Illinois: an end kept twice in a row has its value halved
+            if d > 0.0:
+                lo, d_lo = b, d
+                if side > 0:
+                    d_hi *= 0.5
+                side = 1
+            elif d < 0.0:
+                hi, d_hi = b, d
+                if side < 0:
+                    d_lo *= 0.5
+                side = -1
+    except FHNError as exc:
+        exc.stats = dict(stats)
+        raise
+    params = SystemParams(b, 0.0, eps)
     saddle = min(equilibria(params), key=lambda e: abs(e.point.x))
     return BifurcationPoint(
-        BifKind.HOMOCLINIC, "b", b_hom, eps, saddle, orbit=_homoclinic_shadow(b_hom, eps, tol)
+        BifKind.HOMOCLINIC, "b", b, eps, saddle, orbit=_homoclinic_loop(b, arc_u, arc_s, stats)
     )
 
 
-def _saddle_seed(b: float, eps: float, side: float) -> tuple[PhasePoint, float]:
-    """A point 1e-6 along the eigenvector of the saddle at the origin, and its
-    eigenvalue: the unstable one for side = 1, the stable one for side = -1."""
+def _saddle_seed(b: float, eps: float, side: int) -> PhasePoint:
+    """A point 1e-6 along the eigenvector of the saddle at the origin: the
+    unstable one for side = 1, the stable one for side = -1."""
     tr = 4.0 - eps * b
     det = eps * (1.0 - 4.0 * b)
     lam = 0.5 * (tr + side * math.sqrt(tr * tr - 4.0 * det))
     v = (1.0, 4.0 - lam)
     norm = math.hypot(*v)
-    return PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm), lam
+    return PhasePoint(1e-6 * v[0] / norm, 1e-6 * v[1] / norm)
 
 
-def _wu_escapes_outward(b: float, eps: float, tol: float) -> bool:
-    """Fate of the unstable manifold of the origin: outward jump vs capture by E+.
+def _split(b: float, eps: float, stats: dict):
+    """Delta(b) = y_u - y_s, with the W^u and W^s runs and their crossings."""
+    stats["shots"] += 1
+    arc_u = _run_to_half_line(b, eps, 1, stats)
+    arc_s = _run_to_half_line(b, eps, -1, stats)
+    return arc_u[1][1] - arc_s[1][1], arc_u, arc_s
 
-    The shot stops at x < -0.5, or once capture is proven: a return to the
-    half-line {x = x_E+, y > y_E+} that lies more than _CAPTURE_MARGIN below
-    the previous one.  Crossings are cubic-Hermite roots between accepted
-    nodes, whose slow-time derivatives are the field's, as the stepper
-    computes them.
+
+def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
+    """W^u forward (side 1) or W^s backward (side -1) from `_saddle_seed`
+    to its first crossing of the half-line {x = x_E+, y > y_E+}: the run and
+    the (t, y) of the crossing, a cubic-Hermite root in its last step.
+
+    The flow crosses that half-line leftward, so the backward run crosses it
+    rightward; both runs stop at the first node past it.  Adds the run's
+    steps to `stats`; BracketFailureError when it ends without the crossing.
     """
     x_eq = math.sqrt(4.0 - 1.0 / b)
-    y_eq = phi(x_eq)
-    sx = 1.0 / eps
+    start = _saddle_seed(b, eps, side)
+    x_last = start.x
 
-    def node(t, x, y):
-        return t, x, y, sx * f_scalar(x, y), g_scalar(x, y, b, 0.0)
+    def crossed(_t, x, _y):
+        nonlocal x_last
+        hit = side * (x_last - x_eq) > 0.0 > side * (x - x_eq)
+        x_last = x
+        return hit
 
-    last = None  # (t, x, y) of the previous accepted node
-    y_return = None  # ordinate of the previous return to the half-line
-
-    def fate_known(t, x, y):
-        nonlocal last, y_return
-        if x < -0.5:
-            return True
-        if last is not None and last[1] > x_eq >= x:
-            cross = _half_line_crossing(node(*last), node(t, x, y), x_eq, y_eq)
-            if cross is not None:
-                if y_return is not None and cross[1] < y_return - _CAPTURE_MARGIN:
-                    return True
-                y_return = cross[1]
-        last = (t, x, y)
-        return False
-
-    arc = integrate_until(
-        _saddle_seed(b, eps, 1.0)[0], SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET,
-        fate_known, tol=tol, max_norm=1e3,
-    )
-    return bool(arc.x[-1] < -0.5)
+    name = "unstable" if side > 0 else "stable"
+    try:
+        traj = integrate_until(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, crossed,
+                               tol=_HOMOCLINIC_TOL, direction=side, max_norm=1e3)
+    except IntegrationError as exc:
+        stats["steps"] += exc.trajectory.stats["steps"]
+        stats["rejected"] += exc.trajectory.stats["rejected"]
+        raise BracketFailureError(
+            f"{name} manifold at b={b!r}, eps={eps} ended before the half-line above E+: {exc}"
+        ) from exc
+    stats["steps"] += traj.stats["steps"]
+    stats["rejected"] += traj.stats["rejected"]
+    nodes = zip(*(a[-2:].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
+    cross = _half_line_crossing(*nodes, x_eq, phi(x_eq), side)
+    if cross is None:
+        raise BracketFailureError(
+            f"{name} manifold at b={b!r}, eps={eps} did not cross the half-line above E+ "
+            f"within {_HOMOCLINIC_T_BUDGET} time units")
+    return traj, cross
 
 
-def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
-    """Trace the homoclinic loop as two invariant-manifold arcs joined on it.
+def _homoclinic_loop(b: float, arc_u, arc_s, stats: dict) -> LimitCycle:
+    """The homoclinic loop from the last runs of the locate: the W^u run up
+    to its crossing, then the W^s run reversed from its own.
 
     The saddle index here is extreme (the expansion rate exceeds the
-    contraction rate by a factor around sixty), so no single initial-value
-    orbit can follow the loop into the saddle: any transversal error blows
-    up along the stable-manifold descent.  Instead the loop is the forward
-    arc of the unstable manifold (origin, excursion around E+, descent
-    until it derails) concatenated with the reversed backward trace of the
-    stable manifold (origin upward), each started 1e-6 from the saddle
-    along the exact eigendirections.  Both representations overlap in the
-    middle of the descent, and both ends of the result lie at the saddle.
+    contraction rate by a factor around sixty), so no single forward orbit
+    can follow the loop into the saddle: any transversal error blows up
+    along the descent, which W^s, run backward, follows exactly.  The two
+    crossings lie |Delta| (about 1e-11) apart on the half-line; the loop
+    passes through that of W^u.
     """
-    params = SystemParams(b, 0.0, eps)
-
-    # unstable-manifold arc, forward time, stopped once it ejects leftward or
-    # at the first node past t = 30 (a budget, so no step is clamped onto it)
-    seed_u, _ = _saddle_seed(b, eps, 1.0)
-    arc = integrate_until(
-        seed_u, params, math.inf, lambda t, x, y: t >= 30.0 or x <= -0.5, tol=tol, max_norm=1e3
-    )
-    d_u = np.hypot(arc.x, arc.y)
-    ia = int(np.argmax(d_u))
-    # first turn-back after the apex bounds the usable part of the descent
-    iend_u = len(arc.t) - 1
-    for i in range(ia + 1, len(arc.t) - 1):
-        if d_u[i] < 0.9 * d_u[ia] and d_u[i + 1] > d_u[i]:
-            iend_u = i
-            break
-
-    # stable-manifold arc, backward time from the saddle, partial on blow-up
-    seed_s, lam_s = _saddle_seed(b, eps, -1.0)
-    crawl = abs(lam_s) / eps
-    t_s = 40.0 + math.log(1e7) / max(crawl, 1e-3)
-    try:
-        traj_s = integrate(seed_s, params, t_s, tol=tol, direction=-1, max_norm=1e3)
-    except IntegrationError as exc:
-        traj_s = exc.trajectory
-    d_s = np.hypot(traj_s.x, traj_s.y)
-    bad = np.nonzero((d_s > 3.45) | (traj_s.x < -0.5))[0]
-    s_stop = int(bad[0]) if len(bad) else len(d_s)
-
-    # join the arcs where they agree best: both trace the descent of the
-    # stable manifold, the unstable arc from above, the stable arc exactly.
-    # One unstable node at a time, keeping the first node with the least
-    # gap, which is the pair argmin picks over the whole gap matrix
-    sx, sy = traj_s.x[:s_stop], traj_s.y[:s_stop]
-    best, icut_u, icut_s = math.inf, ia, 0
-    for i in range(ia, iend_u + 1):
-        gap = np.hypot(arc.x[i] - sx, arc.y[i] - sy)
-        j = int(np.argmin(gap))
-        if gap[j] < best:
-            best, icut_u, icut_s = gap[j], i, j
-    icut_s = max(icut_s, 1)
-
-    # forward-loop orientation: unstable arc first, then the stable descent,
-    # at adaptive node resolution (uniform-time sampling starves the jumps)
-    xs = np.concatenate([arc.x[: icut_u + 1], traj_s.x[icut_s::-1]])
-    ys = np.concatenate([arc.y[: icut_u + 1], traj_s.y[icut_s::-1]])
-    t_u_end = arc.t[icut_u]
-    t_loop = np.concatenate(
-        [arc.t[: icut_u + 1], t_u_end + (traj_s.t[icut_s] - traj_s.t[icut_s::-1])]
-    )
+    (traj_u, (t_u, y_u)), (traj_s, (t_s, _)) = arc_u, arc_s
+    x_eq = math.sqrt(4.0 - 1.0 / b)
+    xs = np.concatenate([traj_u.x[:-1], [x_eq], traj_s.x[-2::-1]])
+    ys = np.concatenate([traj_u.y[:-1], [y_u], traj_s.y[-2::-1]])
+    t_loop = np.concatenate([traj_u.t[:-1], [t_u], t_u + (t_s - traj_s.t[-2::-1])])
     return LimitCycle(
         t_loop,
         xs,
@@ -326,8 +319,9 @@ def _homoclinic_shadow(b: float, eps: float, tol: float = 1e-10) -> LimitCycle:
         cycle_length(xs, ys),
         Stability.UNSTABLE,
         False,
-        seed_u.x,
+        float(traj_u.x[0]),
         float(np.hypot(xs[-1], ys[-1])),
+        dict(stats),
     )
 
 

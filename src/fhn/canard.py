@@ -257,12 +257,6 @@ def _longest_run(inside: np.ndarray, seg: np.ndarray) -> float:
                 for a, b in zip(edges[::2], edges[1::2])), default=0.0)
 
 
-def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
-    """Slow time the loop spends within `band` of the repelling branch."""
-    dt = np.diff(np.append(cycle.t, cycle.t[0] + cycle.period))
-    return float(np.sum(dt[_in_band_segments(cycle, band)]))
-
-
 def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
     """Whether each segment of the closed loop, from sample k to sample k + 1
     and from the last sample back to the first, has both ends within `band`

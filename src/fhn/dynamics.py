@@ -334,8 +334,9 @@ class LimitCycle:
     converged: bool
     section_x: float
     return_gap: float
-    # the search's step counts as in Trajectory.stats, with its shots (empty
-    # for a loop assembled otherwise, such as the homoclinic shadow)
+    # the search's step counts as in Trajectory.stats, with its shots; for
+    # the homoclinic loop, those of every run of its locate, with shots the
+    # values of the splitting function (empty for a loop assembled otherwise)
     stats: dict = field(default_factory=dict)
     # P'(y*) of the return map to the section at the loop's start (nan for a
     # loop assembled otherwise)
@@ -654,20 +655,21 @@ def _divergence(traj, t_0, t_c, params):
     return total / params.eps - params.b * (t_c - t_0)
 
 
-def _half_line_crossing(prev, node, x_eq: float, y_eq: float):
+def _half_line_crossing(prev, node, x_eq: float, y_eq: float, sign: int = 1):
     """(t, y) where the step from `prev` to `node` crosses the half-line
-    {x = x_eq, y > y_eq} above an equilibrium leftward, or None; the
+    {x = x_eq, y > y_eq} above an equilibrium leftward (`sign` 1) or
+    rightward (`sign` -1, as a time-reversed run does), or None; the
     crossing is the cubic-Hermite root of x = x_eq in the step."""
     t0, x0, y0, dx0, dy0 = prev
     t1, x1, y1, dx1, dy1 = node
-    s0, s1 = x0 - x_eq, x1 - x_eq
+    s0, s1 = sign * (x0 - x_eq), sign * (x1 - x_eq)
     if not s0 > 0.0 > s1:
         return None
     h = t1 - t0
     lo, hi = 0.0, 1.0
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        val = _hermite(mid, x0, x1, dx0, dx1, h) - x_eq
+        val = sign * (_hermite(mid, x0, x1, dx0, dx1, h) - x_eq)
         if not val > 0.0:
             hi = mid
         else:

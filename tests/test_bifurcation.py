@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn import bifurcation
+from fhn import bifurcation, dynamics
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.canard import LARGE_LENGTH
 from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate_until
@@ -179,22 +179,34 @@ class TestHopfInB:
         assert hopf.equilibrium.point.x == pytest.approx(math.sqrt(4.0 - 1.0 / hopf.param_value))
 
 
-# b_hom pinned bitwise, as located with every shot run to its full budget
+# b_hom pinned bitwise, as the root of the splitting function; each lies
+# within 9e-12 of the bisection on the fate of W^u that located it before
 B_HOM_HEX = {
-    0.02: "0x1.7fc2a2fde71f1p-2",
-    0.05: "0x1.7f66e0cdc9932p-2",
-    0.1: "0x1.7eceb483cc0ebp-2",
-    0.2: "0x1.7da1297d26b13p-2",
-    0.5: "0x1.7a2e340fe31a6p-2",
-    1.0: "0x1.74b228f224b16p-2",
+    0.02: "0x1.7fc2a2fdc1000p-2",
+    0.05: "0x1.7f66e0cdbd43bp-2",
+    0.1: "0x1.7eceb483d52f9p-2",
+    0.2: "0x1.7da1297d33bc3p-2",
+    0.5: "0x1.7a2e340fed7b5p-2",
+    1.0: "0x1.74b228f22e3cap-2",
 }
+
+
+def _wu_escapes(b, eps):
+    """Fate of W^u over the full 400-unit budget: escape past x = -0.5
+    (True), or capture by E+."""
+    arc = integrate_until(
+        bifurcation._saddle_seed(b, eps, 1), SystemParams(b, 0.0, eps),
+        bifurcation._HOMOCLINIC_T_BUDGET, lambda t, x, y: x < -0.5,
+        tol=bifurcation._HOMOCLINIC_TOL, max_norm=1e3,
+    )
+    return bool(arc.x[-1] < -0.5)
 
 
 class TestHomoclinicInB:
     @pytest.mark.slow
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1, 0.2, 1.0])
     def test_manifold_fate_flips_at_located_value(self, eps, monkeypatch):
-        # the locus comes from shooting W^u alone, never from a cycle search
+        # the locus comes from the invariant manifolds alone, never from a cycle search
         def no_cycle_search(*_args, **_kwargs):
             raise AssertionError("homoclinic_in_b ran a cycle search")
 
@@ -204,10 +216,33 @@ class TestHomoclinicInB:
         assert b_hom.hex() == B_HOM_HEX[eps]
         assert hom.kind is BifKind.HOMOCLINIC
         assert b_hom > hopf_in_b(eps).param_value
-        tol = bifurcation._HOMOCLINIC_TOL
-        assert bifurcation._wu_escapes_outward(b_hom - 1e-9, eps, tol)
-        assert not bifurcation._wu_escapes_outward(b_hom + 1e-9, eps, tol)
+        assert _wu_escapes(b_hom - 1e-9, eps)
+        assert not _wu_escapes(b_hom + 1e-9, eps)
         assert hom.orbit.min_distance_to(0.0, 0.0) <= 1e-2
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", sorted(B_HOM_HEX))
+    def test_every_run_ends_at_its_crossing(self, eps, monkeypatch):
+        # at eps 0.02 and b_h + 0.02, W^u enters E+ without a leftward
+        # crossing; the bracket keeps away from there, and no run goes on
+        # to the end of its budget
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append((args[1].b, kwargs["direction"], integrate_until(*args, **kwargs)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(bifurcation, "integrate_until", recording)
+        hom = homoclinic_in_b(eps)
+        st = hom.orbit.stats
+        assert len(runs) == 2 * st["shots"]
+        assert st["steps"] == sum(run.stats["steps"] for _, _, run in runs)
+        assert st["rejected"] == sum(run.stats["rejected"] for _, _, run in runs)
+        for b, side, run in runs:
+            x_eq = math.sqrt(4.0 - 1.0 / b)
+            nodes = zip(*(a[-2:].tolist() for a in (run.t, run.x, run.y, run.dx, run.dy)))
+            assert dynamics._half_line_crossing(*nodes, x_eq, phi(x_eq), side) is not None
+            assert run.t[-1] < 0.5 * bifurcation._HOMOCLINIC_T_BUDGET
 
     @pytest.mark.parametrize("eps", [16.0, 30.0, 60.0])
     def test_no_saddle_at_hopf_value_raises_before_any_shot(self, eps, monkeypatch):
@@ -223,16 +258,37 @@ class TestHomoclinicInB:
 
     @pytest.mark.slow
     def test_shadow_join_holds_no_gap_matrix(self):
-        # at eps 0.5 the (unstable arc x stable arc) gap matrix would hold
-        # 528 x 3526 floats, 14.9 MB per array; the join scans node by node
+        # the loop is the last two runs joined at their crossings: no
+        # (unstable arc x stable arc) gap matrix, 14.9 MB per array at eps 0.5
         b_hom = float.fromhex(B_HOM_HEX[0.5])
+        stats = {"steps": 0, "rejected": 0, "shots": 0}
         tracemalloc.start()
         try:
-            bifurcation._homoclinic_shadow(b_hom, 0.5, bifurcation._HOMOCLINIC_TOL)
+            _, arc_u, arc_s = bifurcation._split(b_hom, 0.5, stats)
+            bifurcation._homoclinic_loop(b_hom, arc_u, arc_s, stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    def test_locate_at_eps_05_within_20k_steps(self):
+        # 12.4k steps in 7 values of the splitting function; the bisection
+        # on the fate of W^u took 60.4k steps in 39 runs
+        st = homoclinic_in_b(0.5).orbit.stats
+        assert st["steps"] <= 20_000
+        assert st["shots"] == 7 and st["tol"] == bifurcation._HOMOCLINIC_TOL
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("_HOMOCLINIC_BRACKET", 1e-3, "still outside"),
+        ("_HOMOCLINIC_T_BUDGET", 50.0, "did not cross"),
+    ])
+    def test_bracket_failure_carries_stats(self, name, value, message, monkeypatch):
+        # at eps 0.5, b_hom - b_h = 2.7e-3, and W^s crosses at t = 128
+        monkeypatch.setattr(bifurcation, name, value)
+        with pytest.raises(BracketFailureError, match=message) as info:
+            homoclinic_in_b(0.5)
+        st = info.value.stats
+        assert st["shots"] >= 1 and st["steps"] > 0 and st["tol"] == bifurcation._HOMOCLINIC_TOL
 
 
 class TestUnstableBand:
@@ -258,34 +314,17 @@ class TestUnstableBand:
         assert lengths == sorted(lengths)
 
 
-class TestCaptureCertificate:
-    """A shot ended by the capture certificate has the fate of the full budget."""
+class TestSplittingFunction:
+    """The sign of Delta(b) = y_u - y_s is the fate of W^u over the full budget."""
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
-    def test_fate_matches_full_budget(self, eps, monkeypatch):
-        tol = bifurcation._HOMOCLINIC_TOL
+    def test_sign_matches_full_budget_fate(self, eps):
         b_hom = float.fromhex(B_HOM_HEX[eps])
-        b_h = hopf_in_b(eps).param_value
-        ends = [b_h + 1e-3, b_h + bifurcation._HOMOCLINIC_BRACKET]
-        near = [b_hom + s * d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4) for s in (-1, 1)]
-        arcs = []
-
-        def recording(*args, **kwargs):
-            arcs.append(integrate_until(*args, **kwargs))
-            return arcs[-1]
-
-        monkeypatch.setattr(bifurcation, "integrate_until", recording)
-        for b in ends + near:
-            got = bifurcation._wu_escapes_outward(b, eps, tol)
-            ref = integrate_until(
-                bifurcation._saddle_seed(b, eps, 1.0)[0], SystemParams(b, 0.0, eps), 400.0,
-                lambda t, x, y: x < -0.5, tol=tol, max_norm=1e3,
-            )
-            assert got == bool(ref.x[-1] < -0.5), b
-            if b in near:
-                assert got == (b < b_hom), b
-            if not got:
-                assert arcs[-1].t[-1] < 50.0, b
+        for b in [b_hom + s * d for d in (1e-8, 1e-6, 1e-4) for s in (-1, 1)]:
+            stats = {"steps": 0, "rejected": 0, "shots": 0}
+            delta = bifurcation._split(b, eps, stats)[0]
+            assert (delta > 0.0) == _wu_escapes(b, eps) == (b < b_hom), b
+            assert stats["shots"] == 1
 
 
 class TestDeterminantInvariant:

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from fhn import canard
-from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _within_middle_band
+from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _in_band_segments, _within_middle_band
 from fhn.core import PhasePoint, SystemParams, phi
 from fhn.dynamics import LimitCycle, Stability, find_limit_cycle, integrate
 from fhn.errors import (
@@ -24,9 +24,14 @@ from fhn.canard import (
     locate_canard_explosion,
     normal_form_case_i,
     normal_form_case_ii,
-    time_near_middle_branch,
 )
 from fhn.singular import FOLD_X
+
+
+def time_near_middle_branch(cycle: LimitCycle, band: float) -> float:
+    """Slow time the loop spends within `band` of the repelling branch."""
+    dt = np.diff(np.append(cycle.t, cycle.t[0] + cycle.period))
+    return float(np.sum(dt[_in_band_segments(cycle, band)]))
 
 
 class TestNormalFormCoeffs:

@@ -958,31 +958,37 @@ class TestKernelEquivalence:
         assert hits["t overflow"] == 1 and hits["err == 0"] > 300
 
     def test_homoclinic_shots_match_loop_form(self, monkeypatch):
-        # the fate shots on either side of the located value, which end on
-        # escape and on capture, and the shadow of the loop there
-        b_hom = float.fromhex("0x1.7a2e340fe31a6p-2")
+        # the runs of W^u and W^s to their crossings on either side of the
+        # located value, where the splitting function has either sign, and
+        # the loop joined from the runs at that value
+        b_hom = float.fromhex("0x1.7a2e340fed7b5p-2")
 
         def shoot():
-            out = [bifurcation._wu_escapes_outward(b, 0.5, 1e-10) for b in (b_hom - 1e-4, b_hom + 1e-4)]
-            lc = bifurcation._homoclinic_shadow(b_hom, 0.5)
-            return out + [lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.return_gap]
+            out, stats = [], {"steps": 0, "rejected": 0, "shots": 0}
+            for b in (b_hom - 1e-4, b_hom + 1e-4, b_hom):
+                delta, arc_u, arc_s = bifurcation._split(b, 0.5, stats)
+                out.append(delta)
+                for traj, cross in (arc_u, arc_s):
+                    out += [traj.t.tolist(), traj.x.tolist(), traj.y.tolist(), cross]
+            lc = bifurcation._homoclinic_loop(b_hom, arc_u, arc_s, stats)
+            return out + [lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.return_gap, stats]
 
         got = shoot()
         _drive_by_loop_form(monkeypatch)
         assert got == shoot()
-        assert got[:2] == [True, False]
+        assert got[0] > 0.0 > got[9]
 
     def test_homoclinic_in_b_pinned(self):
-        # recorded from the hand-stepped manifold shooting this driver replaced
+        # recorded from the root of the splitting function
         hom = homoclinic_in_b(0.5)
         orbit = hom.orbit
-        assert hom.param_value.hex() == "0x1.7a2e340fe31a6p-2"
-        assert len(orbit.t) == 3232
-        assert orbit.period.hex() == "0x1.3999750a14b3ap+7"
-        assert orbit.length.hex() == "0x1.f5bbc61bf0064p+3"
-        assert orbit.return_gap.hex() == "0x1.0c6f7a0b5ed8ep-20"
+        assert hom.param_value.hex() == "0x1.7a2e340fed7b5p-2"
+        assert len(orbit.t) == 1773
+        assert orbit.period.hex() == "0x1.06a99ce8edce2p+7"
+        assert orbit.length.hex() == "0x1.08b477f97c0b2p+3"
+        assert orbit.return_gap.hex() == "0x1.0c6f7a0b5ed8cp-20"
         digest = hashlib.sha256(np.concatenate([orbit.t, orbit.x, orbit.y]).tobytes()).hexdigest()
-        assert digest == "d4b54c83745482ed6d542066bdf0efedfaae0bf4ec5f5c6bb2583be74d831bf0"
+        assert digest == "ef945b92cfd6df68640dce53cb22ce33f55faeeebe8b670a4899633b90f118e5"
 
 
 class TestCycleLength:
