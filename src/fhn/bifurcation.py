@@ -20,16 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from .dynamics import (
-    LimitCycle,
-    Stability,
-    _half_line_crossing,
-    cycle_length,
-    find_limit_cycle,
-    find_unstable_cycle,
-    integrate,  # noqa: F401 - perfbench's tracer rebinds it here
-    integrate_until,
-)
+from .dynamics import LimitCycle, Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
 from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import equilibrium_abscissae
 
@@ -276,8 +267,8 @@ def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
 
     name = "unstable" if side > 0 else "stable"
     try:
-        traj = integrate_until(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, crossed,
-                               tol=_HOMOCLINIC_TOL, direction=side, max_norm=1e3)
+        traj = integrate(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, tol=_HOMOCLINIC_TOL,
+                         direction=side, max_norm=1e3, stop=crossed)
     except IntegrationError as exc:
         stats["steps"] += exc.trajectory.stats["steps"]
         stats["rejected"] += exc.trajectory.stats["rejected"]
@@ -286,8 +277,7 @@ def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
         ) from exc
     stats["steps"] += traj.stats["steps"]
     stats["rejected"] += traj.stats["rejected"]
-    nodes = zip(*(a[-2:].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
-    cross = _half_line_crossing(*nodes, x_eq, phi(x_eq), side)
+    cross = traj.crossing(-1, x_eq, phi(x_eq), side)
     if cross is None:
         raise BracketFailureError(
             f"{name} manifold at b={b!r}, eps={eps} did not cross the half-line above E+ "

@@ -4,7 +4,9 @@ Subcommands: singular, simulate, bifurcate, canard, slow-manifold.  Every
 run writes manifest.json (config echo, version, timings, warnings) to the
 output directory, success or failure.  Exit codes: 0 success, 3 integration
 failure (IntegrationError), 4 search failure (SearchError), 2 any other
-FHNError or a ValueError (config error).
+FHNError or a ValueError (config error).  A usage error, or an --out that
+cannot be made a directory (it names a file, say), exits 2 before any run
+and writes no manifest; the latter prints the OSError's message to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -132,7 +135,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"fhn: --out: {exc}", file=sys.stderr)
+        return 2
     config = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = RunManifest(args.command, config)
     handler = {

@@ -4,8 +4,8 @@ The integrator is a six-stage, stiffly accurate, L-stable linearly implicit
 Rosenbrock method of order 4 with an embedded order-3 error estimate
 (coefficients from Hairer & Wanner's RODAS), specialized to the
 FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One function both takes
-the steps and drives them, `integrate_until`, with the step written inline
-and its state in locals; `integrate` and the cycle searches run through it.
+the steps and drives them, `integrate`, with the step written inline and its
+state in locals; every run, the cycle searches' included, is a call of it.
 
 A cycle is a fixed point of the return map P to a half-line {x = x_eq,
 y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
@@ -95,6 +95,32 @@ class Trajectory:
         xs, ys = self.sample(ts)
         return ts, xs, ys
 
+    def crossing(self, i: int, x_s: float, y_s: float, sign: int = 1) -> tuple[float, float] | None:
+        """(t, y) where the step from node i - 1 to node i (i = -1: the last
+        step) crosses the half-line {x = x_s, y > y_s} above an equilibrium
+        leftward (`sign` 1) or rightward (`sign` -1, as a time-reversed run
+        does), or None; the crossing is the cubic-Hermite root of x = x_s in
+        the step."""
+        if i == 0:
+            raise IndexError("no step ends at node 0, the start of the run")
+        t0, x0, y0, dx0, dy0 = (float(a[i - 1]) for a in (self.t, self.x, self.y, self.dx, self.dy))
+        t1, x1, y1, dx1, dy1 = (float(a[i]) for a in (self.t, self.x, self.y, self.dx, self.dy))
+        s0, s1 = sign * (x0 - x_s), sign * (x1 - x_s)
+        if not s0 > 0.0 > s1:
+            return None
+        h = t1 - t0
+        lo, hi = 0.0, 1.0
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            val = sign * (_hermite(mid, x0, x1, dx0, dx1, h) - x_s)
+            if not val > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        s = 0.5 * (lo + hi)
+        y = float(_hermite(s, y0, y1, dy0, dy1, h))
+        return (t0 + s * h, y) if y > y_s else None
+
 
 def _hermite(s, p0, p1, d0, d1, h):
     s2 = s * s
@@ -115,43 +141,29 @@ def integrate(
     tol: float = 1e-8,
     direction: int = 1,
     max_norm: float = 1e8,
+    stop: Callable[[float, float, float], bool] | None = None,
 ) -> Trajectory:
-    """Adaptive stiff integration from `start` for `t_end` time units.
+    """Adaptive stiff integration from `start` for `t_end` time units, ended
+    early at the first accepted node where `stop(t, x, y)` holds.
 
     Local error is kept at or below `tol` per step (mixed absolute/relative
     weighting); the returned trajectory holds the accepted nodes together
     with node derivatives, so dense output at any requested spacing is
-    available through Trajectory.sample / sample_uniform.
+    available through Trajectory.sample / sample_uniform.  With `t_end =
+    inf` no step is clamped and `stop` alone ends the run.  State is
+    advanced in the requested time scale; `direction=-1` integrates the
+    time-reversed field so that timestamps always increase.
 
     Raises StepSizeCollapseError if the step falls below 1e-14 and
     NonFiniteError if the state blows up, which is the legitimate outcome
     for divergent parameter regimes; either carries the partial trajectory.
-    """
-    return integrate_until(start, params, t_end, None, scale, tol, direction, max_norm)
 
-
-def integrate_until(
-    start: PhasePoint,
-    params: SystemParams,
-    t_end: float,
-    stop: Callable[[float, float, float], bool] | None,
-    scale: TimeScale = TimeScale.SLOW,
-    tol: float = 1e-8,
-    direction: int = 1,
-    max_norm: float = 1e8,
-) -> Trajectory:
-    """`integrate`, ended early at the first accepted node where `stop(t, x, y)` holds.
-
-    This is the one loop that steps and drives a trajectory; `stop` may be
-    None.  With `t_end = inf` no step is clamped and `stop` alone ends the
-    run.  State is advanced in the requested time scale; `direction=-1`
-    integrates the time-reversed field so that timestamps always increase.
-
-    Each step is the straight-line RODAS step: the stages are scalar locals,
-    the field is inlined with its operation order, and every sum runs in
-    tableau order, so the arithmetic is that of the loop over `_A`, `_C` and
-    `_M`.  The step control picks with conditional expressions the float
-    that `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
+    This is the one loop that steps and drives a trajectory.  Each step is
+    the straight-line RODAS step: the stages are scalar locals, the field is
+    inlined with its operation order, and every sum runs in tableau order,
+    so the arithmetic is that of the loop over `_A`, `_C` and `_M`.  The step
+    control picks with conditional expressions the float that `abs`, `max`
+    and `min` would (a zero's sign is lost in tol + tol*m).
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -494,18 +506,19 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         its last two crossings (a start on it counts as one at t = 0)."""
         nonlocal spent
         start = seed if k is None else PhasePoint(lines[k][0], y)
-        hits = [] if k is None else [(k, 0)]
-        seen = [j == k for j in range(len(lines))]
-        right_since = [False] * len(lines)
+        # per half-line, the node of its last crossing with none of a
+        # half-line to its right since (None: no such crossing)
+        last = [0 if j == k else None for j in range(len(lines))]
         n = 0
         x_last = start.x
         window_end = _WINDOW
         x_lo = x_hi = start.x
         y_lo = y_hi = start.y
-        parked = closed = False
+        parked = False
+        closing = None
 
         def stop(t, x, y):
-            nonlocal n, x_last, window_end, x_lo, x_hi, y_lo, y_hi, parked, closed
+            nonlocal n, x_last, window_end, x_lo, x_hi, y_lo, y_hi, parked, closing
             n += 1
             if x < x_lo:
                 x_lo = x
@@ -524,20 +537,19 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
                 y_lo = y_hi = y
             for j, (x_eq, _) in enumerate(lines):
                 if x_last > x_eq > x:
-                    hits.append((j, n))
-                    if seen[j] and not right_since[j]:
-                        closed = True
+                    if last[j] is not None:
+                        closing = (j, last[j], n)
                         return True
-                    seen[j], right_since[j] = True, False
+                    last[j] = n
                     for i, (x_i, _) in enumerate(lines):
                         if x_i < x_eq:
-                            right_since[i] = True
+                            last[i] = None
             x_last = x
             return False
 
         try:
-            traj = integrate_until(start, params, max_periods * t_ref - spent, stop, tol=tol,
-                                   max_norm=_MAX_NORM)
+            traj = integrate(start, params, max_periods * t_ref - spent, tol=tol, max_norm=_MAX_NORM,
+                             stop=stop)
         except IntegrationError as exc:
             stats["steps"] += exc.trajectory.stats["steps"]
             stats["rejected"] += exc.trajectory.stats["rejected"]
@@ -549,13 +561,12 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             x_end = traj.x[-1]
             raise _fell_onto(params, min(lines, key=lambda line: abs(line[0] - x_end)),
                              "state stopped moving; trajectory parked at an equilibrium")
-        if not closed:
+        if closing is None:
             return traj, None, None
-        j = hits[-1][0]
+        j, *nodes = closing
         ends = []
-        for i in [i for line, i in hits if line == j][-2:]:
-            nodes = zip(*(a[i - 1:i + 1].tolist() for a in (traj.t, traj.x, traj.y, traj.dx, traj.dy)))
-            cross = (0.0, start.y) if i == 0 else _half_line_crossing(*nodes, *lines[j])
+        for i in nodes:
+            cross = (0.0, start.y) if i == 0 else traj.crossing(i, *lines[j])
             if cross is None:
                 raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
             ends.append(cross)
@@ -653,30 +664,6 @@ def _divergence(traj, t_0, t_c, params):
         xs = _hermite((a - t[:-1] + node * span) / h, x[:-1], x[1:], dx[:-1], dx[1:], h)
         total += weight * float(np.dot(span, 4.0 - 3.0 * xs * xs))
     return total / params.eps - params.b * (t_c - t_0)
-
-
-def _half_line_crossing(prev, node, x_eq: float, y_eq: float, sign: int = 1):
-    """(t, y) where the step from `prev` to `node` crosses the half-line
-    {x = x_eq, y > y_eq} above an equilibrium leftward (`sign` 1) or
-    rightward (`sign` -1, as a time-reversed run does), or None; the
-    crossing is the cubic-Hermite root of x = x_eq in the step."""
-    t0, x0, y0, dx0, dy0 = prev
-    t1, x1, y1, dx1, dy1 = node
-    s0, s1 = sign * (x0 - x_eq), sign * (x1 - x_eq)
-    if not s0 > 0.0 > s1:
-        return None
-    h = t1 - t0
-    lo, hi = 0.0, 1.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        val = sign * (_hermite(mid, x0, x1, dx0, dx1, h) - x_eq)
-        if not val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    s = 0.5 * (lo + hi)
-    y = float(_hermite(s, y0, y1, dy0, dy1, h))
-    return (t0 + s * h, y) if y > y_eq else None
 
 
 def _build_loop(stretch, section_x, converged, stats):

@@ -150,7 +150,8 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
 
     roots = equilibrium_abscissae(params)
     segments: list[OrbitSegment] = []
-    landings: list[PhasePoint] = []
+    # each landing on C0, with the index of the slow segment that leaves it
+    landings: list[tuple[PhasePoint, int]] = []
 
     # initial horizontal fast segment to the first root in the flow direction
     target, mult = _fast_target(start)
@@ -176,12 +177,11 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
             )
             return SingularOrbit(segments, fate, None, params)
 
-        for prev_idx, prev in enumerate(landings):
+        for prev, cycle_start in landings:
             if math.hypot(prev.x - land.x, prev.y - land.y) <= _REVISIT_TOL:
                 # revisit: the orbit is periodic from that landing onward
-                cycle_start = _segment_index_of_landing(segments, prev_idx)
                 return SingularOrbit(segments, Fate.PERIODIC_CYCLE, cycle_start, params)
-        landings.append(land)
+        landings.append((land, len(segments)))
 
         end_kind, x_end = _slow_segment_end(land.x, params, roots)
         # a fold that is itself an equilibrium is a singular fold and lies
@@ -224,16 +224,6 @@ def _equilibrium_at(x: float, roots: list[tuple[float, int]]) -> float | None:
         if abs(r - x) <= _REVISIT_TOL:
             return r
     return None
-
-
-def _segment_index_of_landing(segments: list[OrbitSegment], landing_idx: int) -> int:
-    slow_seen = 0
-    for i, seg in enumerate(segments):
-        if seg.kind is SegmentKind.SLOW:
-            if slow_seen == landing_idx:
-                return i
-            slow_seen += 1
-    raise RuntimeError("landing index out of range")
 
 
 def _slow_segment_end(

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn import bifurcation, dynamics
+from fhn import bifurcation
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.canard import LARGE_LENGTH
-from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate_until
+from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate
 from fhn.errors import BracketFailureError, FHNError
 from fhn.bifurcation import (
     BifKind,
@@ -194,10 +194,10 @@ B_HOM_HEX = {
 def _wu_escapes(b, eps):
     """Fate of W^u over the full 400-unit budget: escape past x = -0.5
     (True), or capture by E+."""
-    arc = integrate_until(
+    arc = integrate(
         bifurcation._saddle_seed(b, eps, 1), SystemParams(b, 0.0, eps),
-        bifurcation._HOMOCLINIC_T_BUDGET, lambda t, x, y: x < -0.5,
-        tol=bifurcation._HOMOCLINIC_TOL, max_norm=1e3,
+        bifurcation._HOMOCLINIC_T_BUDGET, tol=bifurcation._HOMOCLINIC_TOL, max_norm=1e3,
+        stop=lambda t, x, y: x < -0.5,
     )
     return bool(arc.x[-1] < -0.5)
 
@@ -229,10 +229,10 @@ class TestHomoclinicInB:
         runs = []
 
         def recording(*args, **kwargs):
-            runs.append((args[1].b, kwargs["direction"], integrate_until(*args, **kwargs)))
+            runs.append((args[1].b, kwargs["direction"], integrate(*args, **kwargs)))
             return runs[-1][2]
 
-        monkeypatch.setattr(bifurcation, "integrate_until", recording)
+        monkeypatch.setattr(bifurcation, "integrate", recording)
         hom = homoclinic_in_b(eps)
         st = hom.orbit.stats
         assert len(runs) == 2 * st["shots"]
@@ -240,8 +240,7 @@ class TestHomoclinicInB:
         assert st["rejected"] == sum(run.stats["rejected"] for _, _, run in runs)
         for b, side, run in runs:
             x_eq = math.sqrt(4.0 - 1.0 / b)
-            nodes = zip(*(a[-2:].tolist() for a in (run.t, run.x, run.y, run.dx, run.dy)))
-            assert dynamics._half_line_crossing(*nodes, x_eq, phi(x_eq), side) is not None
+            assert run.crossing(-1, x_eq, phi(x_eq), side) is not None
             assert run.t[-1] < 0.5 * bifurcation._HOMOCLINIC_T_BUDGET
 
     @pytest.mark.parametrize("eps", [16.0, 30.0, 60.0])
@@ -250,7 +249,7 @@ class TestHomoclinicInB:
         def no_shot(*_args, **_kwargs):
             raise AssertionError("homoclinic_in_b shot W^u")
 
-        monkeypatch.setattr(bifurcation, "integrate_until", no_shot)
+        monkeypatch.setattr(bifurcation, "integrate", no_shot)
         with pytest.raises(ValueError, match="<= 1/4"):
             hopf_in_b(eps)
         with pytest.raises(BracketFailureError, match="<= 1/4"):

@@ -134,6 +134,15 @@ class TestSingularCommand:
         assert code == 2
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        # the run directory cannot be made: exit 2 with the reason, no traceback
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["singular", "--b", "0", "--c", "0", "--period-only", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
 
 class TestSimulateCommand:
     def test_trajectory_csv(self, tmp_path):

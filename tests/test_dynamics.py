@@ -320,6 +320,34 @@ class TestSearchPins:
         steps, rejected, shots = self.STATS[case]
         assert stats == {"steps": steps, "rejected": rejected, "tol": search[3], "shots": shots}
 
+    def test_every_run_goes_through_integrate(self, monkeypatch):
+        # the searches and the homoclinic locate take every step in calls of
+        # `integrate`, so the counts of those calls are the results' stats
+        counted = Counter()
+        real = dynamics.integrate
+
+        def counting(*args, **kwargs):
+            tr = real(*args, **kwargs)
+            counted.update({key: tr.stats[key] for key in ("steps", "rejected")})
+            return tr
+
+        def check(stats):
+            assert dict(counted) == {"steps": stats["steps"], "rejected": stats["rejected"]}
+            assert stats["steps"] > 0
+            counted.clear()
+
+        monkeypatch.setattr(dynamics, "integrate", counting)
+        monkeypatch.setattr(bifurcation, "integrate", counting)
+        bce, seed, _, tol, max_periods = self.CYCLES["converged_backward"][:5]
+        params = SystemParams(*bce)
+        outer = find_limit_cycle(params, PhasePoint(*seed), tol=tol, max_periods=max_periods)
+        check(outer.stats)
+        check(find_unstable_cycle(params, outer, tol).stats)
+        check(homoclinic_in_b(0.5).orbit.stats)
+        with pytest.raises(ConvergedToEquilibriumError) as info:
+            self._search(*self.FAILURES["parked_on_node"][:5])
+        check(info.value.stats)
+
 
 class TestHalfLineSection:
     """Every loop starts on the half-line {x = x_eq, y > y_eq} above an
@@ -361,17 +389,31 @@ class TestHalfLineSection:
         assert inside.period == pytest.approx(outside.period, rel=1e-7, abs=0.0)
         assert inside.length == pytest.approx(outside.length, rel=1e-7, abs=0.0)
 
+    @staticmethod
+    def _step(*nodes):
+        """A trajectory of the (t, x, y, dx, dy) `nodes`."""
+        return dynamics.Trajectory(*(np.array(a) for a in zip(*nodes)), TimeScale.SLOW, 1)
+
     def test_helper_takes_one_direction_above_the_equilibrium(self):
         # steps across x = 1 at y = 2, leftward and rightward
-        left = ((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
-        right = ((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
-        t, y = dynamics._half_line_crossing(*left, 1.0, 1.0)
+        left = self._step((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
+        right = self._step((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
+        t, y = left.crossing(1, 1.0, 1.0)
         assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
-        assert dynamics._half_line_crossing(*right, 1.0, 1.0) is None
+        assert right.crossing(1, 1.0, 1.0) is None
+        # a time-reversed run crosses rightward
+        t, y = right.crossing(1, 1.0, 1.0, -1)
+        assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
+        assert left.crossing(1, 1.0, 1.0, -1) is None
         # a step that starts on the line crosses nothing
-        assert dynamics._half_line_crossing(left[1], (0.2, 1.0, 2.0, -10.0, 0.0), 0.5, 1.0) is None
+        on_line = self._step((0.1, 0.5, 2.0, -10.0, 0.0), (0.2, 1.0, 2.0, -10.0, 0.0))
+        assert on_line.crossing(1, 0.5, 1.0) is None
         # the crossing lies below the equilibrium at y_eq = 2.5
-        assert dynamics._half_line_crossing(*left, 1.0, 2.5) is None
+        assert left.crossing(1, 1.0, 2.5) is None
+        # node 0 ends no step; -1 is the last step
+        assert left.crossing(-1, 1.0, 1.0) == left.crossing(1, 1.0, 1.0)
+        with pytest.raises(IndexError):
+            left.crossing(0, 1.0, 1.0)
 
 
 class TestReturnExtrapolation:
@@ -442,9 +484,8 @@ class TestNewtonOnReturnMap:
                 xs.append(x)
                 return xs[-2] > x_eq > x
 
-            tr = dynamics.integrate_until(PhasePoint(x_eq, y), params, 50.0, returned, tol=1e-12)
-            prev, node = zip(*(a[-2:].tolist() for a in (tr.t, tr.x, tr.y, tr.dx, tr.dy)))
-            t_c, y_c = dynamics._half_line_crossing(prev, node, x_eq, y_eq)
+            tr = integrate(PhasePoint(x_eq, y), params, 50.0, tol=1e-12, stop=returned)
+            t_c, y_c = tr.crossing(-1, x_eq, y_eq)
             return tr, t_c, y_c
 
         y, h = y_eq + 0.05, 1e-5
@@ -794,9 +835,9 @@ class _LoopStepper:
         raise StepSizeCollapseError("step repeatedly rejected")
 
 
-def _loop_integrate_until(start, params, t_end, stop, scale=TimeScale.SLOW, tol=1e-8, direction=1,
-                          max_norm=1e8):
-    """The reference driver: `dynamics.integrate_until` as a loop that calls
+def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direction=1, max_norm=1e8,
+                    stop=None):
+    """The reference driver: `dynamics.integrate` as a loop that calls
     `_LoopStepper.advance` once per accepted step and appends its state."""
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -892,12 +933,12 @@ def _equivalence_cases():
 def _drive_by_loop_form(monkeypatch):
     """Route every run of the cycle searches and the homoclinic shots
     through the reference driver."""
-    monkeypatch.setattr(dynamics, "integrate_until", _loop_integrate_until)
-    monkeypatch.setattr(bifurcation, "integrate_until", _loop_integrate_until)
+    monkeypatch.setattr(dynamics, "integrate", _loop_integrate)
+    monkeypatch.setattr(bifurcation, "integrate", _loop_integrate)
 
 
 class TestKernelEquivalence:
-    """`integrate_until`, with its straight-line step inline, reproduces the
+    """`integrate`, with its straight-line step inline, reproduces the
     loop-form reference driver bit for bit, on every branch of its step
     control."""
 
@@ -910,7 +951,7 @@ class TestKernelEquivalence:
     def test_integrate_matches_loop_form(self, hits):
         cases = _equivalence_cases()
         new = [_outcome(lambda c=c: integrate(*c)) for c in cases]
-        ref = [_outcome(lambda c=c: _loop_integrate_until(*c[:3], None, *c[3:])) for c in cases]
+        ref = [_outcome(lambda c=c: _loop_integrate(*c)) for c in cases]
         for case, got, want in zip(cases, new, ref):
             assert got == want, case
         stats = [o["stats"] for o in ref if "stats" in o]
@@ -935,8 +976,9 @@ class TestKernelEquivalence:
                 lc = TestSearchPins._search(*case)
                 out.append([lc.t.tolist(), lc.x.tolist(), lc.y.tolist(), lc.period, lc.length,
                             lc.section_x, lc.return_gap, lc.converged, lc.stats])
-            out.append(_outcome(lambda: integrate(PhasePoint(e_plus.x + 1e-3, e_plus.y), params,
-                                                  120.0, tol=1e-9, direction=-1)))
+            # through the module, which the loop form replaces
+            out.append(_outcome(lambda: dynamics.integrate(PhasePoint(e_plus.x + 1e-3, e_plus.y),
+                                                           params, 120.0, tol=1e-9, direction=-1)))
             return out
 
         got = search()
@@ -950,10 +992,10 @@ class TestKernelEquivalence:
         # t_end = inf only the overflow of t ends the run
         def run(driver):
             return driver(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1), math.inf,
-                          lambda t, x, y: x > 1.0)
+                          stop=lambda t, x, y: x > 1.0)
 
-        got = _outcome(lambda: run(dynamics.integrate_until))
-        assert got == _outcome(lambda: run(_loop_integrate_until))
+        got = _outcome(lambda: run(integrate))
+        assert got == _outcome(lambda: run(_loop_integrate))
         assert got["exc"][0] is NonFiniteError and "time left the finite range" in got["exc"][1]
         assert hits["t overflow"] == 1 and hits["err == 0"] > 300
 
