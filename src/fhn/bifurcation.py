@@ -22,7 +22,7 @@ import numpy as np
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from .dynamics import LimitCycle, Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
 from .errors import BracketFailureError, FHNError, IntegrationError
-from .singular import equilibrium_abscissae
+from .singular import FOLD_X, equilibrium_abscissae
 
 _HYPERBOLICITY_TOL = 1e-9
 
@@ -91,9 +91,8 @@ def hopf_in_c(eps: float) -> tuple[BifurcationPoint, BifurcationPoint]:
     """
     if eps <= 0.0:
         raise ValueError("hopf_in_c requires eps > 0")
-    c_h = 2.0 / math.sqrt(3.0)
     pts = []
-    for c in (c_h, -c_h):
+    for c in (FOLD_X, -FOLD_X):
         params = SystemParams(0.0, c, eps)
         eq = equilibria(params)[0]
         pts.append(BifurcationPoint(BifKind.HOPF_SUB, "c", c, eps, eq))

@@ -9,15 +9,15 @@ locator (bisection on the cycle length) is the authoritative source of
 canard parameter values here; the formula values are reported alongside.
 
 The locator bisects a caller's bracket, or by default the range
-(c_H - 0.05, c_H - 1e-5) below the Hopf value c_H = 2/sqrt(3).  It decides
-each bisection step from a cycle searched at tol 1e-9 and searches again at
-tol 1e-11 only when that cycle's length lies within 1.0 of the threshold
-10, when it did not converge and its length lies inside the explosion
-window [5, 15], or when the tol-1e-9 search failed.  The explosion is
-exponentially narrow, so nearly every step is far from the threshold and
-is decided by the cheap search.  `classify_canard` names each located
-cycle Hopf-small, headless, headed or relaxation from its arc along the
-repelling middle branch.
+(c_H - 0.05, c_H - 1e-5) below the Hopf value c_H = 2/sqrt(3), the fold
+abscissa FOLD_X.  It decides each bisection step from a cycle searched at
+tol 1e-9 and searches again at tol 1e-11 only when that cycle's length lies
+within 1.0 of the threshold 10, when it did not converge and its length
+lies inside the explosion window [5, 15], or when the tol-1e-9 search
+failed.  The explosion is exponentially narrow, so nearly every step is
+far from the threshold and is decided by the cheap search.
+`classify_canard` names each located cycle Hopf-small, headless, headed or
+relaxation from its arc along the repelling middle branch.
 
 Every cycle search starts at (1.8, phi(1.8)) on the attracting right branch
 of the critical manifold, below its fold.  The attracting slow manifold
@@ -127,9 +127,6 @@ def normal_form_case_ii() -> NormalFormCoeffs:
         b_coeff=-3.0 / 16.0,
         x_plus=x_plus,
     )
-
-
-_C_H = 2.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,7 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
 # the offset left is 3e-8, one shot more than from (-2.8, 1.64).
 _SCAN_SEED = PhasePoint(1.8, phi(1.8))
 # below the Hopf value; its ends straddle the explosion window for eps from 0.02 to 3
-_DEFAULT_BRACKET = (_C_H - 0.05, _C_H - 1e-5)
+_DEFAULT_BRACKET = (FOLD_X - 0.05, FOLD_X - 1e-5)
 
 
 # Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
@@ -405,9 +402,9 @@ def explosion_scan(
         _bisect_to_length(target, eps, cache)
 
     # flanks: small cycles toward the Hopf value, relaxation below
-    for off in np.geomspace(3e-4, max(2.0 * (_C_H - c_star), 1e-3), 10):
+    for off in np.geomspace(3e-4, max(2.0 * (FOLD_X - c_star), 1e-3), 10):
         c = c_star + off
-        if c < _C_H - 5e-5:
+        if c < FOLD_X - 5e-5:
             _try_measure(float(c), eps, cache)
     for off in np.geomspace(1e-5, 1e-2, 8):
         _try_measure(float(c_star - off), eps, cache)

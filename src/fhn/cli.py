@@ -37,6 +37,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -56,9 +62,7 @@ class RunManifest:
     error: str | None = None
 
     def write(self, outdir: Path) -> None:
-        with open(outdir / "manifest.json", "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(outdir / "manifest.json", asdict(self))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +202,12 @@ def _cmd_singular(args, outdir: Path, manifest: RunManifest) -> None:
 def _cmd_simulate(args, outdir: Path, manifest: RunManifest) -> None:
     if args.eps <= 0.0:
         raise ValueError("simulate requires eps > 0; use the singular command for eps = 0")
+    dt = args.dt_out if args.dt_out is not None else args.tmax / 2000.0
+    for flag, value in (("--tmax", args.tmax), ("--dt-out", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be finite and > 0")
     params = SystemParams(args.b, args.c, args.eps)
     scale = TimeScale.SLOW if args.scale == "slow" else TimeScale.FAST
-    dt = args.dt_out if args.dt_out is not None else args.tmax / 2000.0
     try:
         traj = integrate(PhasePoint(args.x0, args.y0), params, args.tmax, scale, tol=args.tol)
     except IntegrationError as exc:
@@ -271,9 +278,7 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
                 list(zip(hom.orbit.t, hom.orbit.x, hom.orbit.y)),
             )
         manifest.timings["landmarks_s"] = time.perf_counter() - t0
-        with open(outdir / "landmarks.json", "w") as fh:
-            json.dump(landmarks, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(outdir / "landmarks.json", landmarks)
         manifest.outputs["landmarks"] = landmarks
 
 
@@ -332,9 +337,7 @@ def _cmd_canard(args, outdir: Path, manifest: RunManifest) -> None:
         manifest.warnings.append(loci.note)
     else:
         manifest.warnings.append("asymptotic loci reported only for eps <= 0.5")
-    with open(outdir / "canard_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "canard_summary.json", summary)
     manifest.outputs["explosion_c"] = c_star
 
 

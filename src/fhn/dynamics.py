@@ -88,7 +88,7 @@ class Trajectory:
         return xs, ys
 
     def sample_uniform(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         ts = np.arange(self.t[0], self.t[-1] + 0.5 * dt, dt)
         ts = ts[ts <= self.t[-1]]
@@ -150,9 +150,9 @@ def integrate(
     weighting); the returned trajectory holds the accepted nodes together
     with node derivatives, so dense output at any requested spacing is
     available through Trajectory.sample / sample_uniform.  With `t_end =
-    inf` no step is clamped and `stop` alone ends the run.  State is
-    advanced in the requested time scale; `direction=-1` integrates the
-    time-reversed field so that timestamps always increase.
+    inf` no step is clamped and `stop`, which is then required, alone ends
+    the run.  State is advanced in the requested time scale; `direction=-1`
+    integrates the time-reversed field so that timestamps always increase.
 
     Raises StepSizeCollapseError if the step falls below 1e-14 and
     NonFiniteError if the state blows up, which is the legitimate outcome
@@ -167,8 +167,10 @@ def integrate(
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise ValueError("t_end must be positive")
+    if t_end == math.inf and stop is None:
+        raise ValueError("t_end = inf needs a stop to end the run")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     if not 1e-12 <= tol <= 1e-3:
@@ -374,7 +376,8 @@ def cycle_length(x, y) -> float:
     return total
 
 
-# the equilibrium test runs over windows of this many slow-time units
+# slow-time units at the end of a run that closes no loop over which it is
+# tested for an equilibrium; also the period estimate before the first return
 _WINDOW = 10.0
 _MIN_CYCLE_DIAMETER = 1e-6
 # Newton on the return map stops once its step is below this many times the
@@ -424,12 +427,13 @@ def find_limit_cycle(
     1 - P'.
 
     The search ends without a cycle at one of these exits:
-    - ConvergedToEquilibriumError, the one equilibrium certificate: an
-      extent, max(x-range, y-range), below 1e-6, of a run over a window of
-      10 time units (tested each time a window closes) or of a loop between
-      two crossings.  A run whose returns fall sends Newton down to at least
-      1% of its height above the equilibrium, so a search that falls into an
-      equilibrium meets the certificate within a few runs.  It is raised
+    - ConvergedToEquilibriumError, the one equilibrium certificate, read
+      from each finished run: an extent, max(x-range, y-range), below 1e-6,
+      of its loop between two crossings, or, for a run that closed none, of
+      its last 10 time units.  A run whose returns fall sends Newton down to
+      at least 1% of its height above the equilibrium, so a search that
+      falls into an equilibrium meets the certificate within a few runs, and
+      a run parked on one ends at the budget of the search.  It is raised
       only where the trace (4 - 3 x_eq^2)/eps - b of that equilibrium is
       <= 0; beside a repelling one the extent falls because the cycle
       around it is below what `tol` resolves, and NoCycleError is raised;
@@ -503,7 +507,9 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         """Run from (x_eq, y) on half-line k, or from the seed (k None), to
         the second crossing of a half-line with no crossing of one to its
         right in between: the trajectory, that half-line, and the (t, y) of
-        its last two crossings (a start on it counts as one at t = 0)."""
+        its last two crossings (a start on it counts as one at t = 0).  The
+        finished run is tested for an equilibrium (see `find_limit_cycle`):
+        its loop, or its last `_WINDOW` time units if it closed none."""
         nonlocal spent
         start = seed if k is None else PhasePoint(lines[k][0], y)
         # per half-line, the node of its last crossing with none of a
@@ -511,30 +517,11 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         last = [0 if j == k else None for j in range(len(lines))]
         n = 0
         x_last = start.x
-        window_end = _WINDOW
-        x_lo = x_hi = start.x
-        y_lo = y_hi = start.y
-        parked = False
         closing = None
 
-        def stop(t, x, y):
-            nonlocal n, x_last, window_end, x_lo, x_hi, y_lo, y_hi, parked, closing
+        def stop(_t, x, y):
+            nonlocal n, x_last, closing
             n += 1
-            if x < x_lo:
-                x_lo = x
-            elif x > x_hi:
-                x_hi = x
-            if y < y_lo:
-                y_lo = y
-            elif y > y_hi:
-                y_hi = y
-            if t >= window_end:
-                if max(x_hi - x_lo, y_hi - y_lo) < _MIN_CYCLE_DIAMETER:
-                    parked = True
-                    return True
-                window_end = t + _WINDOW
-                x_lo = x_hi = x
-                y_lo = y_hi = y
             for j, (x_eq, _) in enumerate(lines):
                 if x_last > x_eq > x:
                     if last[j] is not None:
@@ -557,19 +544,26 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         stats["steps"] += traj.stats["steps"]
         stats["rejected"] += traj.stats["rejected"]
         spent += traj.t[-1]
-        if parked:
-            x_end = traj.x[-1]
-            raise _fell_onto(params, min(lines, key=lambda line: abs(line[0] - x_end)),
-                             "state stopped moving; trajectory parked at an equilibrium")
         if closing is None:
-            return traj, None, None
-        j, *nodes = closing
-        ends = []
-        for i in nodes:
-            cross = (0.0, start.y) if i == 0 else traj.crossing(i, *lines[j])
-            if cross is None:
-                raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
-            ends.append(cross)
+            # no loop: the last window, from the node at or before its start
+            j = ends = None
+            first = max(int(np.searchsorted(traj.t, traj.t[-1] - _WINDOW, side="right")) - 1, 0)
+            x_end = traj.x[-1]
+            line = min(lines, key=lambda ln: abs(ln[0] - x_end))
+            message = "state stopped moving; trajectory parked at an equilibrium"
+        else:
+            j, *nodes = closing
+            ends = []
+            for i in nodes:
+                cross = (0.0, start.y) if i == 0 else traj.crossing(i, *lines[j])
+                if cross is None:
+                    raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
+                ends.append(cross)
+            # the loop: the nodes from its first crossing on
+            first = int(np.searchsorted(traj.t, ends[0][0]))
+            line, message = lines[j], "shots converged onto a point, not a cycle"
+        if max(np.ptp(traj.x[first:]), np.ptp(traj.y[first:])) < _MIN_CYCLE_DIAMETER:
+            raise _fell_onto(params, line, message)
         return traj, j, ends
 
     try:
@@ -589,9 +583,6 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
                 k, lo, hi = j, None, None
             x_eq, y_eq = lines[k]
             t_ref = t_c - t_0
-            tail = traj.t >= t_0
-            if max(np.ptp(traj.x[tail]), np.ptp(traj.y[tail])) < _MIN_CYCLE_DIAMETER:
-                raise _fell_onto(params, lines[k], "shots converged onto a point, not a cycle")
             d = y_c - y
             slope = (y - y_eq) / (y_c - y_eq) * math.exp(min(_divergence(traj, t_0, t_c, params), 700.0))
             step = d / (slope - 1.0) if slope != 1.0 else math.inf

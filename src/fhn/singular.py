@@ -161,12 +161,13 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
     jumps = 0
     while True:
         if mult == 2:
-            # landed exactly on a fold: jump immediately
+            # on a fold, landed or arrived at: jump
+            if jumps >= _MAX_JUMPS:
+                raise RuntimeError("no fate after the fold-jump budget; degenerate parameters")
             land, segment = _jump_from_fold(land)
             segments.append(segment)
             jumps += 1
             mult = 1
-            continue
 
         hit = _equilibrium_at(land.x, roots)
         if hit is not None:
@@ -201,13 +202,7 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
             fate = Fate.DIVERGES_PLUS_Y if land.x < 0 else Fate.DIVERGES_MINUS_Y
             return SingularOrbit(segments, fate, None, params)
 
-        # arrived at a fold point
-        if jumps >= _MAX_JUMPS:
-            raise RuntimeError("no fate after the fold-jump budget; degenerate parameters")
-        land, segment = _jump_from_fold(end)
-        segments.append(segment)
-        jumps += 1
-        mult = 1
+        land, mult = end, 2
 
 
 def _fast_target(start: PhasePoint) -> tuple[float, int]:

@@ -161,6 +161,23 @@ class TestSimulateCommand:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert "singular" in man["error"]
 
+    @pytest.mark.parametrize("flag, value", [("--tmax", "inf"), ("--tmax", "nan"), ("--tmax", "0"),
+                                             ("--dt-out", "0"), ("--dt-out", "nan"),
+                                             ("--dt-out", "inf")])
+    def test_rejects_bad_time_before_integrating(self, tmp_path, monkeypatch, flag, value):
+        # --tmax inf or nan never returned, and --dt-out 0 was rejected only
+        # after the whole integration had run
+        def never(*_args, **_kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(cli, "integrate", never)
+        argv = {"--tmax": "5", "--dt-out": "0.01", flag: value}
+        code = main(["simulate", "--b", "0", "--c", "0", "--eps", "0.1", "--x0", "1", "--y0", "0",
+                     *(a for item in argv.items() for a in item), "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and flag in man["error"]
+
     def test_mirrored_seed_mirrors_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for sub, x0, y0 in ((a, "-2.8", "1.64"), (b, "2.8", "-1.64")):

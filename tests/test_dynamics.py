@@ -113,6 +113,19 @@ class TestIntegrate:
         assert np.all(np.diff(tr.t) > 0)
         assert tr.stats["steps"] == len(tr.t) - 1
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_t_end_that_never_ends_a_run(self, t_end):
+        # with no stop, nan and inf ran until killed: no step was clamped to
+        # them and no remainder fell below the step floor
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 0.1), t_end)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
+    def test_sample_uniform_rejects_spacing_not_positive(self, dt):
+        tr = integrate(A_START, SystemParams(0.0, 0.0, 0.5), 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            tr.sample_uniform(dt)
+
     def test_tol_bounds_enforced(self):
         with pytest.raises(ValueError):
             integrate(A_START, SystemParams(0.0, 0.0, 0.5), 1.0, tol=1e-13)
@@ -188,8 +201,8 @@ class TestFindLimitCycle:
 
     def test_search_parked_on_focus_raises_instead_of_spinning(self):
         # returns converge onto the stable focus, where err == 0 lets the step
-        # grow without bound; the rolling extent check, on while the last
-        # period is recorded, names the equilibrium before t overflows
+        # grow without bound; the run ends at its finite budget, and the
+        # extent of its last window names the equilibrium
         def timeout(_signum, _frame):
             raise TimeoutError("cycle search did not return within 30 s")
 
@@ -235,11 +248,15 @@ class TestSearchPins:
         "no_crossings": (
             (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "stable",
             1e-10, 30, NoCycleError),
-        # the window extent test: on a seed that is an equilibrium, on a
-        # stable node approached without a return, and on a strongly damped
-        # stable focus, whose returns shrink a thousandfold per turn
+        # the extent of the last 10 time units of a run that closes no loop:
+        # on a seed that is an equilibrium (also with a budget of exactly 10
+        # time units), on a stable node approached without a return, and on
+        # a strongly damped stable focus, whose returns shrink a thousandfold
+        # per turn
         "seed_on_equilibrium": (
             (0.0, -2.5, 0.3), (-2.5, 5.625), "stable", 1e-9, 30, ConvergedToEquilibriumError),
+        "seed_on_equilibrium_one_window": (
+            (0.0, -2.5, 0.3), (-2.5, 5.625), "stable", 1e-9, 1.0, ConvergedToEquilibriumError),
         "parked_on_node": (
             (0.0, 1.236757228580831, 0.05), (-2.40420244667499, 4.56561500213391), "stable",
             1e-10, 30, ConvergedToEquilibriumError),
@@ -260,9 +277,10 @@ class TestSearchPins:
         "unconverged_forward": (325, 6, 4),
         "converged_backward": (5467, 43, 14),
         "no_crossings": (1377, 0, 0),
-        "seed_on_equilibrium": (7, 0, 0),
-        "parked_on_node": (4205, 6, 0),
-        "parked_in_returns": (1098, 6, 1),
+        "seed_on_equilibrium": (8, 0, 0),
+        "seed_on_equilibrium_one_window": (7, 0, 0),
+        "parked_on_node": (4207, 6, 0),
+        "parked_in_returns": (1101, 6, 1),
     }
 
     @staticmethod
@@ -457,12 +475,19 @@ class TestReturnExtrapolation:
     # and names no cycle, not a convergence to the equilibrium
     @pytest.mark.parametrize("eps, message", [(0.2, "shots converged onto a point"),
                                               (1.0, "shots converged onto a point"),
-                                              (2.0, "parked")])
+                                              (2.0, "shots converged onto a point")])
     def test_extent_beside_repelling_focus_is_no_cycle(self, eps, message):
         c = 2.0 / math.sqrt(3.0) - 1e-7
         assert (4.0 - 3.0 * c * c) / eps > 0.0
         with pytest.raises(NoCycleError, match=message) as info:
             find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=1e-9)
+        assert "repels" in str(info.value) and info.value.stats["steps"] > 0
+
+    def test_run_parked_on_repelling_equilibrium_is_no_cycle(self):
+        # a seed on the origin, an unstable node, never leaves it: the run's
+        # last window has no extent, and the equilibrium there repels
+        with pytest.raises(NoCycleError, match="parked") as info:
+            find_limit_cycle(SystemParams(0.0, 0.0, 0.1), PhasePoint(0.0, 0.0), tol=1e-9)
         assert "repels" in str(info.value) and info.value.stats["steps"] > 0
 
 
