@@ -256,18 +256,11 @@ def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
     """
     x_eq = math.sqrt(4.0 - 1.0 / b)
     start = _saddle_seed(b, eps, side)
-    x_last = start.x
-
-    def crossed(_t, x, _y):
-        nonlocal x_last
-        hit = side * (x_last - x_eq) > 0.0 > side * (x - x_eq)
-        x_last = x
-        return hit
-
     name = "unstable" if side > 0 else "stable"
     try:
         traj = integrate(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, tol=_HOMOCLINIC_TOL,
-                         direction=side, max_norm=1e3, stop=crossed)
+                         direction=side, max_norm=1e3,
+                         stop=lambda x0, x1: side * (x0 - x_eq) > 0.0 > side * (x1 - x_eq))
     except IntegrationError as exc:
         stats["steps"] += exc.trajectory.stats["steps"]
         stats["rejected"] += exc.trajectory.stats["rejected"]

@@ -55,7 +55,8 @@ EXPLOSION_LENGTH = 10.0
 
 @dataclass(frozen=True)
 class NormalFormCoeffs:
-    """Fold normal-form data: the l_i at the origin, x-derivatives, and A, B."""
+    """Fold normal-form data: the l_i at the origin and x-derivatives, from
+    which A and B follow."""
 
     l1: float
     l2: float
@@ -67,15 +68,15 @@ class NormalFormCoeffs:
     dl2_dx: float
     dl3_dx: float
     dl4_dx: float
-    a_coeff: float
-    b_coeff: float
     x_plus: float | None = None
 
-    def __post_init__(self):
-        a = (-self.dl1_dx + 3.0 * self.dl2_dx - 2.0 * self.dl4_dx + 2.0 * self.l6) / 8.0
-        b = (self.dl3_dx + self.l6) / 2.0
-        if a != self.a_coeff or b != self.b_coeff:
-            raise ValueError("stored A/B disagree with the defining formulas")
+    @property
+    def a_coeff(self) -> float:
+        return (-self.dl1_dx + 3.0 * self.dl2_dx - 2.0 * self.dl4_dx + 2.0 * self.l6) / 8.0
+
+    @property
+    def b_coeff(self) -> float:
+        return (self.dl3_dx + self.l6) / 2.0
 
 
 def normal_form_case_i() -> NormalFormCoeffs:
@@ -97,8 +98,6 @@ def normal_form_case_i() -> NormalFormCoeffs:
         dl2_dx=-1.0,
         dl3_dx=0.0,
         dl4_dx=0.0,
-        a_coeff=-3.0 / 8.0,
-        b_coeff=0.0,
     )
 
 
@@ -123,8 +122,6 @@ def normal_form_case_ii() -> NormalFormCoeffs:
         dl2_dx=-1.0,
         dl3_dx=0.0,
         dl4_dx=0.0,
-        a_coeff=-15.0 / 32.0,
-        b_coeff=-3.0 / 16.0,
         x_plus=x_plus,
     )
 

@@ -73,7 +73,6 @@ class Trajectory:
     y: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    scale: TimeScale
     direction: int
     stats: dict = field(default_factory=dict)
 
@@ -88,8 +87,8 @@ class Trajectory:
         return xs, ys
 
     def sample_uniform(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         ts = np.arange(self.t[0], self.t[-1] + 0.5 * dt, dt)
         ts = ts[ts <= self.t[-1]]
         xs, ys = self.sample(ts)
@@ -141,18 +140,19 @@ def integrate(
     tol: float = 1e-8,
     direction: int = 1,
     max_norm: float = 1e8,
-    stop: Callable[[float, float, float], bool] | None = None,
+    stop: Callable[[float, float], bool] | None = None,
 ) -> Trajectory:
-    """Adaptive stiff integration from `start` for `t_end` time units, ended
-    early at the first accepted node where `stop(t, x, y)` holds.
+    """Adaptive stiff integration from `start` for a finite `t_end` time
+    units, ended early at the first accepted step where `stop(x0, x1)`, on
+    the abscissae of the step's two ends, holds.
 
     Local error is kept at or below `tol` per step (mixed absolute/relative
     weighting); the returned trajectory holds the accepted nodes together
     with node derivatives, so dense output at any requested spacing is
-    available through Trajectory.sample / sample_uniform.  With `t_end =
-    inf` no step is clamped and `stop`, which is then required, alone ends
-    the run.  State is advanced in the requested time scale; `direction=-1`
-    integrates the time-reversed field so that timestamps always increase.
+    available through Trajectory.sample / sample_uniform.  Every step is
+    clamped to end at or before `t_end`, so time stays finite.  State is
+    advanced in the requested time scale; `direction=-1` integrates the
+    time-reversed field so that timestamps always increase.
 
     Raises StepSizeCollapseError if the step falls below 1e-14 and
     NonFiniteError if the state blows up, which is the legitimate outcome
@@ -167,10 +167,8 @@ def integrate(
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if t_end == math.inf and stop is None:
-        raise ValueError("t_end = inf needs a stop to end the run")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     if not 1e-12 <= tol <= 1e-3:
@@ -280,8 +278,8 @@ def integrate(
             else:
                 raise StepSizeCollapseError("step repeatedly rejected")
 
-            t_prev, t = t, t + h
-            x, y, ux, uy = xn, yn, uxn, uyn
+            t += h
+            x0, x, y, ux, uy = x, xn, yn, uxn, uyn
             fx = sx * (-yn + 4.0 * xn - xn * xn * xn)
             fy = sy * (xn - b * yn - c)
             naccept += 1
@@ -292,13 +290,6 @@ def integrate(
                 raise NonFiniteError(
                     f"state left |u| <= {max_norm} at t={t!r}",
                     last_state=PhasePoint(xn, yn) if isfinite(xn + yn) else None,
-                )
-            # parked on an equilibrium, err == 0 lets the step grow x6 per
-            # step without bound until t overflows
-            if not isfinite(t):
-                raise NonFiniteError(
-                    f"time left the finite range after t={t_prev!r}",
-                    last_state=PhasePoint(xn, yn),
                 )
             add_t(t)
             add_x(x)
@@ -312,24 +303,23 @@ def integrate(
                     # the step floor: that is arrival, not a step to take
                     ts[-1] = t_end
                 break
-            if stop is not None and stop(t, x, y):
+            if stop is not None and stop(x0, x):
                 break
     except IntegrationError as exc:
-        exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol)
+        exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol)
         if exc.last_state is None:
             exc.last_state = PhasePoint(xs[-1], ys[-1])
         raise
-    return _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol)
+    return _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol)
 
 
-def _make_traj(ts, xs, ys, dxs, dys, scale, direction, naccept, nreject, tol) -> Trajectory:
+def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol) -> Trajectory:
     return Trajectory(
         np.array(ts),
         np.array(xs),
         np.array(ys),
         np.array(dxs),
         np.array(dys),
-        scale,
         direction,
         stats={"steps": naccept, "rejected": nreject, "tol": tol},
     )
@@ -516,14 +506,13 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         # half-line to its right since (None: no such crossing)
         last = [0 if j == k else None for j in range(len(lines))]
         n = 0
-        x_last = start.x
         closing = None
 
-        def stop(_t, x, y):
-            nonlocal n, x_last, closing
+        def stop(x0, x1):
+            nonlocal n, closing
             n += 1
             for j, (x_eq, _) in enumerate(lines):
-                if x_last > x_eq > x:
+                if x0 > x_eq > x1:
                     if last[j] is not None:
                         closing = (j, last[j], n)
                         return True
@@ -531,7 +520,6 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
                     for i, (x_i, _) in enumerate(lines):
                         if x_i < x_eq:
                             last[i] = None
-            x_last = x
             return False
 
         try:

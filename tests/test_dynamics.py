@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import signal
+import sys
 import time
 from collections import Counter
 
@@ -116,11 +117,20 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_t_end_that_never_ends_a_run(self, t_end):
         # with no stop, nan and inf ran until killed: no step was clamped to
-        # them and no remainder fell below the step floor
-        with pytest.raises(ValueError, match="t_end"):
-            integrate(PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 0.1), t_end)
+        # them and no remainder fell below the step floor; a stop does not
+        # make them an end
+        for stop in (None, lambda x0, x1: x1 > 1.5):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate(PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 0.1), t_end, stop=stop)
 
-    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
+    def test_parked_run_ends_at_largest_finite_t_end(self):
+        # on an equilibrium err == 0 grows the step x6 per step, and the step
+        # clamped to a finite t_end keeps t finite: the run arrives
+        tr = integrate(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1), sys.float_info.max)
+        assert tr.t[-1] == sys.float_info.max
+        assert tr.stats["rejected"] == 0 and np.all(np.diff(tr.t) > 0)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1, math.inf])
     def test_sample_uniform_rejects_spacing_not_positive(self, dt):
         tr = integrate(A_START, SystemParams(0.0, 0.0, 0.5), 1.0)
         with pytest.raises(ValueError, match="dt"):
@@ -410,7 +420,7 @@ class TestHalfLineSection:
     @staticmethod
     def _step(*nodes):
         """A trajectory of the (t, x, y, dx, dy) `nodes`."""
-        return dynamics.Trajectory(*(np.array(a) for a in zip(*nodes)), TimeScale.SLOW, 1)
+        return dynamics.Trajectory(*(np.array(a) for a in zip(*nodes)), 1)
 
     def test_helper_takes_one_direction_above_the_equilibrium(self):
         # steps across x = 1 at y = 2, leftward and rightward
@@ -503,13 +513,8 @@ class TestNewtonOnReturnMap:
         y_eq = phi(x_eq)
 
         def shot(y):
-            xs = [x_eq]
-
-            def returned(_t, x, _y):
-                xs.append(x)
-                return xs[-2] > x_eq > x
-
-            tr = integrate(PhasePoint(x_eq, y), params, 50.0, tol=1e-12, stop=returned)
+            tr = integrate(PhasePoint(x_eq, y), params, 50.0, tol=1e-12,
+                           stop=lambda x0, x1: x0 > x_eq > x1)
             t_c, y_c = tr.crossing(-1, x_eq, y_eq)
             return tr, t_c, y_c
 
@@ -524,7 +529,7 @@ class TestNewtonOnReturnMap:
         # x(t) = t on nodes 0, 1, 2 (dx = 1): the Hermite interpolant is
         # exact, and the integral of 4 - 3 t^2 over [0.5, 1.5] is 4 - 3.25
         tr = dynamics.Trajectory(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]), np.zeros(3),
-                                 np.ones(3), np.zeros(3), TimeScale.SLOW, 1)
+                                 np.ones(3), np.zeros(3), 1)
         got = dynamics._divergence(tr, 0.5, 1.5, SystemParams(0.25, 0.0, 0.5))
         assert got == pytest.approx((4.0 - 3.25) / 0.5 - 0.25 * 1.0, abs=1e-14)
 
@@ -829,7 +834,6 @@ class _LoopStepper:
             sc2 = tol + tol * max(abs(y0), abs(yn))
             err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
             if err <= 1.0:
-                t = self.t
                 self.t += h
                 self.x, self.y = xn, yn
                 self.dx, self.dy = self._field(xn, yn)
@@ -846,12 +850,6 @@ class _LoopStepper:
                         f"state left |u| <= {self.max_norm} at t={self.t!r}",
                         last_state=PhasePoint(xn, yn) if math.isfinite(xn + yn) else None,
                     )
-                if not math.isfinite(self.t):
-                    hits["t overflow"] += 1
-                    raise NonFiniteError(
-                        f"time left the finite range after t={t!r}",
-                        last_state=PhasePoint(xn, yn),
-                    )
                 return
             self.nreject += 1
             if 0.9 * err ** -0.25 < 0.1:
@@ -866,8 +864,8 @@ def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direct
     `_LoopStepper.advance` once per accepted step and appends its state."""
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
 
@@ -876,10 +874,11 @@ def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direct
 
     def traj():
         return dynamics.Trajectory(np.array(ts), np.array(xs), np.array(ys), np.array(dxs),
-                                   np.array(dys), scale, direction, stats=st.stats())
+                                   np.array(dys), direction, stats=st.stats())
 
     try:
         while True:
+            x0 = st.x
             st.advance(t_end)
             ts.append(st.t)
             xs.append(st.x)
@@ -891,7 +890,7 @@ def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direct
                 if remainder > 0.0:
                     ts[-1] = t_end
                 break
-            if stop is not None and stop(st.t, st.x, st.y):
+            if stop is not None and stop(x0, st.x):
                 break
     except IntegrationError as exc:
         exc.trajectory = traj()
@@ -1011,18 +1010,6 @@ class TestKernelEquivalence:
         assert got == search()
         assert got[0][-1]["shots"] >= 1 and got[1][-1]["shots"] > 2
         assert "exc" not in got[2] and got[2]["stats"]["steps"] > 1000
-
-    def test_parked_run_matches_loop_form_until_time_overflows(self, hits):
-        # on an equilibrium err == 0 grows the step x6 per step, and with
-        # t_end = inf only the overflow of t ends the run
-        def run(driver):
-            return driver(PhasePoint(0.5, 1.875), SystemParams(0.0, 0.5, 0.1), math.inf,
-                          stop=lambda t, x, y: x > 1.0)
-
-        got = _outcome(lambda: run(integrate))
-        assert got == _outcome(lambda: run(_loop_integrate))
-        assert got["exc"][0] is NonFiniteError and "time left the finite range" in got["exc"][1]
-        assert hits["t overflow"] == 1 and hits["err == 0"] > 300
 
     def test_homoclinic_shots_match_loop_form(self, monkeypatch):
         # the runs of W^u and W^s to their crossings on either side of the
