@@ -12,6 +12,7 @@ and writes no manifest; the latter prints the OSError's message to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,8 +32,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return format(v, ".17g")
     return str(v)
 
@@ -47,7 +46,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([_fmt(v) for v in row]) + "\n")
 
 
 @dataclass
@@ -131,10 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parse_args keeps no state in the parser, so one serves every main call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -220,7 +222,7 @@ def _cmd_simulate(args, outdir: Path, manifest: RunManifest) -> None:
 
 
 def _write_trajectory(outdir: Path, traj, dt: float) -> None:
-    ts, xs, ys = traj.sample_uniform(dt)
+    ts, xs, ys = (a.tolist() for a in traj.sample_uniform(dt))
     _write_csv(outdir / "trajectory.csv", ["time", "x", "y"], list(zip(ts, xs, ys)))
 
 
@@ -272,11 +274,8 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
         if "homoclinic" in wanted:
             hom = homoclinic_in_b(args.eps)
             landmarks["homoclinic_b"] = hom.param_value
-            _write_csv(
-                outdir / "homoclinic_orbit.csv",
-                ["t", "x", "y"],
-                list(zip(hom.orbit.t, hom.orbit.x, hom.orbit.y)),
-            )
+            cols = (hom.orbit.t.tolist(), hom.orbit.x.tolist(), hom.orbit.y.tolist())
+            _write_csv(outdir / "homoclinic_orbit.csv", ["t", "x", "y"], list(zip(*cols)))
         manifest.timings["landmarks_s"] = time.perf_counter() - t0
         _write_json(outdir / "landmarks.json", landmarks)
         manifest.outputs["landmarks"] = landmarks

@@ -641,7 +641,8 @@ def _divergence(traj, t_0, t_c, params):
     total = 0.0
     for node, weight in _GAUSS:
         xs = _hermite((a - t[:-1] + node * span) / h, x[:-1], x[1:], dx[:-1], dx[1:], h)
-        total += weight * float(np.dot(span, 4.0 - 3.0 * xs * xs))
+        # np.sum, not np.dot: BLAS picks its summation order by CPU
+        total += weight * float(np.sum(span * (4.0 - 3.0 * xs * xs)))
     return total / params.eps - params.b * (t_c - t_0)
 
 

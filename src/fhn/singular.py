@@ -322,7 +322,9 @@ def _transit_time(x1: float, x2: float, params: SystemParams, roots: list[tuple[
         nodes, weights = _gauss_legendre()
         half, mid = 0.5 * (x2 - x1), 0.5 * (x2 + x1)
         xs = mid + half * nodes
-        return half * float(np.dot(weights, (4.0 - 3.0 * xs * xs) / ((b * xs * xs + p) * xs - c)))
+        f = (4.0 - 3.0 * xs * xs) / ((b * xs * xs + p) * xs - c)
+        # np.sum, not np.dot: BLAS picks its summation order by CPU
+        return half * float(np.sum(weights * f))
     # one Newton step: the small-|b| shortcut in equilibrium_abscissae is not a root
     r -= ((b * r * r + p) * r - c) / dp
     dp = 3.0 * b * r * r + p

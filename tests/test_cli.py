@@ -214,6 +214,19 @@ class TestSimulateCommand:
         assert float(rows[0][2]) == 1.64
 
 
+class TestCsvFields:
+    def test_field_formats(self, tmp_path):
+        # 17 significant digits for every float, numpy scalars included;
+        # None is an empty field and anything else is its str()
+        row = [None, True, 3, "HopfSmall", np.float64(0.1), 0.1, math.inf, -math.inf, math.nan,
+               -0.0, 5e-324, np.arange(3.0)[2]]
+        path = tmp_path / "fields.csv"
+        cli._write_csv(path, ["fields"], [row])
+        assert path.read_bytes() == (b"fields\n,True,3,HopfSmall,0.10000000000000001,"
+                                     b"0.10000000000000001,inf,-inf,nan,-0,"
+                                     b"4.9406564584124654e-324,2\n")
+
+
 class TestBifurcateCommand:
     def test_rows_and_landmarks(self, tmp_path):
         code = main(["bifurcate", "--param", "b", "--from", "0.24", "--to", "0.40",
@@ -364,3 +377,46 @@ class TestSlowManifoldCommand:
                      "--samples", "1", "--out", str(tmp_path)])
         assert code == 2
         assert (tmp_path / "manifest.json").exists()
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_one_parser(self, tmp_path, monkeypatch, capsys):
+        # each call parses its own argv only: nothing carries over from the last one
+        parser = cli._parser()
+        parsed = []
+        parse_args = parser.parse_args
+
+        def spy(argv):
+            parsed.append(argv)
+            return parse_args(argv)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        sim = ["simulate", "--b", "0.2", "--c", "0", "--eps", "0.1", "--x0", "-2.8",
+               "--y0", "1.64", "--tmax", "3"]
+        runs = [
+            (sim + ["--out", str(tmp_path / "first")], 0),
+            (["simulate", "--b", "0", "--out", str(tmp_path / "usage")], 2),
+            (["singular", "--b", "0", "--c", "0", "--period-only",
+              "--out", str(tmp_path / "period")], 0),
+            (["simulate", "--b", "0", "--c", "0.5", "--eps", "0.2", "--x0", "1", "--y0", "0",
+              "--tmax", "2", "--scale", "fast", "--dt-out", "0.25",
+              "--out", str(tmp_path / "fast")], 0),
+            (["slow-manifold", "--branch", "right", "--eps", "0.1", "--b", "0", "--c", "0",
+              "--samples", "5", "--out", str(tmp_path / "manifold")], 0),
+            (sim + ["--out", str(tmp_path / "last")], 0),
+        ]
+        for argv, want in runs:
+            assert main(argv) == want
+        assert "required" in capsys.readouterr().err
+        assert parsed == [argv for argv, _ in runs]
+        assert cli._parser() is parser
+        assert not (tmp_path / "usage").exists()
+        for argv, want in runs:
+            if want:
+                continue
+            fresh = vars(cli.build_parser().parse_args(argv))
+            fresh.pop("command")
+            man = json.loads((Path(argv[-1]) / "manifest.json").read_text())
+            assert man["config"] == fresh
+        first = (tmp_path / "first" / "trajectory.csv").read_bytes()
+        assert (tmp_path / "last" / "trajectory.csv").read_bytes() == first
