@@ -10,12 +10,9 @@ canard parameter values here; the formula values are reported alongside.
 
 The locator bisects a caller's bracket, or by default the range
 (c_H - 0.05, c_H - 1e-5) below the Hopf value c_H = 2/sqrt(3), the fold
-abscissa FOLD_X.  It decides each bisection step from a cycle searched at
-tol 1e-9 and searches again at tol 1e-11 only when that cycle's length lies
-within 1.0 of the threshold 10, when it did not converge and its length
-lies inside the explosion window [5, 15], or when the tol-1e-9 search
-failed.  The explosion is exponentially narrow, so nearly every step is
-far from the threshold and is decided by the cheap search.
+abscissa FOLD_X.  Each bisection step is decided by a cycle searched at
+tol 1e-9, searched again at tol 1e-11 only when that cycle leaves its side
+of the threshold in doubt (the comment above `_DECIDE_TOL` gives the rule).
 `classify_canard` names each located cycle Hopf-small, headless, headed or
 relaxation from its arc along the repelling middle branch.
 
@@ -29,7 +26,9 @@ transient down the left branch and no Newton shot.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -288,8 +287,10 @@ _DEFAULT_BRACKET = (FOLD_X - 0.05, FOLD_X - 1e-5)
 # explosion window [SMALL_LENGTH, LARGE_LENGTH], where no canard lies: the
 # unconverged cycles met there are small ones beside the Hopf point, whose
 # 1e-11 search is unconverged too, gives the same length to 3% and costs
-# three times as much.  Any other c is searched again at _CONFIRM_TOL, the tol
-# of every cycle the scan measures outside the locate.
+# three times as much.  Any other c, and any c whose _DECIDE_TOL search
+# raised, is searched again at _CONFIRM_TOL, the tol of every cycle the scan
+# measures outside the locate.  The explosion is exponentially narrow, so
+# nearly every step lies far from the threshold and the cheap search decides.
 _DECIDE_TOL = 1e-9
 _DECIDE_MARGIN = 1.0
 _CONFIRM_TOL = 1e-11
@@ -299,30 +300,25 @@ def _search(c: float, eps: float, tol: float) -> LimitCycle:
     return find_limit_cycle(SystemParams(0.0, c, eps), _SCAN_SEED, tol=tol)
 
 
-def _decides(lc: LimitCycle) -> bool:
-    """Whether a cycle searched at _DECIDE_TOL settles its side of EXPLOSION_LENGTH."""
-    if lc.converged:
-        return abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN
-    return not SMALL_LENGTH <= lc.length <= LARGE_LENGTH
-
-
-def _decide(c: float, eps: float) -> LimitCycle:
-    """Cycle at c searched at _DECIDE_TOL, searched again at _CONFIRM_TOL when in doubt."""
-    try:
-        lc = _search(c, eps, _DECIDE_TOL)
-    except FHNError:
-        pass
-    else:
-        if _decides(lc):
-            return lc
-    return _search(c, eps, _CONFIRM_TOL)
-
-
 def _measure(c: float, eps: float, cache: dict, decide: bool = False) -> LimitCycle:
-    """Cached cycle at c: searched at _CONFIRM_TOL, or by `_decide` when `decide`."""
-    if c not in cache:
-        cache[c] = _decide(c, eps) if decide else _search(c, eps, _CONFIRM_TOL)
-    return cache[c]
+    """Cached cycle at c, searched at _CONFIRM_TOL; with `decide`, the
+    _DECIDE_TOL cycle when it settles its side of EXPLOSION_LENGTH (see the
+    comment above _DECIDE_TOL)."""
+    if c in cache:
+        return cache[c]
+    if decide:
+        try:
+            lc = _search(c, eps, _DECIDE_TOL)
+        except FHNError:
+            pass
+        else:
+            # a test for keeping, so that a converged NaN length is confirmed
+            if (abs(lc.length - EXPLOSION_LENGTH) >= _DECIDE_MARGIN if lc.converged
+                    else not SMALL_LENGTH <= lc.length <= LARGE_LENGTH):
+                cache[c] = lc
+                return lc
+    cache[c] = lc = _search(c, eps, _CONFIRM_TOL)
+    return lc
 
 
 def locate_canard_explosion(
@@ -341,10 +337,8 @@ def locate_canard_explosion(
     c bracket is narrower than `c_tol` (which must be > 0), or when its ends
     are adjacent floats, and returns the midpoint.
 
-    The bracket ends and the midpoints are decided, then confirmed: each c
-    is searched at tol 1e-9, and searched again at tol 1e-11 when that
-    cycle's length is within 1.0 of 10, when it did not converge and its
-    length is within [5, 15], or when the search raised.  `cache` holds one
+    Each bracket end and midpoint is measured by `_measure` with `decide`:
+    at tol 1e-9, confirmed at tol 1e-11 when in doubt.  `cache` holds one
     cycle per c, the one that decided.
     """
     if eps <= 0.0:
@@ -402,9 +396,11 @@ def explosion_scan(
     for off in np.geomspace(3e-4, max(2.0 * (FOLD_X - c_star), 1e-3), 10):
         c = c_star + off
         if c < FOLD_X - 5e-5:
-            _try_measure(float(c), eps, cache)
+            with contextlib.suppress(FHNError):
+                _measure(float(c), eps, cache)
     for off in np.geomspace(1e-5, 1e-2, 8):
-        _try_measure(float(c_star - off), eps, cache)
+        with contextlib.suppress(FHNError):
+            _measure(float(c_star - off), eps, cache)
 
     # mid-size cycles on the Hopf flank sit between the small-diameter and
     # middle-arc thresholds and belong to no class cleanly; the scan skips
@@ -422,19 +418,11 @@ def explosion_scan(
     return c_star, records
 
 
-def _try_measure(c: float, eps: float, cache: dict) -> None:
-    try:
-        _measure(c, eps, cache)
-    except FHNError:
-        pass
-
-
 def _bisect_to_length(target: float, eps: float, cache: dict) -> None:
     """Refine the cache with a c whose cycle length is near `target`."""
-    pts = sorted((c, lc.length) for c, lc in cache.items())
     # lengths decrease with c: find the tightest pair straddling the target
-    lo = max((c for c, a in pts if a >= target), default=None)
-    hi = min((c for c, a in pts if a < target), default=None)
+    lo = max((c for c, lc in cache.items() if lc.length >= target), default=None)
+    hi = min((c for c, lc in cache.items() if lc.length < target), default=None)
     if lo is None or hi is None:
         return
     for _ in range(50):
@@ -458,11 +446,8 @@ def _thin_preserving_classes(records: list[CanardRecord], n_points: int) -> list
     """Drop surplus points from the largest class groups, keeping order."""
     out = list(records)
     while len(out) > n_points:
-        counts: dict[CanardClass, int] = {}
-        for r in out:
-            counts[r.klass] = counts.get(r.klass, 0) + 1
-        biggest = max(counts, key=lambda k: counts[k])
-        if counts[biggest] <= 2:
+        [(biggest, count)] = Counter(r.klass for r in out).most_common(1)
+        if count <= 2:
             break
         members = [i for i, r in enumerate(out) if r.klass is biggest]
         out.pop(members[len(members) // 2])

@@ -208,6 +208,7 @@ def integrate(
                 det = w11 * w22 - j12 * j21
                 if det == 0.0 or not isfinite(det):
                     h *= 0.5
+                    nreject += 1
                     continue
                 inv = 1.0 / det
                 hinv = 1.0 / h
@@ -492,6 +493,8 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
     """
     stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
     spent = 0.0
+    # `lines` ascend in x; a leftward step crosses them right to left
+    leftward = [(j, x_eq) for j, (x_eq, _) in reversed(list(enumerate(lines)))]
 
     def run(k, y):
         """Run from (x_eq, y) on half-line k, or from the seed (k None), to
@@ -511,15 +514,12 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         def stop(x0, x1):
             nonlocal n, closing
             n += 1
-            for j, (x_eq, _) in enumerate(lines):
+            for j, x_eq in leftward:
                 if x0 > x_eq > x1:
                     if last[j] is not None:
                         closing = (j, last[j], n)
                         return True
-                    last[j] = n
-                    for i, (x_i, _) in enumerate(lines):
-                        if x_i < x_eq:
-                            last[i] = None
+                    last[:j + 1] = [None] * j + [n]
             return False
 
         try:
@@ -620,10 +620,10 @@ def _fell_onto(params, line, message):
     Beside a repelling focus the extent falls only because the cycle around
     it is too small for `tol` to resolve: d(y) inside it is below the
     integration noise, so Newton steps fall through it onto the focus."""
-    x_eq, y_eq = line
+    x_eq, _ = line
     trace = (4.0 - 3.0 * x_eq * x_eq) / params.eps - params.b
     if trace <= 0.0:
-        return ConvergedToEquilibriumError(message, point=PhasePoint(x_eq, y_eq))
+        return ConvergedToEquilibriumError(message)
     return NoCycleError(f"{message}; the equilibrium at x={x_eq!r} repels (trace {trace:.3e}), "
                         "so any cycle around it is too small for this tol")
 

@@ -54,10 +54,6 @@ class NoCycleError(SearchError):
 class ConvergedToEquilibriumError(SearchError):
     """Cycle search converged to an equilibrium instead of a cycle."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class DegenerateLoopError(FHNError):
     """Loop has too few samples or does not close."""

@@ -384,6 +384,36 @@ class TestScanSkipsFailedSearches:
         assert records
 
 
+class TestScanCache:
+    def test_scan_searches_each_c_and_tol_once(self, stub_search, monkeypatch):
+        # an explosion 1e-8 wide at c = 1.15: the locate's last midpoints
+        # fall within 1 of the threshold and are confirmed at 1e-11
+        stub = stub_search(lambda c, tol: 11.0 - 9.0 * math.tanh((c - 1.15) / 1e-8))
+        seen = {}
+
+        def locate(*args, cache, **kwargs):
+            c_star = locate_canard_explosion(*args, cache=cache, **kwargs)
+            seen["cache"], seen["locate"] = cache, list(cache)
+            return c_star
+
+        monkeypatch.setattr(canard, "locate_canard_explosion", locate)
+        _, records = canard.explosion_scan(0.5, bracket=(1.14, 1.154))
+        cache = seen["cache"]
+        searches = list(zip(stub.cs, stub.tols))
+        assert len(set(searches)) == len(searches)
+        # the loose searches are the locate's: the bracket ends, then midpoints
+        loose = [c for c, tol in searches if tol == 1e-9]
+        assert loose == seen["locate"]
+        lo, hi = 1.14, 1.154
+        assert loose[:2] == [lo, hi]
+        for c in loose[2:]:
+            assert c == 0.5 * (lo + hi)
+            lo, hi = (c, hi) if cache[c].length >= 10.0 else (lo, c)
+        assert any((c, 1e-11) in searches for c in loose)
+        assert len(cache) > len(loose)
+        assert records and all(r.c in cache and cache[r.c].length == r.length for r in records)
+
+
 class TestScanSeed:
     # the seed on the attracting right branch reaches the section on the
     # relaxation cycle to within tol, so the search costs about one period

@@ -102,6 +102,15 @@ class TestIntegrate:
         assert tr.t[-1] < 1e-9 and tr.x[-1] > 9220.0
         assert (last.x, last.y) == (tr.x[-1], tr.y[-1])
 
+    def test_singular_stage_matrix_halvings_are_rejections(self):
+        # at eps 1e-300 the stage matrix's determinant overflows for every
+        # step size down to the floor: each halving is a rejected step
+        case = (PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 1e-300), 1.0)
+        with pytest.raises(StepSizeCollapseError) as info:
+            integrate(*case)
+        assert info.value.trajectory.stats == {"steps": 0, "rejected": 17, "tol": 1e-8}
+        assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
+
     def test_remainder_below_step_floor_is_arrival(self):
         # the step clamped to t_end starts before t_end/2, so t + (t_end - t)
         # rounds one ulp short of t_end and leaves a 1.8e-15 remainder
@@ -406,6 +415,15 @@ class TestHalfLineSection:
             # multiplier below 1, and a converged loop
             assert lc.stats["shots"] >= 1 and lc.converged
             assert 0.5 < lc.multiplier < 1.0 and lc.stability is Stability.STABLE
+
+    @pytest.mark.parametrize("b, eps", [(0.2501, 0.5), (0.25001, 0.1), (0.2501, 0.01)])
+    def test_step_across_several_half_lines_closes_on_the_rightmost(self, b, eps):
+        # beside the pitchfork E- and E+ lie within 0.04 of the origin, so
+        # one leftward step can cross all three half-lines; it crosses the
+        # one above E+ first, and the loop closes there
+        params = SystemParams(b, 0.0, eps)
+        lc = find_limit_cycle(params, A_START, tol=1e-6)
+        assert lc.section_x == max(x for x, _ in equilibrium_abscissae(params)) > 0.0
 
     def test_seeds_inside_and_outside_the_cycle_agree(self):
         # the origin, an unstable node, lies inside the relaxation cycle, and
@@ -795,6 +813,7 @@ class _LoopStepper:
             det = w11 * w22 - j12 * j21
             if det == 0.0 or not math.isfinite(det):
                 h *= 0.5
+                self.nreject += 1
                 continue
             inv = 1.0 / det
 
