@@ -269,7 +269,7 @@ def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
         ) from exc
     stats["steps"] += traj.stats["steps"]
     stats["rejected"] += traj.stats["rejected"]
-    cross = traj.crossing(-1, x_eq, phi(x_eq), side)
+    cross = traj.crossing(-1, x_eq, phi(x_eq))
     if cross is None:
         raise BracketFailureError(
             f"{name} manifold at b={b!r}, eps={eps} did not cross the half-line above E+ "

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .core import PhasePoint, SystemParams, TimeScale
 from .dynamics import Stability, integrate
-from .errors import EquilibriumInPathError, FHNError, IntegrationError, SearchError
+from .errors import FHNError, IntegrationError, SearchError
 from .singular import Fate, classify_singular_fate, relaxation_period
 from .slow_manifold import Branch, BranchGraph, h0, h1
 
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const="auto",
         default=None,
-        help="comma list from {hopf_c,hopf_b,pitchfork,homoclinic} or 'auto'",
+        help="comma list of the swept family's landmarks, or 'auto' for all of them",
     )
     sp.add_argument("--no-cycles", action="store_true", help="equilibria only, no cycle search")
     sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
@@ -195,10 +195,6 @@ def _cmd_singular(args, outdir: Path, manifest: RunManifest) -> None:
     manifest.outputs["fate"] = orbit.fate.value
     if orbit.fate is Fate.PERIODIC_CYCLE:
         manifest.outputs["period"] = orbit.cycle_period()
-        try:
-            manifest.outputs["period_quadrature"] = relaxation_period(params)
-        except EquilibriumInPathError:
-            pass
 
 
 def _cmd_simulate(args, outdir: Path, manifest: RunManifest) -> None:
@@ -230,6 +226,7 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
     from .bifurcation import hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
 
     params0 = SystemParams(args.b, args.c, args.eps)
+    wanted = None if args.landmarks is None else _landmark_set(args)
     t0 = time.perf_counter()
     # one sequential sweep: continuation carries each row's cycle into the next
     rows = sweep(args.param, args.lo, args.hi, args.steps, params0,
@@ -259,8 +256,7 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
     header.append("error")
     _write_csv(outdir / "bifurcation.csv", header, csv_rows)
 
-    if args.landmarks is not None:
-        wanted = _landmark_set(args)
+    if wanted is not None:
         landmarks = {}
         t0 = time.perf_counter()
         if "pitchfork" in wanted:
@@ -282,16 +278,17 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
 
 
 def _landmark_set(args) -> set[str]:
+    if args.param == "b" and args.c == 0.0:
+        family = {"pitchfork", "hopf_b", "homoclinic"}
+    elif args.param == "c" and args.b == 0.0:
+        family = {"hopf_c"}
+    else:
+        family = set()
     if args.landmarks == "auto":
-        if args.param == "b" and args.c == 0.0:
-            return {"pitchfork", "hopf_b", "homoclinic"}
-        if args.param == "c" and args.b == 0.0:
-            return {"hopf_c"}
-        return set()
+        return family
     wanted = {w.strip() for w in args.landmarks.split(",") if w.strip()}
-    allowed = {"hopf_c", "hopf_b", "pitchfork", "homoclinic"}
-    if not wanted <= allowed:
-        raise ValueError(f"unknown landmarks: {sorted(wanted - allowed)}")
+    if not wanted <= family:
+        raise ValueError(f"landmarks {sorted(wanted - family)} not among this sweep's {sorted(family)}")
     return wanted
 
 

@@ -39,12 +39,13 @@ from .errors import (
 from .singular import equilibrium_abscissae
 
 _GAMMA = 0.25
+_A5 = (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895)
 _A = (
     (1.544,),
     (0.9466785280815826, 0.2557011698983284),
     (3.314825187068521, 2.896124015972201, 0.9986419139977817),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0),
+    _A5,
+    (*_A5, 1.0),
 )
 _C = (
     (-5.6688,),
@@ -53,7 +54,7 @@ _C = (
     (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.7089089320616),
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136, -6.058818238834054),
 )
-_M = (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0, 1.0)
+_M = (*_A[4], 1.0)
 
 _H_FLOOR = 1e-14
 _MAX_REJECTS = 200
@@ -94,16 +95,17 @@ class Trajectory:
         xs, ys = self.sample(ts)
         return ts, xs, ys
 
-    def crossing(self, i: int, x_s: float, y_s: float, sign: int = 1) -> tuple[float, float] | None:
+    def crossing(self, i: int, x_s: float, y_s: float) -> tuple[float, float] | None:
         """(t, y) where the step from node i - 1 to node i (i = -1: the last
         step) crosses the half-line {x = x_s, y > y_s} above an equilibrium
-        leftward (`sign` 1) or rightward (`sign` -1, as a time-reversed run
-        does), or None; the crossing is the cubic-Hermite root of x = x_s in
-        the step."""
+        in the sense of the run's flow: leftward (`direction` 1) or rightward
+        (`direction` -1, a time-reversed run), or None; the crossing is the
+        cubic-Hermite root of x = x_s in the step."""
         if i == 0:
             raise IndexError("no step ends at node 0, the start of the run")
         t0, x0, y0, dx0, dy0 = (float(a[i - 1]) for a in (self.t, self.x, self.y, self.dx, self.dy))
         t1, x1, y1, dx1, dy1 = (float(a[i]) for a in (self.t, self.x, self.y, self.dx, self.dy))
+        sign = self.direction
         s0, s1 = sign * (x0 - x_s), sign * (x1 - x_s)
         if not s0 > 0.0 > s1:
             return None
@@ -160,8 +162,9 @@ def integrate(
 
     This is the one loop that steps and drives a trajectory.  Each step is
     the straight-line RODAS step: the stages are scalar locals, the field is
-    inlined with its operation order, and every sum runs in tableau order,
-    so the arithmetic is that of the loop over `_A`, `_C` and `_M`.  The step
+    inlined with its operation order, and every sum runs in tableau order
+    (stage 6's argument is stage 5's plus k5, the same sum term by term), so
+    the arithmetic is that of the loop over `_A`, `_C` and `_M`.  The step
     control picks with conditional expressions the float that `abs`, `max`
     and `min` would (a zero's sign is lost in tol + tol*m).
     """
@@ -175,7 +178,7 @@ def integrate(
         raise ValueError("tol must lie in [1e-12, 1e-3]")
 
     isfinite, sqrt = math.isfinite, math.sqrt
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), _ = _A
     (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _C
     b, c = params.b, params.c
     # component scaling: fast scale integrates (f, eps*g), slow scale (f/eps, g)
@@ -249,8 +252,11 @@ def integrate(
                 k5x = (rx * w22 + ry * j12) * inv
                 k5y = (w11 * ry + j21 * rx) * inv
 
-                ax = x + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x
-                ay = y + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y
+                # RODAS is stiffly accurate (_A's last row is stage 5's, then 1;
+                # _M is that row, then 1): stage 6's argument is stage 5's plus
+                # k5, and the solution stage 6's plus k6, the error estimate
+                ax += k5x
+                ay += k5y
                 c1, c2, c3, c4, c5 = c61 * hinv, c62 * hinv, c63 * hinv, c64 * hinv, c65 * hinv
                 rx = (sx * (-ay + 4.0 * ax - ax * ax * ax)
                       + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x)
@@ -258,9 +264,6 @@ def integrate(
                 k6x = (rx * w22 + ry * j12) * inv
                 k6y = (w11 * ry + j21 * rx) * inv
 
-                # RODAS is stiffly accurate (_M is the last row of _A, then 1),
-                # so the _M-weighted sum is the last stage's argument plus k6;
-                # k6 is also the embedded error estimate
                 xn = ax + k6x
                 yn = ay + k6y
 

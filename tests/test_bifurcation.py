@@ -229,18 +229,18 @@ class TestHomoclinicInB:
         runs = []
 
         def recording(*args, **kwargs):
-            runs.append((args[1].b, kwargs["direction"], integrate(*args, **kwargs)))
-            return runs[-1][2]
+            runs.append((args[1].b, integrate(*args, **kwargs)))
+            return runs[-1][1]
 
         monkeypatch.setattr(bifurcation, "integrate", recording)
         hom = homoclinic_in_b(eps)
         st = hom.orbit.stats
         assert len(runs) == 2 * st["shots"]
-        assert st["steps"] == sum(run.stats["steps"] for _, _, run in runs)
-        assert st["rejected"] == sum(run.stats["rejected"] for _, _, run in runs)
-        for b, side, run in runs:
+        assert st["steps"] == sum(run.stats["steps"] for _, run in runs)
+        assert st["rejected"] == sum(run.stats["rejected"] for _, run in runs)
+        for b, run in runs:
             x_eq = math.sqrt(4.0 - 1.0 / b)
-            assert run.crossing(-1, x_eq, phi(x_eq), side) is not None
+            assert run.crossing(-1, x_eq, phi(x_eq)) is not None
             assert run.t[-1] < 0.5 * bifurcation._HOMOCLINIC_T_BUDGET
 
     @pytest.mark.parametrize("eps", [16.0, 30.0, 60.0])

@@ -116,6 +116,7 @@ class TestSingularCommand:
         assert code == 0
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["outputs"]["fate"] == "PeriodicCycle"
+        assert set(man["outputs"]) == {"fate", "period"}
         header, rows = read_csv(tmp_path / "singular_orbit.csv")
         assert header == ["segment_kind", "x0", "y0", "x1", "y1", "duration"]
         assert rows[0][0] == "fast"
@@ -263,6 +264,20 @@ class TestBifurcateCommand:
         code = main(["bifurcate", "--param", "b", "--from", "0.3", "--to", "0.4", "--steps", "2",
                      "--eps", "0.5", "--no-cycles", "--landmarks", "nope", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--param", "b", "--from", "0.3", "--to", "0.4", "--c", "0.5", "--landmarks", "hopf_b,pitchfork"],
+        ["--param", "c", "--from", "0.1", "--to", "0.3", "--b", "0.3", "--landmarks", "hopf_c"],
+    ])
+    def test_landmark_off_the_swept_family_rejected(self, tmp_path, argv):
+        # c = 0.5 breaks the symmetry (no pitchfork), and the b = 0.3 family's
+        # Hopf point is not the b = 0 one: the c = 0 and b = 0 landmarks do
+        # not lie on these sweeps
+        code = main(["bifurcate", *argv, "--steps", "2", "--eps", "0.5", "--no-cycles",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "landmarks" not in man["outputs"]
 
     def test_hopf_landmark_beyond_eps_16_rejected(self, tmp_path):
         # b_h <= 1/4 from eps = 16 on: E+- do not exist, so there is no Hopf of E+-

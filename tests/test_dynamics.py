@@ -436,21 +436,22 @@ class TestHalfLineSection:
         assert inside.length == pytest.approx(outside.length, rel=1e-7, abs=0.0)
 
     @staticmethod
-    def _step(*nodes):
-        """A trajectory of the (t, x, y, dx, dy) `nodes`."""
-        return dynamics.Trajectory(*(np.array(a) for a in zip(*nodes)), 1)
+    def _step(*nodes, direction=1):
+        """A trajectory of the (t, x, y, dx, dy) `nodes`, run in `direction`."""
+        return dynamics.Trajectory(*(np.array(a) for a in zip(*nodes)), direction)
 
     def test_helper_takes_one_direction_above_the_equilibrium(self):
         # steps across x = 1 at y = 2, leftward and rightward
-        left = self._step((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
-        right = self._step((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
+        leftward = ((0.0, 1.5, 2.0, -10.0, 0.0), (0.1, 0.5, 2.0, -10.0, 0.0))
+        rightward = ((0.0, 0.5, 2.0, 10.0, 0.0), (0.1, 1.5, 2.0, 10.0, 0.0))
+        left, right = self._step(*leftward), self._step(*rightward)
         t, y = left.crossing(1, 1.0, 1.0)
         assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
         assert right.crossing(1, 1.0, 1.0) is None
         # a time-reversed run crosses rightward
-        t, y = right.crossing(1, 1.0, 1.0, -1)
+        t, y = self._step(*rightward, direction=-1).crossing(1, 1.0, 1.0)
         assert t == pytest.approx(0.05, abs=1e-15) and y == pytest.approx(2.0, abs=1e-15)
-        assert left.crossing(1, 1.0, 1.0, -1) is None
+        assert self._step(*leftward, direction=-1).crossing(1, 1.0, 1.0) is None
         # a step that starts on the line crosses nothing
         on_line = self._step((0.1, 0.5, 2.0, -10.0, 0.0), (0.2, 1.0, 2.0, -10.0, 0.0))
         assert on_line.crossing(1, 0.5, 1.0) is None
