@@ -259,8 +259,7 @@ def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
     name = "unstable" if side > 0 else "stable"
     try:
         traj = integrate(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, tol=_HOMOCLINIC_TOL,
-                         direction=side, max_norm=1e3,
-                         stop=lambda x0, x1: side * (x0 - x_eq) > 0.0 > side * (x1 - x_eq))
+                         direction=side, max_norm=1e3, sections=(x_eq,), start_on=0)
     except IntegrationError as exc:
         stats["steps"] += exc.trajectory.stats["steps"]
         stats["rejected"] += exc.trajectory.stats["rejected"]

@@ -4,7 +4,8 @@ Subcommands: singular, simulate, bifurcate, canard, slow-manifold.  Every
 run writes manifest.json (config echo, version, timings, warnings) to the
 output directory, success or failure.  Exit codes: 0 success, 3 integration
 failure (IntegrationError), 4 search failure (SearchError), 2 any other
-FHNError or a ValueError (config error).  A usage error, or an --out that
+FHNError, a ValueError, or a MemoryError from an output too large to
+allocate (config error).  A usage error, or an --out that
 cannot be made a directory (it names a file, say), exits 2 before any run
 and writes no manifest; the latter prints the OSError's message to stderr.
 """
@@ -164,8 +165,8 @@ def main(argv=None) -> int:
         manifest.status, manifest.error, code = "integration-error", str(exc), 3
     except SearchError as exc:
         manifest.status, manifest.error, code = "search-error", str(exc), 4
-    except (FHNError, ValueError) as exc:
-        manifest.status, manifest.error, code = "config-error", str(exc), 2
+    except (FHNError, ValueError, MemoryError) as exc:
+        manifest.status, manifest.error, code = "config-error", str(exc) or type(exc).__name__, 2
     manifest.timings["total_s"] = time.perf_counter() - t0
     manifest.write(outdir)
     return code

@@ -20,7 +20,6 @@ carry step counts.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,6 +75,8 @@ class Trajectory:
     dy: np.ndarray
     direction: int
     stats: dict = field(default_factory=dict)
+    # (section, node of its first crossing, of its second): see `integrate`
+    closing: tuple[int, int, int] | None = None
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cubic-Hermite dense output at the requested times."""
@@ -142,11 +143,18 @@ def integrate(
     tol: float = 1e-8,
     direction: int = 1,
     max_norm: float = 1e8,
-    stop: Callable[[float, float], bool] | None = None,
+    sections: tuple[float, ...] = (),
+    start_on: int | None = None,
 ) -> Trajectory:
     """Adaptive stiff integration from `start` for a finite `t_end` time
-    units, ended early at the first accepted step where `stop(x0, x1)`, on
-    the abscissae of the step's two ends, holds.
+    units, ended early when it closes on `sections`: the abscissae of the
+    vertical lines it watches in its sense, leftward for `direction` 1 and
+    rightward for -1.  It closes at the first accepted step that crosses a
+    section in that sense a second time, with no crossing in between of one
+    that the sense meets first (one to its right, for a leftward run);
+    `start_on=j` counts the start as a crossing of section j.  Its `closing`
+    is then (j, node of the first crossing, node of the second), node 0 for
+    the start.  A run without sections pays one comparison a step for them.
 
     Local error is kept at or below `tol` per step (mixed absolute/relative
     weighting); the returned trajectory holds the accepted nodes together
@@ -162,11 +170,12 @@ def integrate(
 
     This is the one loop that steps and drives a trajectory.  Each step is
     the straight-line RODAS step: the stages are scalar locals, the field is
-    inlined with its operation order, and every sum runs in tableau order
-    (stage 6's argument is stage 5's plus k5, the same sum term by term), so
-    the arithmetic is that of the loop over `_A`, `_C` and `_M`.  The step
-    control picks with conditional expressions the float that `abs`, `max`
-    and `min` would (a zero's sign is lost in tol + tol*m).
+    inlined as 4x - y - x^3 (the loop's -y + 4x - x^3 to the bit, as b - a
+    is b + (-a)), the reject budget is a count, and every sum runs in tableau
+    order (stage 6's argument is stage 5's plus k5, the same sum term by
+    term), so the arithmetic is that of the loop over `_A`, `_C` and `_M`.
+    The step control picks with conditional expressions the float that
+    `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -176,6 +185,8 @@ def integrate(
         raise ValueError("direction must be +1 or -1")
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
+    if start_on is not None and not 0 <= start_on < len(sections):
+        raise ValueError("start_on must index a section")
 
     isfinite, sqrt = math.isfinite, math.sqrt
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), _ = _A
@@ -190,17 +201,31 @@ def integrate(
     j12, j21, j22 = -sx, sy, -sy * b
     t = 0.0
     x, y = float(start.x), float(start.y)
-    fx = sx * (-y + 4.0 * x - x * x * x)
+    fx = sx * (4.0 * x - y - x * x * x)
     fy = sy * (x - b * y - c)
     h = min(1e-3, 0.01 * tol ** 0.25 / (math.hypot(fx, fy) + 1e-6) + 1e-9)
     ux, uy = (-x if x < 0.0 else x), (-y if y < 0.0 else y)
     naccept = nreject = 0
+    # (j, abscissa) in the order the run's sense meets them; their counted crossings' nodes
+    watch = sorted(enumerate(sections), key=lambda js: -direction * js[1])
+    marks = [0 if j == start_on else None for j, _ in watch]
+    closing = None
+    # a step that crosses one ends past the first and starts short of the
+    # last: lo_x < x < hi_x and lo_x0 < x0 < hi_x0 (lo_x = inf: no sections)
+    inf = math.inf
+    if not watch:
+        lo_x = hi_x = lo_x0 = hi_x0 = inf
+    elif direction == 1:
+        lo_x, hi_x, lo_x0, hi_x0 = -inf, watch[0][1], watch[-1][1], inf
+    else:
+        lo_x, hi_x, lo_x0, hi_x0 = watch[0][1], inf, -inf, watch[-1][1]
     ts, xs, ys, dxs, dys = [t], [x], [y], [fx], [fy]
     add_t, add_x, add_y, add_dx, add_dy = ts.append, xs.append, ys.append, dxs.append, dys.append
     try:
         while True:
             j11 = sx * (4.0 - 3.0 * x * x)
-            for _ in range(_MAX_REJECTS):
+            budget = nreject + _MAX_REJECTS
+            while nreject < budget:
                 if t + h > t_end:
                     h = t_end - t
                 if h < _H_FLOOR:
@@ -223,7 +248,7 @@ def integrate(
                 ax = x + a21 * k1x
                 ay = y + a21 * k1y
                 c1 = c21 * hinv
-                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x
+                rx = sx * (4.0 * ax - ay - ax * ax * ax) + c1 * k1x
                 ry = sy * (ax - b * ay - c) + c1 * k1y
                 k2x = (rx * w22 + ry * j12) * inv
                 k2y = (w11 * ry + j21 * rx) * inv
@@ -231,7 +256,7 @@ def integrate(
                 ax = x + a31 * k1x + a32 * k2x
                 ay = y + a31 * k1y + a32 * k2y
                 c1, c2 = c31 * hinv, c32 * hinv
-                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x
+                rx = sx * (4.0 * ax - ay - ax * ax * ax) + c1 * k1x + c2 * k2x
                 ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y
                 k3x = (rx * w22 + ry * j12) * inv
                 k3y = (w11 * ry + j21 * rx) * inv
@@ -239,15 +264,16 @@ def integrate(
                 ax = x + a41 * k1x + a42 * k2x + a43 * k3x
                 ay = y + a41 * k1y + a42 * k2y + a43 * k3y
                 c1, c2, c3 = c41 * hinv, c42 * hinv, c43 * hinv
-                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x
+                rx = sx * (4.0 * ax - ay - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x
                 ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y
                 k4x = (rx * w22 + ry * j12) * inv
                 k4y = (w11 * ry + j21 * rx) * inv
 
                 ax = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
                 ay = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
-                c1, c2, c3, c4 = c51 * hinv, c52 * hinv, c53 * hinv, c54 * hinv
-                rx = sx * (-ay + 4.0 * ax - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x
+                c1, c2 = c51 * hinv, c52 * hinv
+                c3, c4 = c53 * hinv, c54 * hinv
+                rx = sx * (4.0 * ax - ay - ax * ax * ax) + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x
                 ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y
                 k5x = (rx * w22 + ry * j12) * inv
                 k5y = (w11 * ry + j21 * rx) * inv
@@ -257,8 +283,9 @@ def integrate(
                 # k5, and the solution stage 6's plus k6, the error estimate
                 ax += k5x
                 ay += k5y
-                c1, c2, c3, c4, c5 = c61 * hinv, c62 * hinv, c63 * hinv, c64 * hinv, c65 * hinv
-                rx = (sx * (-ay + 4.0 * ax - ax * ax * ax)
+                c1, c2 = c61 * hinv, c62 * hinv
+                c3, c4, c5 = c63 * hinv, c64 * hinv, c65 * hinv
+                rx = (sx * (4.0 * ax - ay - ax * ax * ax)
                       + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x)
                 ry = sy * (ax - b * ay - c) + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y + c5 * k5y
                 k6x = (rx * w22 + ry * j12) * inv
@@ -283,8 +310,9 @@ def integrate(
                 raise StepSizeCollapseError("step repeatedly rejected")
 
             t += h
-            x0, x, y, ux, uy = x, xn, yn, uxn, uyn
-            fx = sx * (-yn + 4.0 * xn - xn * xn * xn)
+            x0, x = x, xn
+            y, ux, uy = yn, uxn, uyn
+            fx = sx * (4.0 * xn - yn - xn * xn * xn)
             fy = sy * (xn - b * yn - c)
             naccept += 1
             # no lower clamp: err <= 1 gives a factor of at least 0.9
@@ -307,17 +335,25 @@ def integrate(
                     # the step floor: that is arrival, not a step to take
                     ts[-1] = t_end
                 break
-            if stop is not None and stop(x0, x):
-                break
+            if lo_x < x < hi_x and lo_x0 < x0 < hi_x0:
+                for p, (j, s) in enumerate(watch):
+                    if direction * (x0 - s) > 0.0 > direction * (x - s):
+                        if marks[p] is not None:
+                            closing = (j, marks[p], naccept)
+                            break
+                        # the sections that the sense meets after it lose their count
+                        marks[p:] = [naccept] + [None] * (len(marks) - p - 1)
+                if closing is not None:
+                    break
     except IntegrationError as exc:
         exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol)
         if exc.last_state is None:
             exc.last_state = PhasePoint(xs[-1], ys[-1])
         raise
-    return _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol)
+    return _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol, closing)
 
 
-def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol) -> Trajectory:
+def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol, closing=None) -> Trajectory:
     return Trajectory(
         np.array(ts),
         np.array(xs),
@@ -325,7 +361,8 @@ def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol) -> Trajec
         np.array(dxs),
         np.array(dys),
         direction,
-        stats={"steps": naccept, "rejected": nreject, "tol": tol},
+        {"steps": naccept, "rejected": nreject, "tol": tol},
+        closing,
     )
 
 
@@ -496,8 +533,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
     """
     stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
     spent = 0.0
-    # `lines` ascend in x; a leftward step crosses them right to left
-    leftward = [(j, x_eq) for j, (x_eq, _) in reversed(list(enumerate(lines)))]
+    sections = tuple(x_eq for x_eq, _ in lines)
 
     def run(k, y):
         """Run from (x_eq, y) on half-line k, or from the seed (k None), to
@@ -508,26 +544,9 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         its loop, or its last `_WINDOW` time units if it closed none."""
         nonlocal spent
         start = seed if k is None else PhasePoint(lines[k][0], y)
-        # per half-line, the node of its last crossing with none of a
-        # half-line to its right since (None: no such crossing)
-        last = [0 if j == k else None for j in range(len(lines))]
-        n = 0
-        closing = None
-
-        def stop(x0, x1):
-            nonlocal n, closing
-            n += 1
-            for j, x_eq in leftward:
-                if x0 > x_eq > x1:
-                    if last[j] is not None:
-                        closing = (j, last[j], n)
-                        return True
-                    last[:j + 1] = [None] * j + [n]
-            return False
-
         try:
             traj = integrate(start, params, max_periods * t_ref - spent, tol=tol, max_norm=_MAX_NORM,
-                             stop=stop)
+                             sections=sections, start_on=k)
         except IntegrationError as exc:
             stats["steps"] += exc.trajectory.stats["steps"]
             stats["rejected"] += exc.trajectory.stats["rejected"]
@@ -535,7 +554,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         stats["steps"] += traj.stats["steps"]
         stats["rejected"] += traj.stats["rejected"]
         spent += traj.t[-1]
-        if closing is None:
+        if traj.closing is None:
             # no loop: the last window, from the node at or before its start
             j = ends = None
             first = max(int(np.searchsorted(traj.t, traj.t[-1] - _WINDOW, side="right")) - 1, 0)
@@ -543,7 +562,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             line = min(lines, key=lambda ln: abs(ln[0] - x_end))
             message = "state stopped moving; trajectory parked at an equilibrium"
         else:
-            j, *nodes = closing
+            j, *nodes = traj.closing
             ends = []
             for i in nodes:
                 cross = (0.0, start.y) if i == 0 else traj.crossing(i, *lines[j])

@@ -197,7 +197,7 @@ def _wu_escapes(b, eps):
     arc = integrate(
         bifurcation._saddle_seed(b, eps, 1), SystemParams(b, 0.0, eps),
         bifurcation._HOMOCLINIC_T_BUDGET, tol=bifurcation._HOMOCLINIC_TOL, max_norm=1e3,
-        stop=lambda x0, x1: x1 < -0.5,
+        sections=(-0.5,), start_on=0,
     )
     return bool(arc.x[-1] < -0.5)
 

@@ -179,6 +179,19 @@ class TestSimulateCommand:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["status"] == "config-error" and flag in man["error"]
 
+    def test_output_table_too_large_is_config_error(self, tmp_path, monkeypatch):
+        # --dt-out 1e-12 over --tmax 1 asked numpy for a 7.28 TiB table: the
+        # MemoryError ended the run with a traceback and no manifest
+        def too_large(self, dt):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(dynamics.Trajectory, "sample_uniform", too_large)
+        code = main(["simulate", "--b", "0", "--c", "0", "--eps", "0.1", "--x0", "1", "--y0", "0",
+                     "--tmax", "1", "--dt-out", "1e-12", "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "7.28 TiB" in man["error"]
+
     def test_mirrored_seed_mirrors_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for sub, x0, y0 in ((a, "-2.8", "1.64"), (b, "2.8", "-1.64")):

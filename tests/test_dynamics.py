@@ -111,6 +111,14 @@ class TestIntegrate:
         assert info.value.trajectory.stats == {"steps": 0, "rejected": 17, "tol": 1e-8}
         assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
 
+    def test_reject_budget_raises_after_its_last_rejection(self, monkeypatch):
+        # a budget of one rejection: the first rejected step ends the run,
+        # with the nodes accepted before it
+        monkeypatch.setattr(dynamics, "_MAX_REJECTS", 1)
+        with pytest.raises(StepSizeCollapseError, match="repeatedly rejected") as info:
+            integrate(PhasePoint(2.0, 50.0), SystemParams(0.0, 0.0, 0.01), 1.0, tol=1e-12)
+        assert info.value.trajectory.stats == {"steps": 764, "rejected": 1, "tol": 1e-12}
+
     def test_remainder_below_step_floor_is_arrival(self):
         # the step clamped to t_end starts before t_end/2, so t + (t_end - t)
         # rounds one ulp short of t_end and leaves a 1.8e-15 remainder
@@ -126,11 +134,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_t_end_that_never_ends_a_run(self, t_end):
         # with no stop, nan and inf ran until killed: no step was clamped to
-        # them and no remainder fell below the step floor; a stop does not
+        # them and no remainder fell below the step floor; sections do not
         # make them an end
-        for stop in (None, lambda x0, x1: x1 > 1.5):
+        for sections in ((), (1.5,)):
             with pytest.raises(ValueError, match="t_end"):
-                integrate(PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 0.1), t_end, stop=stop)
+                integrate(PhasePoint(1.0, 0.0), SystemParams(0.0, 0.0, 0.1), t_end, sections=sections)
 
     def test_parked_run_ends_at_largest_finite_t_end(self):
         # on an equilibrium err == 0 grows the step x6 per step, and the step
@@ -463,6 +471,63 @@ class TestHalfLineSection:
             left.crossing(0, 1.0, 1.0)
 
 
+class TestSections:
+    """`integrate` ends a run at the second crossing, in the run's sense, of
+    one of its sections with none of a section before it in between."""
+
+    RELAXATION = SystemParams(0.0, 0.0, 0.1)
+    # leftward from x = -1 onto the left branch, then once round the cycle:
+    # its leftward jump crosses x = 1, then x = -1
+    START = PhasePoint(-1.0, 0.0)
+
+    @staticmethod
+    def _assert_closes_at_crossings(tr, x_s):
+        j, first, second = tr.closing
+        assert second == len(tr.t) - 1
+        for node in (first, second):
+            assert node == 0 or tr.crossing(node, x_s, -math.inf) is not None
+
+    def test_start_on_counts_the_start_as_a_crossing(self):
+        on = integrate(self.START, self.RELAXATION, 50.0, sections=(-1.0,), start_on=0)
+        off = integrate(self.START, self.RELAXATION, 50.0, sections=(-1.0,))
+        assert on.closing[:2] == (0, 0)
+        # the same steps: the first run ends where the second counts its first crossing
+        assert off.closing == (0, on.closing[2], len(off.t) - 1)
+        assert np.array_equal(off.x[:len(on.x)], on.x)
+        self._assert_closes_at_crossings(on, -1.0)
+        self._assert_closes_at_crossings(off, -1.0)
+
+    def test_crossing_of_outer_section_voids_inner_count(self):
+        # the jump crosses x = 1 before it returns to x = -1, so the start's
+        # count on x = -1 is void and the run closes on x = 1, whichever
+        # order the sections come in
+        for sections, outer in (((-1.0, 1.0), 1), ((1.0, -1.0), 0)):
+            tr = integrate(self.START, self.RELAXATION, 50.0, sections=sections,
+                           start_on=1 - outer)
+            assert tr.closing[0] == outer and tr.closing[1] > 0
+            self._assert_closes_at_crossings(tr, 1.0)
+
+    def test_backward_run_closes_rightward(self):
+        # from beside the focus E+ backward onto the unstable cycle around it
+        params = SystemParams(0.3692, 0.0, 0.5)
+        e_plus = max(equilibria(params), key=lambda e: e.point.x).point
+        tr = integrate(PhasePoint(e_plus.x + 1e-3, e_plus.y), params, 120.0, tol=1e-9,
+                       direction=-1, sections=(e_plus.x,))
+        _, first, second = tr.closing
+        for node in (first, second):
+            assert tr.x[node - 1] < e_plus.x < tr.x[node]
+        self._assert_closes_at_crossings(tr, e_plus.x)
+
+    def test_run_without_sections_reaches_t_end(self):
+        tr = integrate(self.START, self.RELAXATION, 20.0)
+        assert tr.closing is None and tr.t[-1] == 20.0
+
+    @pytest.mark.parametrize("sections, start_on", [((), 0), ((-1.0,), 1), ((-1.0,), -1)])
+    def test_start_on_must_index_a_section(self, sections, start_on):
+        with pytest.raises(ValueError, match="start_on"):
+            integrate(self.START, self.RELAXATION, 1.0, sections=sections, start_on=start_on)
+
+
 class TestReturnExtrapolation:
     """Near-Hopf cycles, whose returns shrink slowly, converge within the
     default budget (the return iteration needed restarts at the Aitken limit
@@ -533,7 +598,7 @@ class TestNewtonOnReturnMap:
 
         def shot(y):
             tr = integrate(PhasePoint(x_eq, y), params, 50.0, tol=1e-12,
-                           stop=lambda x0, x1: x0 > x_eq > x1)
+                           sections=(x_eq,), start_on=0)
             t_c, y_c = tr.crossing(-1, x_eq, y_eq)
             return tr, t_c, y_c
 
@@ -879,25 +944,33 @@ class _LoopStepper:
 
 
 def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direction=1, max_norm=1e8,
-                    stop=None):
+                    sections=(), start_on=None):
     """The reference driver: `dynamics.integrate` as a loop that calls
-    `_LoopStepper.advance` once per accepted step and appends its state."""
+    `_LoopStepper.advance` once per accepted step, appends its state, and
+    tests each section for a crossing in the run's sense."""
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
+    if start_on is not None and start_on not in range(len(sections)):
+        raise ValueError("start_on must index a section")
 
     st = _LoopStepper(start.x, start.y, params, scale, direction, tol, max_norm)
     ts, xs, ys, dxs, dys = [st.t], [st.x], [st.y], [st.dx], [st.dy]
+    # per section, the node of its counted crossing; the sections in the
+    # order that the run's sense meets them (right to left for direction 1)
+    counted = {j: 0 if j == start_on else None for j in range(len(sections))}
+    met = sorted(counted, key=lambda j: sections[j], reverse=direction == 1)
+    closing = None
 
     def traj():
         return dynamics.Trajectory(np.array(ts), np.array(xs), np.array(ys), np.array(dxs),
-                                   np.array(dys), direction, stats=st.stats())
+                                   np.array(dys), direction, st.stats(), closing)
 
     try:
-        while True:
+        while closing is None:
             x0 = st.x
             st.advance(t_end)
             ts.append(st.t)
@@ -910,8 +983,18 @@ def _loop_integrate(start, params, t_end, scale=TimeScale.SLOW, tol=1e-8, direct
                 if remainder > 0.0:
                     ts[-1] = t_end
                 break
-            if stop is not None and stop(x0, st.x):
-                break
+            for j in met:
+                s = sections[j]
+                if not (x0 > s > st.x if direction == 1 else x0 < s < st.x):
+                    continue
+                if counted[j] is not None:
+                    closing = (j, counted[j], len(ts) - 1)
+                    _LoopStepper.hits["closing leftward" if direction == 1 else "closing rightward"] += 1
+                    break
+                # a crossing voids the count of each section that the sense meets after it
+                for i in met[met.index(j) + 1:]:
+                    counted[i] = None
+                counted[j] = len(ts) - 1
     except IntegrationError as exc:
         exc.trajectory = traj()
         if exc.last_state is None:
@@ -935,6 +1018,7 @@ def _outcome(fn):
     if tr is not None:
         out["nodes"] = [tr.t.tolist(), tr.x.tolist(), tr.y.tolist(), tr.dx.tolist(), tr.dy.tolist()]
         out["stats"] = dict(tr.stats)
+        out["closing"] = tr.closing
     return out
 
 
@@ -1006,7 +1090,7 @@ class TestKernelEquivalence:
                        "0.1 floor", "non-finite stage", "max_norm"):
             assert hits[branch] >= 1, branch
 
-    def test_cycle_search_matches_loop_form(self, monkeypatch):
+    def test_cycle_search_matches_loop_form(self, monkeypatch, hits):
         # a stable search with Newton shots, an unstable one, and a backward
         # run from beside the focus E+ onto the unstable cycle, which attracts it
         searches = [((0.0, 1.152, 0.5), (-2.8, 1.64), "stable", 1e-10, None),
@@ -1029,9 +1113,10 @@ class TestKernelEquivalence:
         _drive_by_loop_form(monkeypatch)
         assert got == search()
         assert got[0][-1]["shots"] >= 1 and got[1][-1]["shots"] > 2
+        assert hits["closing leftward"] >= 1
         assert "exc" not in got[2] and got[2]["stats"]["steps"] > 1000
 
-    def test_homoclinic_shots_match_loop_form(self, monkeypatch):
+    def test_homoclinic_shots_match_loop_form(self, monkeypatch, hits):
         # the runs of W^u and W^s to their crossings on either side of the
         # located value, where the splitting function has either sign, and
         # the loop joined from the runs at that value
@@ -1051,6 +1136,8 @@ class TestKernelEquivalence:
         _drive_by_loop_form(monkeypatch)
         assert got == shoot()
         assert got[0] > 0.0 > got[9]
+        # W^u closes leftward on its section, W^s (run backward) rightward
+        assert hits["closing leftward"] >= 1 and hits["closing rightward"] >= 1
 
     def test_homoclinic_in_b_pinned(self):
         # recorded from the root of the splitting function
