@@ -331,7 +331,8 @@ def locate_canard_explosion(
 
     Bisection on the discriminant length >= 10 (midpoint of the explosion
     window); the bracket must hold values on both sides of the near-vertical
-    transition, with length > 15 at the low end and < 5 at the high end.
+    transition, with length > 15 at the low end and < 5 at the high end (its
+    ends finite with lo < hi, else ValueError before any search).
     When no bracket is given, the bisection starts from
     (c_H - 0.05, c_H - 1e-5) below the Hopf value c_H.  Converges when the
     c bracket is narrower than `c_tol` (which must be > 0), or when its ends
@@ -347,8 +348,8 @@ def locate_canard_explosion(
         raise ValueError("locate_canard_explosion requires c_tol > 0")
     cache = cache if cache is not None else {}
     lo, hi = bracket if bracket is not None else _DEFAULT_BRACKET
-    if not lo < hi:
-        raise BracketFailureError("bracket must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("locate_canard_explosion requires a finite bracket with lo < hi")
     a_lo = _measure(lo, eps, cache, decide=True).length
     a_hi = _measure(hi, eps, cache, decide=True).length
     if not (a_lo > LARGE_LENGTH and a_hi < SMALL_LENGTH):

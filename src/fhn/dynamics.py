@@ -79,13 +79,25 @@ class Trajectory:
     closing: tuple[int, int, int] | None = None
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cubic-Hermite dense output at the requested times."""
+        """Cubic-Hermite dense output at the requested times, each in the step
+        holding it (the end steps extrapolate; a 1-node run gives its node)."""
         ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
-        h = self.t[idx + 1] - self.t[idx]
-        s = np.where(h > 0.0, (ts - self.t[idx]) / np.where(h > 0.0, h, 1.0), 0.0)
-        xs = _hermite(s, self.x[idx], self.x[idx + 1], self.dx[idx], self.dx[idx + 1], h)
-        ys = _hermite(s, self.y[idx], self.y[idx + 1], self.dy[idx], self.dy[idx + 1], h)
+        i0 = np.searchsorted(self.t[1:-1], ts, side="right")
+        i1 = i0 + 1 if len(self.t) > 1 else i0
+        t0 = self.t[i0]
+        h = self.t[i1] - t0
+        step = h > 0.0
+        s = np.where(step, (ts - t0) / np.where(step, h, 1.0), 0.0)
+        # the basis of `_hermite`, once for x and y, in its order
+        s2 = s * s
+        s3 = s2 * s
+        b0 = 2.0 * s3 - 3.0 * s2 + 1.0
+        b1 = (s3 - 2.0 * s2 + s) * h
+        b2 = -2.0 * s3 + 3.0 * s2
+        b3 = (s3 - s2) * h
+        del t0, h, step, s, s2, s3  # peak memory: a table may take 1e6 samples
+        xs = b0 * self.x[i0] + b1 * self.dx[i0] + b2 * self.x[i1] + b3 * self.dx[i1]
+        ys = b0 * self.y[i0] + b1 * self.dy[i0] + b2 * self.y[i1] + b3 * self.dy[i1]
         return xs, ys
 
     def sample_uniform(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

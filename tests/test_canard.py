@@ -499,6 +499,19 @@ class TestLocator:
         with pytest.raises(ValueError):
             locate_canard_explosion(0.0, bracket=(1.14, 1.154))
 
+    @pytest.mark.parametrize("bracket", [(1.2, 1.1), (math.nan, 1.1), (1.14, math.inf),
+                                         (-math.inf, 1.1)])
+    def test_unordered_or_infinite_bracket_rejected_before_any_search(self, monkeypatch, bracket):
+        # an inverted or NaN bracket was a search failure, and an infinite
+        # end ran a whole cycle search at the other end first
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_limit_cycle was called")
+
+        monkeypatch.setattr(canard, "find_limit_cycle", no_search)
+        with pytest.raises(ValueError, match="bracket") as info:
+            locate_canard_explosion(0.5, bracket=bracket)
+        assert not isinstance(info.value, BracketFailureError)
+
     @pytest.mark.parametrize("c_tol", [0.0, -1e-7, math.nan])
     def test_rejects_non_positive_c_tol(self, c_tol):
         with pytest.raises(ValueError):

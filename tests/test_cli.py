@@ -3,9 +3,12 @@ import inspect
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhn import canard, cli, dynamics
 from fhn.bifurcation import sweep_values
@@ -220,6 +223,15 @@ class TestSimulateCommand:
         assert float(rows[0][1]) == 9220.0
         assert man["outputs"]["last_state"][0] > 9220.0
 
+    def test_failed_first_step_writes_its_start(self, tmp_path):
+        # the run stops at node 0, and its one-node dense output is the start
+        code = main(["simulate", "--b", "0", "--c", "0", "--eps", "0.1", "--x0", "2e8",
+                     "--y0", "0", "--tmax", "1", "--out", str(tmp_path)])
+        assert code == 3
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert "step 1.000e-15 below floor at t=0.0" in man["error"]
+        assert (tmp_path / "trajectory.csv").read_text() == "time,x,y\n0,200000000,0\n"
+
     def test_full_precision_fields(self, tmp_path):
         main(["simulate", "--b", "0", "--c", "0", "--eps", "0.5", "--x0", "-2.8",
               "--y0", "1.64", "--tmax", "1", "--out", str(tmp_path)])
@@ -239,6 +251,77 @@ class TestCsvFields:
         assert path.read_bytes() == (b"fields\n,True,3,HopfSmall,0.10000000000000001,"
                                      b"0.10000000000000001,inf,-inf,nan,-0,"
                                      b"4.9406564584124654e-324,2\n")
+
+
+def _fmt_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _write_csv_by_row(path, header, rows):
+    # the row-by-row writer that `cli._write_csv` replaced, kept as the
+    # reference for its bytes
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([_fmt_cell(v) for v in row]) + "\n")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+                math.inf, -math.inf, math.nan, 1.7976931348623157e308, 0.1]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_CELLS = {
+    "float": _FLOATS,
+    "float_or_none": st.one_of(_FLOATS, st.none()),
+    "int": st.integers(),
+    "any": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.none(), st.booleans(), st.integers(),
+                     st.text(max_size=4)),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)).map(list), max_size=12))
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables(), chunk=st.integers(1, 5))
+    def test_bytes_equal_row_by_row_writer(self, tmp_path_factory, table, chunk):
+        # a chunk of 1-5 rows puts most tables across several chunks
+        header, rows = table
+        out = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            cli._write_csv(out / "got.csv", header, rows)
+        _write_csv_by_row(out / "want.csv", header, rows)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_table_longer_than_a_chunk(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * cli._CHUNK + 5
+        rows = [[t, x, None if k == cli._CHUNK else y, "Headed"]
+                for k, (t, x, y) in enumerate(rng.standard_normal((n, 3)).tolist())]
+        cli._write_csv(tmp_path / "got.csv", ["t", "x", "y", "class"], rows)
+        _write_csv_by_row(tmp_path / "want.csv", ["t", "x", "y", "class"], rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\n") == n + 1
+
+    def test_empty_table_writes_header_only(self, tmp_path):
+        cli._write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
+                                      [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0, 7.0]]])
+    def test_ragged_row_raises(self, tmp_path, rows, chunk):
+        with mock.patch.object(cli, "_CHUNK", chunk), pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "ragged.csv", ["a", "b"], rows)
 
 
 class TestBifurcateCommand:
@@ -366,6 +449,21 @@ class TestCanardCommand:
         assert code == 2
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["status"] == "config-error"
+
+
+    @pytest.mark.parametrize("lo, hi", [("1.2", "1.1"), ("nan", "1.1"), ("1.14", "inf"),
+                                        ("-inf", "1.1")])
+    def test_unordered_or_infinite_bracket_is_config_error(self, tmp_path, monkeypatch, lo, hi):
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_limit_cycle was called")
+
+        monkeypatch.setattr(canard, "find_limit_cycle", no_search)
+        # "=" keeps argparse from reading -inf as an option
+        code = main(["canard", "--eps", "0.5", f"--bracket-lo={lo}", f"--bracket-hi={hi}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "bracket" in man["error"]
 
 
 class TestSlowManifoldCommand:

@@ -394,6 +394,65 @@ class TestSearchPins:
         check(info.value.stats)
 
 
+def _sample_by_clip(tr, ts):
+    # the dense output `Trajectory.sample` gave with a clipped index and one
+    # `_hermite` call per component, kept as the reference for its bits
+    ts = np.asarray(ts, dtype=float)
+    idx = np.clip(np.searchsorted(tr.t, ts, side="right") - 1, 0, len(tr.t) - 2)
+    h = tr.t[idx + 1] - tr.t[idx]
+    s = np.where(h > 0.0, (ts - tr.t[idx]) / np.where(h > 0.0, h, 1.0), 0.0)
+    xs = dynamics._hermite(s, tr.x[idx], tr.x[idx + 1], tr.dx[idx], tr.dx[idx + 1], h)
+    ys = dynamics._hermite(s, tr.y[idx], tr.y[idx + 1], tr.dy[idx], tr.dy[idx + 1], h)
+    return xs, ys
+
+
+def _probe_times(t):
+    # outside both ends, on every node, halfway between nodes and at random
+    rng = np.random.default_rng(7)
+    span = t[-1] - t[0]
+    return np.concatenate([
+        [t[0] - 1.0, t[0] - 1e-300, t[-1] + 1e-9, t[-1] + 2.5],
+        t,
+        0.5 * (t[:-1] + t[1:]),
+        rng.uniform(t[0] - 0.1 * span, t[-1] + 0.1 * span, 500),
+    ])
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("start, scale, direction, t_end", [
+        (A_START, TimeScale.SLOW, 1, 5.0),
+        (PhasePoint(0.3, 0.2), TimeScale.SLOW, -1, 1.0),
+        (A_START, TimeScale.FAST, 1, 8.0),
+    ])
+    def test_bitwise_equal_to_clipped_index_reference(self, start, scale, direction, t_end):
+        tr = integrate(start, SystemParams(0.2, 0.3, 0.1), t_end, scale, tol=1e-9,
+                       direction=direction)
+        assert len(tr.t) > 10
+        ts = _probe_times(tr.t)
+        for got, want in zip(tr.sample(ts), _sample_by_clip(tr, ts)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_node_run_returns_its_node(self):
+        with pytest.raises(StepSizeCollapseError) as info:
+            integrate(PhasePoint(2e8, 0.0), SystemParams(0.0, 0.0, 0.1), 1.0)
+        tr = info.value.trajectory
+        assert len(tr.t) == 1
+        ts = np.array([-1.0, 0.0, 0.5, 1.0])
+        xs, ys = tr.sample(ts)
+        assert xs.tolist() == [2e8] * 4 and ys.tolist() == [0.0] * 4
+        for got, want in zip((xs, ys), _sample_by_clip(tr, ts)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_two_node_run_extrapolates_with_its_cubic(self):
+        tr = dynamics.Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, 3.0]),
+                                 np.array([1.0, 1.0]), np.array([0.0, 0.0]), 1)
+        ts = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
+        xs, _ = tr.sample(ts)
+        assert xs.tolist() == [-0.5, 0.0, 0.5, 1.0, 1.5]
+        for got, want in zip(tr.sample(ts), _sample_by_clip(tr, ts)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestHalfLineSection:
     """Every loop starts on the half-line {x = x_eq, y > y_eq} above an
     equilibrium, which the flow crosses leftward only, and closes there."""
