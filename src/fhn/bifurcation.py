@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from .dynamics import LimitCycle, Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
+from .dynamics import LimitCycle, Stability, _shoot, cycle_length, find_limit_cycle, find_unstable_cycle
 from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import FOLD_X, equilibrium_abscissae
 
@@ -238,42 +238,25 @@ def _saddle_seed(b: float, eps: float, side: int) -> PhasePoint:
 
 
 def _split(b: float, eps: float, stats: dict):
-    """Delta(b) = y_u - y_s, with the W^u and W^s runs and their crossings."""
+    """Delta(b) = y_u - y_s, with the W^u and W^s arcs: the run forward (side
+    1) or backward (side -1, crossing rightward) from `_saddle_seed`, its start
+    counted as a crossing so that it closes on the first node past the half-
+    line {x = x_E+, y > y_E+}, and the (t, y) of its crossing there."""
     stats["shots"] += 1
-    arc_u = _run_to_half_line(b, eps, 1, stats)
-    arc_s = _run_to_half_line(b, eps, -1, stats)
-    return arc_u[1][1] - arc_s[1][1], arc_u, arc_s
-
-
-def _run_to_half_line(b: float, eps: float, side: int, stats: dict):
-    """W^u forward (side 1) or W^s backward (side -1) from `_saddle_seed`
-    to its first crossing of the half-line {x = x_E+, y > y_E+}: the run and
-    the (t, y) of the crossing, a cubic-Hermite root in its last step.
-
-    The flow crosses that half-line leftward, so the backward run crosses it
-    rightward; both runs stop at the first node past it.  Adds the run's
-    steps to `stats`; BracketFailureError when it ends without the crossing.
-    """
     x_eq = math.sqrt(4.0 - 1.0 / b)
-    start = _saddle_seed(b, eps, side)
-    name = "unstable" if side > 0 else "stable"
-    try:
-        traj = integrate(start, SystemParams(b, 0.0, eps), _HOMOCLINIC_T_BUDGET, tol=_HOMOCLINIC_TOL,
-                         direction=side, max_norm=1e3, sections=(x_eq,), start_on=0)
-    except IntegrationError as exc:
-        stats["steps"] += exc.trajectory.stats["steps"]
-        stats["rejected"] += exc.trajectory.stats["rejected"]
-        raise BracketFailureError(
-            f"{name} manifold at b={b!r}, eps={eps} ended before the half-line above E+: {exc}"
-        ) from exc
-    stats["steps"] += traj.stats["steps"]
-    stats["rejected"] += traj.stats["rejected"]
-    cross = traj.crossing(-1, x_eq, phi(x_eq))
-    if cross is None:
-        raise BracketFailureError(
-            f"{name} manifold at b={b!r}, eps={eps} did not cross the half-line above E+ "
-            f"within {_HOMOCLINIC_T_BUDGET} time units")
-    return traj, cross
+    line, params, arcs = [(x_eq, phi(x_eq))], SystemParams(b, 0.0, eps), []
+    for side, name in ((1, "unstable"), (-1, "stable")):
+        try:
+            traj, j, ends = _shoot(_saddle_seed(b, eps, side), params, _HOMOCLINIC_T_BUDGET, line, stats,
+                                   start_on=0, tol=_HOMOCLINIC_TOL, direction=side, max_norm=1e3)
+        except IntegrationError as exc:
+            raise BracketFailureError(f"{name} manifold at b={b!r}, eps={eps} ended before the "
+                                      f"half-line above E+: {exc}") from exc
+        if j is None or ends[1] is None:
+            raise BracketFailureError(f"{name} manifold at b={b!r}, eps={eps} did not cross the "
+                                      f"half-line above E+ within {_HOMOCLINIC_T_BUDGET} time units")
+        arcs.append((traj, ends[1]))
+    return arcs[0][1][1] - arcs[1][1][1], *arcs
 
 
 def _homoclinic_loop(b: float, arc_u, arc_s, stats: dict) -> LimitCycle:

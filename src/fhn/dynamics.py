@@ -378,6 +378,29 @@ def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol, closing=N
     )
 
 
+def _shoot(start, params, t_end, lines, stats, start_on=None, **kwargs):
+    """`integrate` from `start` to its closing on the half-lines `lines`,
+    [(x_eq, y_eq), ...], adding its step counts to `stats`, also when it
+    raises: the run, the index j of the half-line it closed on and the (t, y)
+    of its two crossings there (the start at t = 0; None below y_eq), or the
+    run, None, None if it closed none.  `kwargs` go to `integrate`."""
+    traj = None
+    try:
+        traj = integrate(start, params, t_end, sections=tuple(x_eq for x_eq, _ in lines),
+                         start_on=start_on, **kwargs)
+    except IntegrationError as exc:
+        traj = exc.trajectory
+        raise
+    finally:
+        if traj is not None:
+            stats["steps"] += traj.stats["steps"]
+            stats["rejected"] += traj.stats["rejected"]
+    if traj.closing is None:
+        return traj, None, None
+    j, *nodes = traj.closing
+    return traj, j, [(0.0, start.y) if i == 0 else traj.crossing(i, *lines[j]) for i in nodes]
+
+
 @dataclass
 class LimitCycle:
     """One-period sample loop with period (slow time) and arc length."""
@@ -545,42 +568,25 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
     """
     stats = {"steps": 0, "rejected": 0, "tol": tol, "shots": 0}
     spent = 0.0
-    sections = tuple(x_eq for x_eq, _ in lines)
 
     def run(k, y):
-        """Run from (x_eq, y) on half-line k, or from the seed (k None), to
-        the second crossing of a half-line with no crossing of one to its
-        right in between: the trajectory, that half-line, and the (t, y) of
-        its last two crossings (a start on it counts as one at t = 0).  The
-        finished run is tested for an equilibrium (see `find_limit_cycle`):
-        its loop, or its last `_WINDOW` time units if it closed none."""
+        """`_shoot` from (x_eq, y) on half-line k, or from the seed (k None),
+        tested for an equilibrium (see `find_limit_cycle`): its loop, or its
+        last `_WINDOW` time units if it closed none."""
         nonlocal spent
         start = seed if k is None else PhasePoint(lines[k][0], y)
-        try:
-            traj = integrate(start, params, max_periods * t_ref - spent, tol=tol, max_norm=_MAX_NORM,
-                             sections=sections, start_on=k)
-        except IntegrationError as exc:
-            stats["steps"] += exc.trajectory.stats["steps"]
-            stats["rejected"] += exc.trajectory.stats["rejected"]
-            raise
-        stats["steps"] += traj.stats["steps"]
-        stats["rejected"] += traj.stats["rejected"]
+        traj, j, ends = _shoot(start, params, max_periods * t_ref - spent, lines, stats, start_on=k,
+                               tol=tol, max_norm=_MAX_NORM)
         spent += traj.t[-1]
-        if traj.closing is None:
+        if j is None:
             # no loop: the last window, from the node at or before its start
-            j = ends = None
             first = max(int(np.searchsorted(traj.t, traj.t[-1] - _WINDOW, side="right")) - 1, 0)
             x_end = traj.x[-1]
             line = min(lines, key=lambda ln: abs(ln[0] - x_end))
             message = "state stopped moving; trajectory parked at an equilibrium"
+        elif None in ends:
+            raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
         else:
-            j, *nodes = traj.closing
-            ends = []
-            for i in nodes:
-                cross = (0.0, start.y) if i == 0 else traj.crossing(i, *lines[j])
-                if cross is None:
-                    raise _fell_onto(params, lines[j], "orbit crossed the section at the equilibrium")
-                ends.append(cross)
             # the loop: the nodes from its first crossing on
             first = int(np.searchsorted(traj.t, ends[0][0]))
             line, message = lines[j], "shots converged onto a point, not a cycle"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn import bifurcation
+from fhn import bifurcation, dynamics
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from fhn.canard import LARGE_LENGTH
 from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate
@@ -232,7 +232,7 @@ class TestHomoclinicInB:
             runs.append((args[1].b, integrate(*args, **kwargs)))
             return runs[-1][1]
 
-        monkeypatch.setattr(bifurcation, "integrate", recording)
+        monkeypatch.setattr(dynamics, "integrate", recording)
         hom = homoclinic_in_b(eps)
         st = hom.orbit.stats
         assert len(runs) == 2 * st["shots"]
@@ -249,7 +249,7 @@ class TestHomoclinicInB:
         def no_shot(*_args, **_kwargs):
             raise AssertionError("homoclinic_in_b shot W^u")
 
-        monkeypatch.setattr(bifurcation, "integrate", no_shot)
+        monkeypatch.setattr(dynamics, "integrate", no_shot)
         with pytest.raises(ValueError, match="<= 1/4"):
             hopf_in_b(eps)
         with pytest.raises(BracketFailureError, match="<= 1/4"):

@@ -382,7 +382,6 @@ class TestSearchPins:
             counted.clear()
 
         monkeypatch.setattr(dynamics, "integrate", counting)
-        monkeypatch.setattr(bifurcation, "integrate", counting)
         bce, seed, _, tol, max_periods = self.CYCLES["converged_backward"][:5]
         params = SystemParams(*bce)
         outer = find_limit_cycle(params, PhasePoint(*seed), tol=tol, max_periods=max_periods)
@@ -1121,7 +1120,6 @@ def _drive_by_loop_form(monkeypatch):
     """Route every run of the cycle searches and the homoclinic shots
     through the reference driver."""
     monkeypatch.setattr(dynamics, "integrate", _loop_integrate)
-    monkeypatch.setattr(bifurcation, "integrate", _loop_integrate)
 
 
 class TestKernelEquivalence:
