@@ -132,11 +132,15 @@ def _hopf_b_value(eps: float) -> float:
 
 
 # offsets above the Hopf value: the lower end of the bracket, the first upper
-# end (doubled while W^u still lies outside W^s) and the largest; the
-# tolerance and slow-time budget of every run; the bracket width, or secant
-# step, at which the root is taken; the most values of the splitting function
+# end (doubled while W^u still lies outside W^s), each at most 0.1 and 20
+# times the eps -> 0 offset, and the largest; the tolerance and slow-time
+# budget of every run; the bracket width, or secant step, at which the root
+# is taken; the most values of the splitting function
 _HOMOCLINIC_LOW = 1e-6
 _HOMOCLINIC_FIRST = 2e-3
+# (b_hom - b_h)/eps as eps -> 0, a measured constant: 0.0058585, 0.0058593
+# and 0.0058642 at eps 1e-3, 1e-4 and 1e-5
+_HOMOCLINIC_SLOPE = 3.0 / 512.0
 _HOMOCLINIC_BRACKET = 0.02
 _HOMOCLINIC_TOL = 1e-10
 _HOMOCLINIC_T_BUDGET = 400.0
@@ -155,8 +159,10 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     homoclinic value and inside it (Delta < 0, captured by E+) above; Delta
     is smooth in b, the planar split function of Kuznetsov (Elements of
     Applied Bifurcation Theory, section 6.2).  The bracket's lower end is
-    b_h + 1e-6; its upper end starts at b_h + 2e-3, and while Delta > 0 there
-    it becomes the lower end and its offset doubles, up to b_h + 0.02.  The
+    b_h + min(1e-6, 0.1 s eps); its upper end starts at b_h + min(2e-3,
+    20 s eps), s = 3/512 the measured limit of (b_hom - b_h)/eps (so both
+    offsets are constant for eps >= 0.0171), and while Delta > 0 there it
+    becomes the lower end and its offset doubles, up to b_h + 0.02.  The
     root is then found by the Illinois variant of the secant method, down to
     a bracket or a secant step of 1e-12.  Each run ends at its crossing,
     within 400 slow-time units.
@@ -180,12 +186,12 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
         )
     stats = {"steps": 0, "rejected": 0, "tol": _HOMOCLINIC_TOL, "shots": 0}
     try:
-        lo = b_h + _HOMOCLINIC_LOW
+        lo = b_h + min(_HOMOCLINIC_LOW, 0.1 * _HOMOCLINIC_SLOPE * eps)
         d_lo, _, _ = _split(lo, eps, stats)
         if not d_lo > 0.0:
             raise BracketFailureError(
                 f"unstable manifold already inside the stable one at b={lo} at eps={eps}")
-        hi = b_h + _HOMOCLINIC_FIRST
+        hi = b_h + min(_HOMOCLINIC_FIRST, 20.0 * _HOMOCLINIC_SLOPE * eps)
         while True:
             d_hi, arc_u, arc_s = _split(hi, eps, stats)
             if d_hi <= 0.0:

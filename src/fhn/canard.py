@@ -9,10 +9,12 @@ locator (bisection on the cycle length) is the authoritative source of
 canard parameter values here; the formula values are reported alongside.
 
 The locator bisects a caller's bracket, or by default the range
-(c_H - 0.05, c_H - 1e-5) below the Hopf value c_H = 2/sqrt(3), the fold
-abscissa FOLD_X.  Each bisection step is decided by a cycle searched at
-tol 1e-9, searched again at tol 1e-11 only when that cycle leaves its side
-of the threshold in doubt (the comment above `_DECIDE_TOL` gives the rule).
+(c_H - 0.05, c_H - min(1e-5, eps/(128 sqrt(3)))) below the Hopf value
+c_H = 2/sqrt(3), the fold abscissa FOLD_X, which straddles the explosion
+for eps from 1e-4 to 3.  Each bisection step is decided by a cycle searched
+at tol 1e-9, searched again at tol 1e-11 only when that cycle leaves its
+side of the threshold in doubt (the comment above `_DECIDE_TOL` gives the
+rule).
 `classify_canard` names each located cycle Hopf-small, headless, headed or
 relaxation from its arc along the repelling middle branch.
 
@@ -274,8 +276,9 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
 # Each 0.1 above 1.8 adds about 3.5% to a locate's search steps.  At eps 1
 # the offset left is 3e-8, one shot more than from (-2.8, 1.64).
 _SCAN_SEED = PhasePoint(1.8, phi(1.8))
-# below the Hopf value; its ends straddle the explosion window for eps from 0.02 to 3
-_DEFAULT_BRACKET = (FOLD_X - 0.05, FOLD_X - 1e-5)
+# (c_H - c*)/eps as eps -> 0, a measured constant: 0.0090163 at eps 1e-3 and
+# 0.0090107 at 1e-4; it scales the default bracket's upper offset and c_tol
+_CANARD_SLOPE = 1.0 / (64.0 * math.sqrt(3.0))
 
 
 # Decide-then-confirm: a locate step needs only the side of EXPLOSION_LENGTH
@@ -324,7 +327,7 @@ def _measure(c: float, eps: float, cache: dict, decide: bool = False) -> LimitCy
 def locate_canard_explosion(
     eps: float,
     bracket: tuple[float, float] | None = None,
-    c_tol: float = 1e-7,
+    c_tol: float | None = None,
     cache: dict | None = None,
 ) -> float:
     """Parameter value of the canard explosion of the b = 0 family.
@@ -334,9 +337,12 @@ def locate_canard_explosion(
     transition, with length > 15 at the low end and < 5 at the high end (its
     ends finite with lo < hi, else ValueError before any search).
     When no bracket is given, the bisection starts from
-    (c_H - 0.05, c_H - 1e-5) below the Hopf value c_H.  Converges when the
-    c bracket is narrower than `c_tol` (which must be > 0), or when its ends
-    are adjacent floats, and returns the midpoint.
+    (c_H - 0.05, c_H - min(1e-5, d/2)) below the Hopf value c_H, where
+    d = eps/(64 sqrt(3)) is the measured eps -> 0 limit of c_H - c*; its
+    ends straddle the explosion window for eps from 1e-4 to 3.  Converges
+    when the c bracket is narrower than `c_tol` (which must be > 0; by
+    default min(1e-7, d/100)), or when its ends are adjacent floats, and
+    returns the midpoint.  Both offsets are constant for eps >= 0.00222.
 
     Each bracket end and midpoint is measured by `_measure` with `decide`:
     at tol 1e-9, confirmed at tol 1e-11 when in doubt.  `cache` holds one
@@ -344,10 +350,12 @@ def locate_canard_explosion(
     """
     if eps <= 0.0:
         raise ValueError("locate_canard_explosion requires eps > 0")
+    d = _CANARD_SLOPE * eps
+    c_tol = min(1e-7, d / 100.0) if c_tol is None else c_tol
     if not c_tol > 0.0:
         raise ValueError("locate_canard_explosion requires c_tol > 0")
     cache = cache if cache is not None else {}
-    lo, hi = bracket if bracket is not None else _DEFAULT_BRACKET
+    lo, hi = bracket if bracket is not None else (FOLD_X - 0.05, FOLD_X - min(1e-5, 0.5 * d))
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("locate_canard_explosion requires a finite bracket with lo < hi")
     a_lo = _measure(lo, eps, cache, decide=True).length

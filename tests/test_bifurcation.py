@@ -277,6 +277,29 @@ class TestHomoclinicInB:
         assert st["steps"] <= 20_000
         assert st["shots"] == 7 and st["tol"] == bifurcation._HOMOCLINIC_TOL
 
+    def test_run_that_ends_before_the_half_line_carries_its_counts(self, monkeypatch):
+        # no input reaches this exit at max_norm 1e3: the first W^u run,
+        # boxed in |u| <= 1, raises before its crossing, and its counts are
+        # the locate's
+        real = dynamics.integrate
+        monkeypatch.setattr(dynamics, "integrate", lambda *a, **kw: real(*a, **{**kw, "max_norm": 1.0}))
+        with pytest.raises(BracketFailureError, match="unstable manifold .* ended before") as info:
+            homoclinic_in_b(0.5)
+        run = info.value.__cause__.trajectory
+        st = info.value.stats
+        assert st["shots"] == 1
+        assert (st["steps"], st["rejected"]) == (run.stats["steps"], run.stats["rejected"])
+        assert st["steps"] > 0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+    def test_small_eps_offset_tends_to_its_limit(self, eps):
+        # the bracket's offsets scale with the measured limit 3/512 of
+        # (b_hom - b_h)/eps; the fixed low end b_h + 1e-6 lay above b_hom
+        # from eps 1e-4 down
+        ratio = (homoclinic_in_b(eps).param_value - hopf_in_b(eps).param_value) / eps
+        assert abs(ratio / (3.0 / 512.0) - 1.0) < 1e-3
+
     @pytest.mark.parametrize("name, value, message", [
         ("_HOMOCLINIC_BRACKET", 1e-3, "still outside"),
         ("_HOMOCLINIC_T_BUDGET", 50.0, "did not cross"),

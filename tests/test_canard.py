@@ -358,6 +358,28 @@ class TestDefaultBracket:
         assert cache[2.0 / math.sqrt(3.0) - 0.05].length > 15.0
         assert cache[2.0 / math.sqrt(3.0) - 1e-5].length < 5.0
 
+    def test_no_bracket_offset_and_c_tol_scale_below_eps_0_00222(self, stub_search):
+        # at eps 1e-3, c_H - c* is 9.0e-6 < 1e-5: the upper end and c_tol
+        # scale with the measured limit d = eps/(64 sqrt(3)) of c_H - c*
+        eps, c_h = 1e-3, 2.0 / math.sqrt(3.0)
+        d = eps / (64.0 * math.sqrt(3.0))
+        stub = stub_search(lambda c, tol: 20.0 if c < c_h - d else 2.0)
+        c_star = locate_canard_explosion(eps)
+        lo, hi = stub.cs[:2]
+        assert lo == c_h - 0.05 and hi == pytest.approx(c_h - 0.5 * d, rel=0.0, abs=1e-15)
+        for c in stub.cs[2:]:
+            assert c == 0.5 * (lo + hi)
+            lo, hi = (c, hi) if c < c_h - d else (lo, c)
+        assert 0.005 * d < hi - lo <= 0.01 * d and c_star == 0.5 * (lo + hi)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_no_bracket_locate_at_small_eps(self, eps):
+        # (c_H - c*)/eps within 0.2% of the measured limit 1/(64 sqrt(3));
+        # the fixed upper end c_H - 1e-5 lay below c* at eps 1e-3
+        ratio = (2.0 / math.sqrt(3.0) - locate_canard_explosion(eps)) / eps
+        assert abs(ratio * 64.0 * math.sqrt(3.0) - 1.0) < 2e-3
+
 
 class TestScanSkipsFailedSearches:
     @pytest.mark.parametrize(

@@ -226,6 +226,22 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, max_periods=max_periods)
 
+    def test_relaxation_cycle_at_eps_1e6_within_2k_steps(self):
+        # the small-eps regime stays covered: 1,434 steps from the attracting
+        # right branch, on a cycle within 0.4% of its eps^(2/3) asymptote
+        lc = find_limit_cycle(SystemParams(0.0, 0.0, 1e-6), PhasePoint(1.8, phi(1.8)), tol=1e-8)
+        assert lc.converged and lc.stats["steps"] < 2000
+
+    def test_failed_run_counts_reach_the_search_stats(self):
+        # the transient from the seed leaves |u| <= 1e6 before it closes: the
+        # search's stats are that run's own counts, added by `_shoot` on the
+        # way out, with no shot taken
+        with pytest.raises(NonFiniteError) as info:
+            find_limit_cycle(SystemParams(-1.0, 0.0, 0.5), PhasePoint(-2.8, 1.64), tol=1e-9)
+        run = info.value.trajectory
+        assert info.value.stats == {"steps": 7183, "rejected": 5, "tol": 1e-9, "shots": 0}
+        assert (run.stats["steps"], run.stats["rejected"]) == (7183, 5)
+
     def test_search_parked_on_focus_raises_instead_of_spinning(self):
         # returns converge onto the stable focus, where err == 0 lets the step
         # grow without bound; the run ends at its finite budget, and the
