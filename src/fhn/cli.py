@@ -79,6 +79,15 @@ class RunManifest:
         _write_json(outdir / "manifest.json", asdict(self))
 
 
+class _Noted(argparse.Action):
+    """Store the value and add the flag's dest to `args.given`, so that a
+    command can refuse a flag that it would ignore."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fhn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -112,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="hi", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--b", type=float, default=0.0, help="fixed b when sweeping c")
-    sp.add_argument("--c", type=float, default=0.0, help="fixed c when sweeping b")
+    sp.add_argument("--b", type=float, default=0.0, action=_Noted, help="fixed b when sweeping c")
+    sp.add_argument("--c", type=float, default=0.0, action=_Noted, help="fixed c when sweeping b")
     sp.add_argument(
         "--landmarks",
         nargs="?",
@@ -161,7 +170,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"fhn: --out: {exc}", file=sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k != "command"}
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "given")}
     manifest = RunManifest(args.command, config)
     handler = {
         "singular": _cmd_singular,
@@ -190,6 +199,8 @@ def _cmd_singular(args, outdir: Path, manifest: RunManifest) -> None:
     params = SystemParams(args.b, args.c, 0.0)
 
     if args.period_only:
+        if args.x0 is not None or args.y0 is not None:
+            raise ValueError("--period-only takes no start point: drop --x0 and --y0")
         period = relaxation_period(params)
         _write_csv(outdir / "period.csv", ["b", "c", "period"], [[args.b, args.c, period]])
         manifest.outputs["period"] = period
@@ -240,6 +251,8 @@ def _write_trajectory(outdir: Path, traj, dt: float) -> None:
 def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
     from .bifurcation import hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
 
+    if args.param in getattr(args, "given", ()):
+        raise ValueError(f"--{args.param} is the swept parameter: its values come from --from and --to")
     params0 = SystemParams(args.b, args.c, args.eps)
     wanted = None if args.landmarks is None else _landmark_set(args)
     t0 = time.perf_counter()

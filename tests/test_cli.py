@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhn import canard, cli, dynamics
+from fhn import bifurcation, canard, cli, dynamics
 from fhn.bifurcation import sweep_values
 from fhn.cli import main
 from fhn.core import SystemParams
@@ -137,6 +137,15 @@ class TestSingularCommand:
                      "--out", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_start_point_with_period_only_is_config_error(self, tmp_path):
+        # --period-only reads no start point: one given would be ignored
+        code = main(["singular", "--b", "0.2", "--c", "0", "--x0", "5", "--y0", "5", "--period-only",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "--x0" in man["error"]
+        assert not (tmp_path / "period.csv").exists()
 
     def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
         # the run directory cannot be made: exit 2 with the reason, no traceback
@@ -374,6 +383,36 @@ class TestBifurcateCommand:
         assert code == 2
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["status"] == "config-error" and "landmarks" not in man["outputs"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--param", "b", "--from", "0.24", "--to", "0.40", "--b", "0.3"],
+        ["--param", "c", "--from", "1.1", "--to", "1.2", "--c", "1.15"],
+        ["--param", "b", "--from", "0.24", "--to", "0.40", "--b=0"],
+    ])
+    def test_fixed_value_of_the_swept_parameter_is_config_error(self, tmp_path, monkeypatch, argv):
+        # the sweep sets the swept parameter from --from/--to: a fixed value
+        # for it, even the default, would be ignored and echoed in the manifest
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("bifurcate swept with an ignored flag")
+
+        monkeypatch.setattr(bifurcation, "sweep_values", no_sweep)
+        code = main(["bifurcate", *argv, "--steps", "3", "--eps", "0.5", "--no-cycles",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "swept parameter" in man["error"]
+        assert not (tmp_path / "bifurcation.csv").exists()
+
+    def test_fixed_value_of_the_other_parameter_is_read(self, tmp_path):
+        code = main(["bifurcate", "--param", "c", "--from", "1.1", "--to", "1.2", "--steps", "3",
+                     "--eps", "0.5", "--b", "0.2", "--no-cycles", "--out", str(tmp_path)])
+        assert code == 0
+        header, lines = read_csv(tmp_path / "bifurcation.csv")
+        rows = sweep_values("c", [1.1, 1.15, 1.2], SystemParams(0.2, 0.0, 0.5), cycles=False)
+        assert [float(line[0]) for line in lines] == [row.param_value for row in rows]
+        assert [float(line[2]) for line in lines] == [
+            min(e.point.x for e in row.equilibria) for row in rows]
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["b"] == 0.2
 
     def test_hopf_landmark_beyond_eps_16_rejected(self, tmp_path):
         # b_h <= 1/4 from eps = 16 on: E+- do not exist, so there is no Hopf of E+-
