@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from .dynamics import LimitCycle, Stability, _shoot, cycle_length, find_limit_cycle, find_unstable_cycle
+from .dynamics import integrate  # noqa: F401  not called here; perfbench's tracer test reads it
 from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import FOLD_X, equilibrium_abscissae
 
