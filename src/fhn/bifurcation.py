@@ -248,7 +248,8 @@ def _split(b: float, eps: float, stats: dict):
     """Delta(b) = y_u - y_s, with the W^u and W^s arcs: the run forward (side
     1) or backward (side -1, crossing rightward) from `_saddle_seed`, its start
     counted as a crossing so that it closes on the first node past the half-
-    line {x = x_E+, y > y_E+}, and the (t, y) of its crossing there."""
+    line {x = x_E+, y > y_E+}, and the (t, y) of its crossing there;
+    BracketFailureError when a run ends without that crossing."""
     stats["shots"] += 1
     x_eq = math.sqrt(4.0 - 1.0 / b)
     line, params, arcs = [(x_eq, phi(x_eq))], SystemParams(b, 0.0, eps), []
