@@ -228,7 +228,7 @@ class TestFindLimitCycle:
 
     def test_relaxation_cycle_at_eps_1e6_within_2k_steps(self):
         # the small-eps regime stays covered: 1,434 steps from the attracting
-        # right branch, on a cycle within 0.4% of its eps^(2/3) asymptote
+        # right branch
         lc = find_limit_cycle(SystemParams(0.0, 0.0, 1e-6), PhasePoint(1.8, phi(1.8)), tol=1e-8)
         assert lc.converged and lc.stats["steps"] < 2000
 
