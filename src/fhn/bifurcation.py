@@ -20,7 +20,16 @@ from enum import Enum
 import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from .dynamics import LimitCycle, Stability, _shoot, cycle_length, find_limit_cycle, find_unstable_cycle
+from .dynamics import (
+    _SCAN_SEED,
+    LimitCycle,
+    Stability,
+    _climb_seed,
+    _shoot,
+    cycle_length,
+    find_limit_cycle,
+    find_unstable_cycle,
+)
 from .dynamics import integrate  # noqa: F401  not called here; perfbench's tracer test reads it
 from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import FOLD_X, equilibrium_abscissae
@@ -307,7 +316,9 @@ class CycleRecord:
     length: float
     stability: Stability
     converged: bool
-    # the loop's rightmost sample, where the next row's stable search starts
+    # the loop's sample where the next row's stable search starts
+    # (`_climb_seed`): the last one, at or after the rightmost, from which the
+    # rest of the loop contracts by e^20, else the rightmost
     seed: PhasePoint
 
 
@@ -357,23 +368,27 @@ def sweep_values(
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
-    The stable cycle is searched from the rightmost sample of the last
-    stable loop the sweep found (from (-2.8, 1.64) until there is one).  On
-    a relaxation loop that sample is where the orbit lands on the attracting
-    right branch, so the climb to the section contracts the offset between
-    neighbouring rows' cycles (Fenichel); on a small loop it lies about a
-    quarter turn before the section.  Either way the search's first return
-    is close to the new cycle, where a start on the section would pay a
-    whole period to reach it.  When the loop starts on the half-line above
-    the stable equilibrium with x > 0 (E+ of the c = 0 family),
-    `find_unstable_cycle` searches for the unstable cycle between them.
+    The stable cycle is searched from the record's seed of the last stable
+    loop the sweep found (from (1.8, phi(1.8)) on the attracting right
+    branch until there is one): the last sample of that loop from which the
+    rest of it, up to the section, contracts by e^20, and else its rightmost
+    sample.  On a relaxation loop that sample lies late on the climb up the
+    attracting right branch, past the landing point of the jump, and the
+    climb from it still contracts the offset between neighbouring rows'
+    cycles (Fenichel) to e^-20; on a weakly contracting small loop it is the
+    rightmost sample, about a quarter turn before the section.  Either way
+    the search's first return is close to the new cycle, where a start on
+    the section would pay a whole period to reach it.  When the loop starts
+    on the half-line above the stable equilibrium with x > 0 (E+ of the
+    c = 0 family), `find_unstable_cycle` searches for the unstable cycle
+    between them.
     Per-row failures are recorded in the row and never abort the sweep;
     `DiagramRow.stats` sums the step counts of the row's searches.
     """
     if param_name not in ("b", "c"):
         raise ValueError("param_name must be 'b' or 'c'")
     rows: list[DiagramRow] = []
-    seed_stable = PhasePoint(-2.8, 1.64)
+    seed_stable = _SCAN_SEED
     for v in values:
         v = float(v)
         params = SystemParams(
@@ -405,10 +420,5 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
         failed.append(exc.stats)
     searches = [lc.stats for lc in loops] + failed
     row.stats = {key: sum(st[key] for st in searches) for key in _SEARCH_COUNTS}
-    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged, _rightmost(lc))
-                  for lc in loops]
-
-
-def _rightmost(lc: LimitCycle) -> PhasePoint:
-    i = int(np.argmax(lc.x))
-    return PhasePoint(float(lc.x[i]), float(lc.y[i]))
+    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
+                              _climb_seed(lc, params)) for lc in loops]

@@ -36,8 +36,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhasePoint, SystemParams, phi
-from .dynamics import LimitCycle, find_limit_cycle
+from .core import SystemParams, phi
+from .dynamics import _SCAN_SEED, LimitCycle, find_limit_cycle
 from .errors import BracketFailureError, FHNError
 from .singular import FOLD_X
 
@@ -260,22 +260,6 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
     return in_band & np.roll(in_band, -1)
 
 
-# Every canard search starts on the attracting right branch of the critical
-# manifold, at x_s = 1.8.  The orbit climbs to the fold, jumps and meets the
-# section after 5.1 slow-time units (eps 0.5, c = 1.14); a start left of the
-# left branch, such as (-2.8, 1.64), runs down that branch first and takes
-# 13.3.  The attracting slow manifold S_a^eps contracts nearby orbits at the
-# rate (3x^2 - 4)/eps (Fenichel theory; Krupa & Szmolyan, J. Differential
-# Equations 174, 2001), so the climb shrinks the seed's O(eps) offset from
-# S_a^eps by exp(-I/eps), I the integral of (3x^2 - 4)^2/(x - c) dx from the
-# fold to x_s: e^-27 at eps 0.5.  The first return then lies within 5e-14 of
-# the cycle at eps 0.5 and 2e-14 at eps 0.1 (c = 1.14 and 1.15), so a
-# relaxation search ends after one period with no Newton shot at tol 1e-11.
-# Lower seeds contract less: from 1.7 the first return lies 1.4e-10 off, a
-# shot more per search at tol 1e-11, and from 1.3, beside the fold, 1e-2 off.
-# Each 0.1 above 1.8 adds about 3.5% to a locate's search steps.  At eps 1
-# the offset left is 3e-8, one shot more than from (-2.8, 1.64).
-_SCAN_SEED = PhasePoint(1.8, phi(1.8))
 # (c_H - c*)/eps as eps -> 0, a measured constant: 0.0090163 at eps 1e-3 and
 # 0.0090107 at 1e-4; it scales the default bracket's upper offset and c_tol
 _CANARD_SLOPE = 1.0 / (64.0 * math.sqrt(3.0))

@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of the swept family's landmarks, or 'auto' for all of them",
     )
     sp.add_argument("--no-cycles", action="store_true", help="equilibria only, no cycle search")
-    sp.add_argument("--tol", type=float, default=1e-8, help="integration tolerance")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="integration tolerance of the cycle searches (default: the sweep's, 1e-9)")
     common(sp)
 
     sp = sub.add_parser("canard", help="canard explosion scan and asymptotic report")
@@ -256,9 +257,10 @@ def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
     params0 = SystemParams(args.b, args.c, args.eps)
     wanted = None if args.landmarks is None else _landmark_set(args)
     t0 = time.perf_counter()
-    # one sequential sweep: continuation carries each row's cycle into the next
-    rows = sweep(args.param, args.lo, args.hi, args.steps, params0,
-                 cycles=not args.no_cycles, tol=args.tol)
+    # one sequential sweep: continuation carries each row's cycle into the next;
+    # without --tol, at the sweep's own default
+    tol = {} if args.tol is None else {"tol": args.tol}
+    rows = sweep(args.param, args.lo, args.hi, args.steps, params0, cycles=not args.no_cycles, **tol)
     manifest.timings["sweep_s"] = time.perf_counter() - t0
 
     csv_rows = []

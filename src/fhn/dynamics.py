@@ -451,6 +451,9 @@ _MIN_CYCLE_DIAMETER = 1e-6
 # integration error of two runs (measured at tol 1e-12 to 1e-8), and a canard
 # loop moves by 0.0185 in T when its start moves by 2.6e-8
 _NEWTON_EXIT = 1.0
+# a warm start from a loop's sample keeps this much of the loop's contraction
+# before the section, as the integral of div F (see `_climb_seed`)
+_CLIMB_CONTRACTION = -20.0
 # with no sign change known, a step goes at most to twice the return's height
 # above the equilibrium (d > 0), or down to this fraction of it (d < 0)
 _FALL = 0.01
@@ -463,6 +466,26 @@ _GAUSS = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
 # samples of the returned loop
 _DENSE_N = 2000
 _MAX_NORM = 1e6
+# The cold start of the canard locate's searches and of a sweep's rows before
+# its first stable loop: the attracting right branch of the critical
+# manifold, at x_s = 1.8.  The orbit climbs to the fold, jumps and meets the
+# section after 5.1 slow-time units (eps 0.5, c = 1.14); a start left of the
+# left branch, such as (-2.8, 1.64), runs down that branch first and takes
+# 13.3.  The attracting slow manifold S_a^eps contracts nearby orbits at the
+# rate (3x^2 - 4)/eps (Fenichel theory; Krupa & Szmolyan, J. Differential
+# Equations 174, 2001), so the climb shrinks the seed's O(eps) offset from
+# S_a^eps by exp(-I/eps), I the integral of (3x^2 - 4)^2/(x - c) dx from the
+# fold to x_s: e^-27 at eps 0.5.  The first return then lies within 5e-14 of
+# the cycle at eps 0.5 and 2e-14 at eps 0.1 (c = 1.14 and 1.15), so a
+# relaxation search ends after one period with no Newton shot at tol 1e-11.
+# Lower seeds contract less: from 1.7 the first return lies 1.4e-10 off, a
+# shot more per search at tol 1e-11, and from 1.3, beside the fold, 1e-2 off.
+# Each 0.1 above 1.8 adds about 3.5% to a locate's search steps.  At eps 1
+# the offset left is 3e-8, one shot more than from (-2.8, 1.64).  So is it in
+# the c = 0 family, where x - c, the climb's speed, is not small near the
+# fold: row 0 of the b = 0.24 to 0.40 sweep at eps 0.5 takes 2568 steps and a
+# shot from here, against 2148 and none from (-2.8, 1.64) (tol 1e-9).
+_SCAN_SEED = PhasePoint(1.8, phi(1.8))
 
 
 def find_limit_cycle(
@@ -705,3 +728,27 @@ def _build_loop(stretch, section_x, converged, stats):
         dict(stats),
         slope,
     )
+
+
+def _climb_seed(loop: LimitCycle, params: SystemParams) -> PhasePoint:
+    """The latest sample of `loop`, at or after its rightmost one, from which
+    the integral of div F = (4 - 3x^2)/eps - b over the rest of the loop, by
+    the trapezoid rule on its samples, is at most _CLIMB_CONTRACTION; the
+    rightmost sample when there is none.
+
+    On a relaxation loop the rightmost sample is where the jump lands on the
+    attracting right branch, and the climb from there to the section
+    contracts the offset between neighbouring cycles by far more than a warm
+    start needs (Fenichel; Krupa & Szmolyan, J. Differential Equations 174,
+    2001): a start e^20 of contraction before the section returns as close to
+    the next cycle, after a shorter climb.  A weakly contracting loop, such
+    as one beside a Hopf point, keeps its rightmost sample."""
+    i = int(np.argmax(loop.x))
+    x = loop.x[i:]
+    div = (4.0 - 3.0 * x * x) / params.eps - params.b
+    # rest[k]: the integral from sample i + k to the loop's end
+    rest = np.append(np.cumsum((0.5 * (div[:-1] + div[1:]) * np.diff(loop.t[i:]))[::-1])[::-1], 0.0)
+    later = np.flatnonzero(rest <= _CLIMB_CONTRACTION)
+    if len(later):
+        i += int(later[-1])
+    return PhasePoint(float(loop.x[i]), float(loop.y[i]))

@@ -422,19 +422,21 @@ class TestSweepPin:
     pinned bit for bit: period, length, converged flag and seed of each row."""
 
     # sha256 over the rows of `_digest`, recorded from Newton's method on the
-    # return map to the half-lines above the equilibria, each row's stable
-    # search started at the rightmost sample of the previous stable loop, and
-    # ("b") from the bracket inside the stable loop of the row in (b_h,
-    # b_hom), where it finds the unstable cycle
+    # return map to the half-lines above the equilibria, row 0's stable search
+    # started at (1.8, phi(1.8)) and every later one at `_climb_seed` of the
+    # previous stable loop, and ("b") from the bracket inside the stable loop
+    # of the row in (b_h, b_hom), where it finds the unstable cycle
     DIGESTS = {
-        "b": "74a9e20a9af61c1549b5646772f81826bca3f2672128161d513697c7d6124ace",
-        "c": "7b382bf7b6723a76b1b19c1778f06c8864e2d16ba8b25aa364454f22850e2fa4",
+        "b": "5e17a2402688558145a58e8c97657609a489ceaadac0c6fdef95ed1643f3a49a",
+        "c": "cba6bd8a617ec429657978919b0f93577a7f43cedc3b07628987352dfcd90fb3",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
-    # summed search steps of each grid; from a start on the section, 121.3k
-    # (b) and 86.2k (c): a converged row paid one period to reach its first
-    # return and a second one to close the loop
-    STEP_BUDGETS = {"b": 90_000, "c": 65_000}
+    # summed search steps of each grid, 75.8k (b) and 49.8k (c); 82.3k and
+    # 59.3k from the previous loop's rightmost sample, the landing point of
+    # its jump, which climbed the whole right branch before the first return;
+    # 121.3k and 86.2k from a start on the section, which paid one period to
+    # reach its first return and a second one to close the loop
+    STEP_BUDGETS = {"b": 79_000, "c": 52_000}
 
     @staticmethod
     def _digest(rows):
@@ -478,24 +480,40 @@ class TestSweepPin:
             assert rec.converged
             assert rec.period == pytest.approx(lc.period, rel=1e-7, abs=0.0)
         # the row's search, rerun from the previous row's record, gives its
-        # loop, and the record's seed is that loop's rightmost sample
+        # loop, and the record's seed is that loop's climb seed
         loop = find_limit_cycle(params, rows[i - 1].cycles[0].seed, tol=1e-9, max_periods=30)
         assert loop.period == row.cycles[0].period
-        k = int(np.argmax(loop.x))
-        assert (row.cycles[0].seed.x, row.cycles[0].seed.y) == (loop.x[k], loop.y[k])
+        assert row.cycles[0].seed == dynamics._climb_seed(loop, params)
+
+    @pytest.mark.parametrize("param", sorted(GRIDS))
+    def test_first_row_agrees_with_a_start_left_of_the_left_branch(self, param):
+        # row 0 starts at (1.8, phi(1.8)) on the attracting right branch
+        row = _recipe_rows(param)[0]
+        v = row.param_value
+        params = SystemParams(v if param == "b" else 0.0, v if param == "c" else 0.0, 0.5)
+        left = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+        assert row.cycles[0].converged and left.converged
+        assert row.cycles[0].period == pytest.approx(left.period, rel=1e-7, abs=0.0)
+
+    def test_step_budget_at_small_eps(self):
+        # the climb up the right branch is longest at small eps: 89.4k steps,
+        # against 127.3k from the previous loop's rightmost sample
+        rows = sweep("c", 1.10, 1.16, 40, SystemParams(0.0, 0.0, 0.05), tol=1e-9)
+        assert sum(row.stats["steps"] for row in rows) <= 100_000
+        assert [row.error for row in rows] == [None] * 36 + ["stable: ConvergedToEquilibriumError"] * 4
 
     def test_row_stats_sum_the_searches(self):
         # the band row's stable and unstable searches, and a failed search
         params = SystemParams(0.0, 0.0, 0.5)
         (row_b,) = bifurcation.sweep_values("b", [0.36745762711864405], params)
         b_params = SystemParams(0.36745762711864405, 0.0, 0.5)
-        outer = find_limit_cycle(b_params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+        outer = find_limit_cycle(b_params, dynamics._SCAN_SEED, tol=1e-9, max_periods=30)
         inner = find_unstable_cycle(b_params, outer, 1e-9)
         assert row_b.stats == {key: outer.stats[key] + inner.stats[key]
                                for key in ("steps", "rejected", "shots")}
         (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
         with pytest.raises(FHNError) as info:
-            find_limit_cycle(SystemParams(0.0, 1.1576271186440679, 0.5), PhasePoint(-2.8, 1.64),
+            find_limit_cycle(SystemParams(0.0, 1.1576271186440679, 0.5), dynamics._SCAN_SEED,
                              tol=1e-9, max_periods=30)
         assert row_c.stats == {key: info.value.stats[key] for key in ("steps", "rejected", "shots")}
         (row_eq,) = bifurcation.sweep_values("c", [1.0], params, cycles=False)

@@ -463,6 +463,18 @@ class TestBifurcateCommand:
                 assert rec[f"{prefix}_converged"] == str(cyc.converged)
         assert n_cycles >= 4
 
+    def test_without_tol_sweeps_at_the_library_default(self, tmp_path):
+        # one sweep tol default: the recipes, which pass no --tol, sweep at
+        # the tol of `sweep_values`
+        args = ["bifurcate", "--param", "c", "--from", "1.10", "--to", "1.14", "--steps", "3",
+                "--eps", "0.5", "--out", str(tmp_path)]
+        assert main(args) == 0
+        header, lines = read_csv(tmp_path / "bifurcation.csv")
+        rows = bifurcation.sweep("c", 1.10, 1.14, 3, SystemParams(0.0, 0.0, 0.5))
+        assert [float(dict(zip(header, line))["cycle_T"]) for line in lines] == [
+            row.cycles[0].period for row in rows]
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["tol"] is None
+
 
 class TestCanardCommand:
     def test_eps_zero_rejected(self, tmp_path):

@@ -733,6 +733,35 @@ class TestNewtonOnReturnMap:
         assert 0.9999 < lc.multiplier < 1.0
 
 
+class TestClimbSeed:
+    """The warm start of a sweep row: the last sample of the previous loop,
+    at or after its rightmost one, from which the rest of the loop contracts
+    by e^20 (the trapezoid rule on div F over the loop's samples)."""
+
+    @staticmethod
+    def _seed_and_rest(c):
+        params = SystemParams(0.0, c, 0.5)
+        loop = find_limit_cycle(params, dynamics._SCAN_SEED, tol=1e-9)
+        seed = dynamics._climb_seed(loop, params)
+        (i,) = np.flatnonzero((loop.x == seed.x) & (loop.y == seed.y))
+        div = (4.0 - 3.0 * loop.x ** 2) / params.eps - params.b
+        segments = 0.5 * (div[:-1] + div[1:]) * np.diff(loop.t)
+        return loop, int(i), lambda k: float(np.sum(segments[k:]))
+
+    def test_relaxation_loop_seed_lies_late_on_the_climb(self):
+        loop, i, rest = self._seed_and_rest(1.14)
+        assert i > int(np.argmax(loop.x))
+        assert rest(i) <= -20.0 < rest(i + 1)
+        # the whole loop's integral is ln P', far below -20
+        assert rest(0) == pytest.approx(math.log(loop.multiplier), abs=1e-6)
+
+    def test_hopf_side_loop_keeps_the_rightmost_sample(self):
+        # whole-loop ln P' = -0.049: no sample contracts by e^20
+        loop, i, rest = self._seed_and_rest(1.154)
+        assert i == int(np.argmax(loop.x))
+        assert rest(0) > -20.0
+
+
 def _escape_abscissa(b: float, c: float, eps: float) -> float:
     """X(b, c, eps) of the escape regions R+ = {x >= X, y >= -x} and
     R- = {x <= -X, y <= -x} of the time-reversed field.
