@@ -21,10 +21,10 @@ import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
 from .dynamics import (
-    _SCAN_SEED,
     LimitCycle,
     Stability,
     _climb_seed,
+    _cold_seed,
     _shoot,
     cycle_length,
     find_limit_cycle,
@@ -308,6 +308,8 @@ def _homoclinic_loop(b: float, arc_u, arc_s, stats: dict) -> LimitCycle:
 
 # cycle-search budget of a sweep row, in estimated periods
 _SWEEP_MAX_PERIODS = 30.0
+# integration tolerance of a sweep's cycle searches unless the caller names one
+SWEEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ def sweep(
     steps: int,
     params0: SystemParams,
     cycles: bool = True,
-    tol: float = 1e-9,
+    tol: float = SWEEP_TOL,
 ) -> list[DiagramRow]:
     """One-parameter diagram over a uniform grid; see sweep_values.
 
@@ -364,15 +366,16 @@ def sweep_values(
     values: list[float],
     params0: SystemParams,
     cycles: bool = True,
-    tol: float = 1e-9,
+    tol: float = SWEEP_TOL,
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
     The stable cycle is searched from the record's seed of the last stable
-    loop the sweep found (from (1.8, phi(1.8)) on the attracting right
-    branch until there is one): the last sample of that loop from which the
-    rest of it, up to the section, contracts by e^20, and else its rightmost
-    sample.  On a relaxation loop that sample lies late on the climb up the
+    loop the sweep found (until there is one, from the row's `_cold_seed`
+    on the attracting right branch, whose climb to the fold contracts by
+    e^27): the last sample of that loop from which the rest of it, up to
+    the section, contracts by e^20, and else its rightmost sample.  On a
+    relaxation loop that sample lies late on the climb up the
     attracting right branch, past the landing point of the jump, and the
     climb from it still contracts the offset between neighbouring rows'
     cycles (Fenichel) to e^-20; on a weakly contracting small loop it is the
@@ -388,7 +391,7 @@ def sweep_values(
     if param_name not in ("b", "c"):
         raise ValueError("param_name must be 'b' or 'c'")
     rows: list[DiagramRow] = []
-    seed_stable = _SCAN_SEED
+    seed_stable = None
     for v in values:
         v = float(v)
         params = SystemParams(
@@ -398,7 +401,7 @@ def sweep_values(
         )
         row = DiagramRow(v, equilibria(params))
         if cycles and params.eps > 0.0:
-            _sweep_cycles(row, params, seed_stable, tol)
+            _sweep_cycles(row, params, seed_stable or _cold_seed(params), tol)
             for rec in row.cycles:
                 if rec.stability is Stability.STABLE:
                     seed_stable = rec.seed

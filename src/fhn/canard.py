@@ -18,12 +18,15 @@ rule).
 `classify_canard` names each located cycle Hopf-small, headless, headed or
 relaxation from its arc along the repelling middle branch.
 
-Every cycle search starts at (1.8, phi(1.8)) on the attracting right branch
-of the critical manifold, below its fold.  The attracting slow manifold
-contracts nearby orbits at the rate (3x^2 - 4)/eps, so by the time the orbit
-has climbed to the fold and jumped it lies on a relaxation cycle to within
-the search tol for eps up to 0.5: the search ends after one period, with no
-transient down the left branch and no Newton shot.
+Every cycle search starts at `dynamics._cold_seed`, on the attracting right
+branch of the critical manifold below its fold, where the climb to the fold
+contracts by e^27.  The attracting slow manifold contracts nearby orbits at
+the rate (3x^2 - 4)/eps, so by the time the orbit has climbed to the fold
+and jumped it lies on a relaxation cycle to within the search tol for eps up
+to 1: the search ends after one period, with no transient down the left
+branch and no Newton shot.  The seed moves with eps and c: x = 1.80 at
+eps 0.5, c = 1.14, and 1.47 at eps 0.1, c = 1.15, where a climb from 1.8
+contracts by e^139.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SystemParams, phi
-from .dynamics import _SCAN_SEED, LimitCycle, find_limit_cycle
+from .dynamics import LimitCycle, _cold_seed, find_limit_cycle
 from .errors import BracketFailureError, FHNError
 from .singular import FOLD_X
 
@@ -284,7 +287,8 @@ _CONFIRM_TOL = 1e-11
 
 
 def _search(c: float, eps: float, tol: float) -> LimitCycle:
-    return find_limit_cycle(SystemParams(0.0, c, eps), _SCAN_SEED, tol=tol)
+    params = SystemParams(0.0, c, eps)
+    return find_limit_cycle(params, _cold_seed(params), tol=tol)
 
 
 def _measure(c: float, eps: float, cache: dict, decide: bool = False) -> LimitCycle:

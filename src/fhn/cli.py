@@ -250,17 +250,17 @@ def _write_trajectory(outdir: Path, traj, dt: float) -> None:
 
 
 def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
-    from .bifurcation import hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
+    from .bifurcation import SWEEP_TOL, hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
 
     if args.param in getattr(args, "given", ()):
         raise ValueError(f"--{args.param} is the swept parameter: its values come from --from and --to")
     params0 = SystemParams(args.b, args.c, args.eps)
     wanted = None if args.landmarks is None else _landmark_set(args)
+    # without --tol, at the sweep's own default, which the manifest echoes
+    tol = manifest.config["tol"] = SWEEP_TOL if args.tol is None else args.tol
     t0 = time.perf_counter()
-    # one sequential sweep: continuation carries each row's cycle into the next;
-    # without --tol, at the sweep's own default
-    tol = {} if args.tol is None else {"tol": args.tol}
-    rows = sweep(args.param, args.lo, args.hi, args.steps, params0, cycles=not args.no_cycles, **tol)
+    # one sequential sweep: continuation carries each row's cycle into the next
+    rows = sweep(args.param, args.lo, args.hi, args.steps, params0, cycles=not args.no_cycles, tol=tol)
     manifest.timings["sweep_s"] = time.perf_counter() - t0
 
     csv_rows = []

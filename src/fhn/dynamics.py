@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteError,
     StepSizeCollapseError,
 )
-from .singular import equilibrium_abscissae
+from .singular import FOLD_X, _transit_time, equilibrium_abscissae, slow_flow_numerator
 
 _GAMMA = 0.25
 _A5 = (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895)
@@ -452,8 +452,14 @@ _MIN_CYCLE_DIAMETER = 1e-6
 # loop moves by 0.0185 in T when its start moves by 2.6e-8
 _NEWTON_EXIT = 1.0
 # a warm start from a loop's sample keeps this much of the loop's contraction
-# before the section, as the integral of div F (see `_climb_seed`)
+# before the section, as the integral of div F (see `_climb_seed`), and a
+# cold start this much of its climb to the fold (see `_cold_seed`)
 _CLIMB_CONTRACTION = -20.0
+_COLD_CONTRACTION = -27.0
+# the cold start's abscissa where no climb places it
+_COLD_X = 1.8
+# a bound on the Newton steps that place it
+_COLD_ITERATIONS = 60
 # with no sign change known, a step goes at most to twice the return's height
 # above the equilibrium (d > 0), or down to this fraction of it (d < 0)
 _FALL = 0.01
@@ -466,26 +472,6 @@ _GAUSS = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
 # samples of the returned loop
 _DENSE_N = 2000
 _MAX_NORM = 1e6
-# The cold start of the canard locate's searches and of a sweep's rows before
-# its first stable loop: the attracting right branch of the critical
-# manifold, at x_s = 1.8.  The orbit climbs to the fold, jumps and meets the
-# section after 5.1 slow-time units (eps 0.5, c = 1.14); a start left of the
-# left branch, such as (-2.8, 1.64), runs down that branch first and takes
-# 13.3.  The attracting slow manifold S_a^eps contracts nearby orbits at the
-# rate (3x^2 - 4)/eps (Fenichel theory; Krupa & Szmolyan, J. Differential
-# Equations 174, 2001), so the climb shrinks the seed's O(eps) offset from
-# S_a^eps by exp(-I/eps), I the integral of (3x^2 - 4)^2/(x - c) dx from the
-# fold to x_s: e^-27 at eps 0.5.  The first return then lies within 5e-14 of
-# the cycle at eps 0.5 and 2e-14 at eps 0.1 (c = 1.14 and 1.15), so a
-# relaxation search ends after one period with no Newton shot at tol 1e-11.
-# Lower seeds contract less: from 1.7 the first return lies 1.4e-10 off, a
-# shot more per search at tol 1e-11, and from 1.3, beside the fold, 1e-2 off.
-# Each 0.1 above 1.8 adds about 3.5% to a locate's search steps.  At eps 1
-# the offset left is 3e-8, one shot more than from (-2.8, 1.64).  So is it in
-# the c = 0 family, where x - c, the climb's speed, is not small near the
-# fold: row 0 of the b = 0.24 to 0.40 sweep at eps 0.5 takes 2568 steps and a
-# shot from here, against 2148 and none from (-2.8, 1.64) (tol 1e-9).
-_SCAN_SEED = PhasePoint(1.8, phi(1.8))
 
 
 def find_limit_cycle(
@@ -752,3 +738,54 @@ def _climb_seed(loop: LimitCycle, params: SystemParams) -> PhasePoint:
     if len(later):
         i += int(later[-1])
     return PhasePoint(float(loop.x[i]), float(loop.y[i]))
+
+
+def _cold_seed(params: SystemParams) -> PhasePoint:
+    """The cold start of a cycle search: the point (x_s, phi(x_s)) on the
+    attracting right branch of the critical manifold from which the climb
+    to the fold contracts by exactly e^27.
+
+    The attracting slow manifold contracts nearby orbits at the rate of
+    div F = phi'(x)/eps - b (Fenichel; Krupa & Szmolyan, J. Differential
+    Equations 174, 2001), so on the climb the start's O(eps) offset from it
+    shrinks by the exponential of the integral of div F over the reduced
+    flow from x_s to FOLD_X: (1/eps) int phi'^2/g dx - b int phi'/g dx,
+    g = x - b phi(x) - c, both in closed form (`singular._transit_time`).
+    x_s is the root of that integral at _COLD_CONTRACTION, by Newton's
+    method kept in a bracket: right of the fold, for b >= 0, the integral
+    falls as x_s grows.  The target is what x = 1.8 gives at eps 0.5,
+    c = 1.14, where the first return lies within 5e-14 of the relaxation
+    cycle and the search ends after one period with no Newton shot at tol
+    1e-11.  From 1.8 the climb contracted by e^140 at eps 0.1, more than any
+    tol needs, and by e^12 in the c = 0 family at eps 0.5 and at eps 1, too
+    little, which cost a shot.  At eps 2 in the c = 0 family (b = 0.24,
+    tol 1e-9) a search still takes one shot from x_s.
+
+    With an equilibrium at or right of the fold, which stops the climb, or
+    with b < 0, where div F is positive beside the fold and an equilibrium
+    lies far right on the branch, the start is (1.8, phi(1.8)).
+    """
+    b, eps = params.b, params.eps
+    roots = equilibrium_abscissae(params)
+    if b < 0.0 or any(r >= FOLD_X for r, _ in roots):
+        return PhasePoint(_COLD_X, phi(_COLD_X))
+
+    def excess(x):
+        contraction = (_transit_time(x, FOLD_X, params, roots, 2) / eps
+                       - b * _transit_time(x, FOLD_X, params, roots))
+        return contraction - _COLD_CONTRACTION
+
+    lo, x = FOLD_X, _COLD_X
+    while (e := excess(x)) > 0.0:
+        lo, x = x, 2.0 * x
+    hi = x
+    for _ in range(_COLD_ITERATIONS):
+        lo, hi = (x, hi) if e > 0.0 else (lo, x)
+        # d excess / dx_s = -(phi'/eps - b) phi'/g at x_s
+        d = 4.0 - 3.0 * x * x
+        step = -e * slow_flow_numerator(x, params) / ((d / eps - b) * d)
+        if abs(step) <= 1e-14 * x:
+            break
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        e = excess(x)
+    return PhasePoint(x, phi(x))

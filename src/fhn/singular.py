@@ -264,14 +264,27 @@ _CLUSTER_TOL = 0.1
 # below this |b| the cubic term moves the period by far less than rounding,
 # and 1/b would overflow in the partial fractions
 _NEGLIGIBLE_B = 1e-150
+# below this |b| the phi'^2 integral takes its fraction over the far quadratic
+# factor by the Gauss-Legendre rule, not in closed form
+_FAR_Q_B = 1e-3
 
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """32-point Gauss-Legendre rule for the transits when the three equilibria
-    cluster, built on first use: its eigenvalue solve adds about 1 MB to the
-    peak RSS of a process that never needs it."""
+    cluster, and for the far fraction of a small |b|'s phi'^2 integral,
+    built on first use: its eigenvalue solve adds about 1 MB to the peak RSS
+    of a process that never needs it."""
     return np.polynomial.legendre.leggauss(32)
+
+
+def _by_rule(f, x1: float, x2: float) -> float:
+    """The integral of the vectorised `f` from x1 to x2 by the 32-point
+    Gauss-Legendre rule."""
+    nodes, weights = _gauss_legendre()
+    half, mid = 0.5 * (x2 - x1), 0.5 * (x2 + x1)
+    # np.sum, not np.dot: BLAS picks its summation order by CPU
+    return half * float(np.sum(weights * f(mid + half * nodes)))
 
 
 def relaxation_period(params: SystemParams) -> float:
@@ -301,39 +314,65 @@ def relaxation_period(params: SystemParams) -> float:
                for x1, x2 in ((LANDING_X, FOLD_X), (-LANDING_X, -FOLD_X)))
 
 
-def _transit_time(x1: float, x2: float, params: SystemParams, roots: list[tuple[float, int]]) -> float:
-    """Integral of (4 - 3x^2) / (b x^3 + p x - c) from x1 to x2, p = 1 - 4b.
+def _transit_time(
+    x1: float, x2: float, params: SystemParams, roots: list[tuple[float, int]], power: int = 1
+) -> float:
+    """Integral of phi'(x)^power / (b x^3 + p x - c) from x1 to x2, with
+    phi' = 4 - 3x^2, p = 1 - 4b and `power` 1 or 2.
 
-    The slow time from x1 to x2 under xdot = psi(x): it times every finite
-    slow segment of classify_singular_fate and both transits of
-    relaxation_period.  [x1, x2] must hold no root of the denominator.
+    With power 1 it is the slow time from x1 to x2 under xdot = psi(x): it
+    times every finite slow segment of classify_singular_fate and both
+    transits of relaxation_period.  With power 2 it is eps times the
+    integral of phi'/eps, the fast part of div F, over that time: the log of
+    the contraction towards the critical manifold (`dynamics._cold_seed`).
+    [x1, x2] must hold no root of the denominator.
     """
     b, c = params.b, params.c
     if abs(b) < _NEGLIGIBLE_B:
-        # (4 - 3x^2) / (x - c) = -3x - 3c + (4 - 3c^2) / (x - c)
-        return (-1.5 * (x2 - x1) * (x2 + x1) - 3.0 * c * (x2 - x1)
-                + (4.0 - 3.0 * c * c) * math.log1p((x2 - x1) / (x1 - c)))
+        d, s, u1 = x2 - x1, x2 + x1, x1 - c
+        if power == 1:
+            # (4 - 3x^2) / (x - c) = -3x - 3c + (4 - 3c^2) / (x - c)
+            return (-1.5 * d * s - 3.0 * c * d
+                    + (4.0 - 3.0 * c * c) * math.log1p(d / u1))
+        # (4 - 3x^2)^2 / (x - c) = 9x^3 + 9cx^2 + (9c^2 - 24)x + 9c^3 - 24c
+        #                          + (3c^2 - 4)^2 / (x - c)
+        cubes = x2 * x2 + x2 * x1 + x1 * x1
+        return (d * (2.25 * s * (x2 * x2 + x1 * x1) + 3.0 * c * cubes
+                     + (4.5 * c * c - 12.0) * s + (9.0 * c * c - 24.0) * c)
+                + (3.0 * c * c - 4.0) ** 2 * math.log1p(d / u1))
     p = 1.0 - 4.0 * b
     # weighting by 1 / (1 + r^2) passes over the far roots +-|b|^-1/2 of a
     # small negative b, whose fractions cancel to a few digits
     r = max((r for r, _ in roots), key=lambda r: abs(3.0 * b * r * r + p) / (1.0 + r * r))
     dp = 3.0 * b * r * r + p
     if abs(dp) < _CLUSTER_TOL * abs(b):
-        nodes, weights = _gauss_legendre()
-        half, mid = 0.5 * (x2 - x1), 0.5 * (x2 + x1)
-        xs = mid + half * nodes
-        f = (4.0 - 3.0 * xs * xs) / ((b * xs * xs + p) * xs - c)
-        # np.sum, not np.dot: BLAS picks its summation order by CPU
-        return half * float(np.sum(weights * f))
+        return _by_rule(lambda xs: (4.0 - 3.0 * xs * xs) ** power / ((b * xs * xs + p) * xs - c), x1, x2)
     # one Newton step: the small-|b| shortcut in equilibrium_abscissae is not a root
     r -= ((b * r * r + p) * r - c) / dp
     dp = 3.0 * b * r * r + p
-    # P = (x - r) Q with Q = b x^2 + b r x + q0, and
-    # N / P = alpha / (x - r) + (beta x + gamma) / Q
+    # P = (x - r) Q with Q = b x^2 + b r x + q0, and phi'^power / P is
+    # alpha / (x - r) plus a fraction over Q
     q0 = b * r * r + p
-    alpha = (4.0 - 3.0 * r * r) / dp
-    beta = -3.0 - alpha * b
-    gamma = beta * r - alpha * b * r
+    alpha = (4.0 - 3.0 * r * r) ** power / dp
+    near = alpha * math.log1p((x2 - x1) / (x1 - r))
+    if power == 2 and abs(b) < _FAR_Q_B:
+        # phi'^2 / P = alpha / (x - r) + M / Q, M = 9x^3 + 9r x^2 + m1 x + m0;
+        # the roots of Q lie beyond |b|^-1/2, where the fractions of M / Q
+        # cancel to about 3e-15/|b|, and the rule is exact to rounding
+        m1 = 9.0 * r * r - 24.0 - alpha * b
+        m0 = (m1 - alpha * b) * r
+        return near + _by_rule(lambda xs: (((9.0 * xs + 9.0 * r) * xs + m1) * xs + m0)
+                               / ((b * xs + b * r) * xs + q0), x1, x2)
+    # the proper fraction (n2 x^2 + n1 x + n0) / P, phi' / P for power 1 and
+    # phi'^2 / P less its whole part 9x/b for power 2, is
+    # alpha / (x - r) + (beta x + gamma) / Q
+    if power == 1:
+        n2, n1, whole = -3.0, 0.0, 0.0
+    else:
+        n2, n1 = 12.0 - 9.0 / b, 9.0 * c / b
+        whole = 4.5 * (x2 - x1) * (x2 + x1) / b
+    beta = n2 - alpha * b
+    gamma = n1 + beta * r - alpha * b * r
     # Q = b (u^2 + k) with u = x + r/2, and beta x + gamma = beta u + delta
     k = (q0 - 0.25 * b * r * r) / b
     delta = gamma - 0.5 * beta * r
@@ -348,4 +387,4 @@ def _transit_time(x1: float, x2: float, params: SystemParams, roots: list[tuple[
         arc = (1.0 / u1 - 1.0 / u2) / b
     q1 = (b * x1 + b * r) * x1 + q0
     log_q = math.log1p(b * (x2 - x1) * (x2 + x1 + r) / q1)
-    return alpha * math.log1p((x2 - x1) / (x1 - r)) + 0.5 * beta / b * log_q + delta * arc
+    return whole + near + 0.5 * beta / b * log_q + delta * arc

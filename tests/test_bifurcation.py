@@ -423,15 +423,16 @@ class TestSweepPin:
 
     # sha256 over the rows of `_digest`, recorded from Newton's method on the
     # return map to the half-lines above the equilibria, row 0's stable search
-    # started at (1.8, phi(1.8)) and every later one at `_climb_seed` of the
+    # started at `_cold_seed` and every later one at `_climb_seed` of the
     # previous stable loop, and ("b") from the bracket inside the stable loop
     # of the row in (b_h, b_hom), where it finds the unstable cycle
     DIGESTS = {
-        "b": "5e17a2402688558145a58e8c97657609a489ceaadac0c6fdef95ed1643f3a49a",
-        "c": "cba6bd8a617ec429657978919b0f93577a7f43cedc3b07628987352dfcd90fb3",
+        "b": "0333c30cf4d82162f377986fec459979367d46666efb8470861f50763b081781",
+        "c": "0bcef1af8357cb0277f136b10f46323afb322189e8214eb38a0075186f965987",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
-    # summed search steps of each grid, 75.8k (b) and 49.8k (c); 82.3k and
+    # summed search steps of each grid, 74.7k (b) and 49.8k (c) (75.8k and
+    # 49.8k when row 0 started at (1.8, phi(1.8))); 82.3k and
     # 59.3k from the previous loop's rightmost sample, the landing point of
     # its jump, which climbed the whole right branch before the first return;
     # 121.3k and 86.2k from a start on the section, which paid one period to
@@ -487,13 +488,23 @@ class TestSweepPin:
 
     @pytest.mark.parametrize("param", sorted(GRIDS))
     def test_first_row_agrees_with_a_start_left_of_the_left_branch(self, param):
-        # row 0 starts at (1.8, phi(1.8)) on the attracting right branch
+        # row 0 starts at `_cold_seed` on the attracting right branch
         row = _recipe_rows(param)[0]
         v = row.param_value
         params = SystemParams(v if param == "b" else 0.0, v if param == "c" else 0.0, 0.5)
         left = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
         assert row.cycles[0].converged and left.converged
         assert row.cycles[0].period == pytest.approx(left.period, rel=1e-7, abs=0.0)
+
+    # the cold seed's climb contracts by e^27; from (1.8, phi(1.8)) it was
+    # e^-12 on these rows, and each took one shot more: 2568, 2157 and 2240
+    # steps, against 1481, 1304 and 1259
+    @pytest.mark.parametrize("param, eps", [("b", 0.5), ("b", 1.0), ("c", 1.0)])
+    def test_first_row_takes_no_newton_shot(self, param, eps):
+        lo, _ = self.GRIDS[param]
+        (row,) = bifurcation.sweep_values(param, [lo], SystemParams(0.0, 0.0, eps), tol=1e-9)
+        assert row.error is None and row.cycles[0].converged
+        assert row.stats["shots"] == 0
 
     def test_step_budget_at_small_eps(self):
         # the climb up the right branch is longest at small eps: 89.4k steps,
@@ -507,14 +518,14 @@ class TestSweepPin:
         params = SystemParams(0.0, 0.0, 0.5)
         (row_b,) = bifurcation.sweep_values("b", [0.36745762711864405], params)
         b_params = SystemParams(0.36745762711864405, 0.0, 0.5)
-        outer = find_limit_cycle(b_params, dynamics._SCAN_SEED, tol=1e-9, max_periods=30)
+        outer = find_limit_cycle(b_params, dynamics._cold_seed(b_params), tol=1e-9, max_periods=30)
         inner = find_unstable_cycle(b_params, outer, 1e-9)
         assert row_b.stats == {key: outer.stats[key] + inner.stats[key]
                                for key in ("steps", "rejected", "shots")}
         (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
+        c_params = SystemParams(0.0, 1.1576271186440679, 0.5)
         with pytest.raises(FHNError) as info:
-            find_limit_cycle(SystemParams(0.0, 1.1576271186440679, 0.5), dynamics._SCAN_SEED,
-                             tol=1e-9, max_periods=30)
+            find_limit_cycle(c_params, dynamics._cold_seed(c_params), tol=1e-9, max_periods=30)
         assert row_c.stats == {key: info.value.stats[key] for key in ("steps", "rejected", "shots")}
         (row_eq,) = bifurcation.sweep_values("c", [1.0], params, cycles=False)
         assert row_eq.stats == {"steps": 0, "rejected": 0, "shots": 0}

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from fhn import dynamics
 from fhn import bifurcation
@@ -741,7 +741,7 @@ class TestClimbSeed:
     @staticmethod
     def _seed_and_rest(c):
         params = SystemParams(0.0, c, 0.5)
-        loop = find_limit_cycle(params, dynamics._SCAN_SEED, tol=1e-9)
+        loop = find_limit_cycle(params, dynamics._cold_seed(params), tol=1e-9)
         seed = dynamics._climb_seed(loop, params)
         (i,) = np.flatnonzero((loop.x == seed.x) & (loop.y == seed.y))
         div = (4.0 - 3.0 * loop.x ** 2) / params.eps - params.b
@@ -760,6 +760,33 @@ class TestClimbSeed:
         loop, i, rest = self._seed_and_rest(1.154)
         assert i == int(np.argmax(loop.x))
         assert rest(0) > -20.0
+
+
+class TestColdSeed:
+    """The cold start of a search: the point on the attracting right branch
+    from which the climb to the fold contracts by e^27."""
+
+    @pytest.mark.parametrize("b, c, eps", [(0.0, 1.14, 0.5), (0.0, 1.15, 0.1), (0.0, 1.14, 1.0),
+                                           (0.24, 0.0, 0.5), (0.3, 0.0, 2.0), (0.0, FOLD_X - 1e-5, 0.5)])
+    def test_climb_contracts_by_e27(self, b, c, eps):
+        params = SystemParams(b, c, eps)
+        seed = dynamics._cold_seed(params)
+        assert seed.x > FOLD_X and seed.y == phi(seed.x)
+
+        def div_per_x(x):
+            # div F = phi'/eps - b over the reduced flow xdot = g / phi'
+            d = 4.0 - 3.0 * x * x
+            return (d / eps - b) * d / (x - b * phi(x) - c)
+
+        contraction = quad(div_per_x, seed.x, FOLD_X, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        assert contraction == pytest.approx(-27.0, abs=1e-9)
+
+    # an equilibrium at or right of the fold stops the climb; b < 0
+    @pytest.mark.parametrize("b, c", [(0.0, 2.0), (0.4, 0.0), (0.0, FOLD_X), (-0.1, 0.0)])
+    def test_blocked_climb_keeps_the_fixed_start(self, b, c):
+        seed = dynamics._cold_seed(SystemParams(b, c, 0.5))
+        assert math.isfinite(seed.x) and math.isfinite(seed.y)
+        assert seed == PhasePoint(1.8, phi(1.8))
 
 
 def _escape_abscissa(b: float, c: float, eps: float) -> float:

@@ -25,6 +25,7 @@ from fhn.singular import (
     slow_flow,
     slow_flow_linearization,
     slow_flow_numerator,
+    _transit_time,
 )
 
 
@@ -326,3 +327,41 @@ class TestRelaxationPeriod:
         orbit = classify_singular_fate(PhasePoint(*start), SystemParams(b, c, 0.0))
         assert orbit.fate is Fate.DIVERGES_PLUS_Y
         self._assert_slow_durations_match_quadrature(orbit)
+
+
+class TestSquaredTransitIntegral:
+    """The integral of phi'^2 / g, g = b x^3 + (1 - 4b) x - c, from x_s to
+    the fold: eps times the log of the contraction towards the critical
+    manifold on the climb from x_s."""
+
+    @staticmethod
+    def _against_quadrature(b, c, x_s):
+        params = SystemParams(b, c, 0.0)
+        roots = equilibrium_abscissae(params)
+        assert not any(FOLD_X <= r <= x_s for r, _ in roots)
+
+        def integrand(x):
+            return (4.0 - 3.0 * x * x) ** 2 / (b * x**3 + (1.0 - 4.0 * b) * x - c)
+
+        ref = quad(integrand, x_s, FOLD_X, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        return _transit_time(x_s, FOLD_X, params, roots, 2), ref
+
+    @pytest.mark.parametrize("b", [-0.1, 0.0, 0.1, 0.24, 0.3])
+    @pytest.mark.parametrize("c, x_s", [(0.0, 1.8), (-0.5, 2.5), (1.0, 1.3)])
+    def test_closed_form_matches_quadrature(self, b, c, x_s):
+        got, ref = self._against_quadrature(b, c, x_s)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    # the far quadratic factor of g, beyond |b|^-1/2, by the Gauss-Legendre
+    # rule: its fractions in closed form lose digits as 3e-15/|b|
+    @pytest.mark.parametrize("b", [1e-12, 1e-6, -1e-4, 9e-4])
+    @pytest.mark.parametrize("c, x_s", [(0.0, 1.8), (1.14, 1.5)])
+    def test_small_b_matches_quadrature(self, b, c, x_s):
+        got, ref = self._against_quadrature(b, c, x_s)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_b0_at_c0_by_hand(self):
+        # 9x^3 - 24x + 16/x from 2 to 2/sqrt(3): 9/4 (16/9 - 16) - 12 (4/3 - 4)
+        # + 16 ln(1/sqrt(3))
+        got = _transit_time(2.0, FOLD_X, SystemParams(0.0, 0.0, 0.0), [(0.0, 1)], 2)
+        assert got == pytest.approx(-8.0 * math.log(3.0), rel=1e-14)
