@@ -456,8 +456,11 @@ _NEWTON_EXIT = 1.0
 # cold start this much of its climb to the fold (see `_cold_seed`)
 _CLIMB_CONTRACTION = -20.0
 _COLD_CONTRACTION = -27.0
-# the cold start's abscissa where no climb places it
+# the cold start's abscissa where no climb places it, and its largest: from
+# farther out the climb takes longer than a search's first-return window at
+# eps 1000 (b = 0, c = 0.5: from x = 8 on), where 4 still finds the cycle
 _COLD_X = 1.8
+_COLD_X_MAX = 4.0
 # a bound on the Newton steps that place it
 _COLD_ITERATIONS = 60
 # with no sign change known, a step goes at most to twice the return's height
@@ -743,7 +746,7 @@ def _climb_seed(loop: LimitCycle, params: SystemParams) -> PhasePoint:
 def _cold_seed(params: SystemParams) -> PhasePoint:
     """The cold start of a cycle search: the point (x_s, phi(x_s)) on the
     attracting right branch of the critical manifold from which the climb
-    to the fold contracts by exactly e^27.
+    to the fold contracts by exactly e^27, up to x = 4.
 
     The attracting slow manifold contracts nearby orbits at the rate of
     div F = phi'(x)/eps - b (Fenichel; Krupa & Szmolyan, J. Differential
@@ -763,7 +766,9 @@ def _cold_seed(params: SystemParams) -> PhasePoint:
 
     With an equilibrium at or right of the fold, which stops the climb, or
     with b < 0, where div F is positive beside the fold and an equilibrium
-    lies far right on the branch, the start is (1.8, phi(1.8)).
+    lies far right on the branch, the start is (1.8, phi(1.8)).  It lies at
+    x = 4 at most, whatever the climb from there: from eps 6 at b = 0.3,
+    c = 0 and from eps 15 at b = c = 0.
     """
     b, eps = params.b, params.eps
     roots = equilibrium_abscissae(params)
@@ -777,7 +782,9 @@ def _cold_seed(params: SystemParams) -> PhasePoint:
 
     lo, x = FOLD_X, _COLD_X
     while (e := excess(x)) > 0.0:
-        lo, x = x, 2.0 * x
+        if x == _COLD_X_MAX:
+            return PhasePoint(x, phi(x))
+        lo, x = x, min(2.0 * x, _COLD_X_MAX)
     hi = x
     for _ in range(_COLD_ITERATIONS):
         lo, hi = (x, hi) if e > 0.0 else (lo, x)

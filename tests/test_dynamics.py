@@ -781,6 +781,13 @@ class TestColdSeed:
         contraction = quad(div_per_x, seed.x, FOLD_X, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
         assert contraction == pytest.approx(-27.0, abs=1e-9)
 
+    def test_far_start_is_capped(self):
+        # at eps 1000 the e^27 point lies at x = 10.4, and the climb from
+        # there outlasts the search's first-return window
+        assert dynamics._cold_seed(SystemParams(0.0, 0.5, 1000.0)) == PhasePoint(4.0, phi(4.0))
+        (row,) = bifurcation.sweep_values("c", [0.5], SystemParams(0.0, 0.0, 1000.0))
+        assert row.error is None and row.cycles[0].converged
+
     # an equilibrium at or right of the fold stops the climb; b < 0
     @pytest.mark.parametrize("b, c", [(0.0, 2.0), (0.4, 0.0), (0.0, FOLD_X), (-0.1, 0.0)])
     def test_blocked_climb_keeps_the_fixed_start(self, b, c):
