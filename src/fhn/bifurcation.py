@@ -20,16 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from .dynamics import (
-    LimitCycle,
-    Stability,
-    _climb_seed,
-    _cold_seed,
-    _shoot,
-    cycle_length,
-    find_limit_cycle,
-    find_unstable_cycle,
-)
+from .dynamics import LimitCycle, Stability, _shoot, cycle_length, find_limit_cycle, find_unstable_cycle
 from .dynamics import integrate  # noqa: F401  not called here; perfbench's tracer test reads it
 from .errors import BracketFailureError, FHNError, IntegrationError
 from .singular import FOLD_X, equilibrium_abscissae
@@ -122,11 +113,11 @@ def hopf_in_b(eps: float) -> BifurcationPoint:
     Closed-form root of Tr(J_{E+}) = -eps*b + 3/b - 8 = 0; tends to 3/8 as
     eps -> 0.  The cycles born here are unstable: at b above b_h they
     surround the stable focus E+ inside the relaxation cycle, up to the
-    homoclinic value.  Raises ValueError for eps <= 0,
-    and for eps >= 16, where b_h <= 1/4 and E+- do not exist.
+    homoclinic value.  Raises ValueError for eps <= 0 or not finite, and
+    for eps >= 16, where b_h <= 1/4 and E+- do not exist.
     """
-    if eps <= 0.0:
-        raise ValueError("hopf_in_b requires eps > 0")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"hopf_in_b requires a finite eps > 0, got {eps}")
     b_h = _hopf_b_value(eps)
     if b_h <= 0.25:
         raise ValueError(
@@ -187,8 +178,8 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     when b_h <= 1/4 (eps >= 16), where the origin is not a saddle at the
     Hopf value.
     """
-    if eps <= 0.0:
-        raise ValueError("homoclinic_in_b requires eps > 0")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"homoclinic_in_b requires a finite eps > 0, got {eps}")
     b_h = _hopf_b_value(eps)
     if b_h <= 0.25:
         raise BracketFailureError(
@@ -306,10 +297,11 @@ def _homoclinic_loop(b: float, arc_u, arc_s, stats: dict) -> LimitCycle:
     )
 
 
-# cycle-search budget of a sweep row, in estimated periods
-_SWEEP_MAX_PERIODS = 30.0
 # integration tolerance of a sweep's cycle searches unless the caller names one
 SWEEP_TOL = 1e-9
+# a row's warm start keeps this much of the last stable loop's contraction
+# before the section, as the integral of div F (see `_climb_seed`)
+_CLIMB_CONTRACTION = -20.0
 
 
 @dataclass(frozen=True)
@@ -318,10 +310,6 @@ class CycleRecord:
     length: float
     stability: Stability
     converged: bool
-    # the loop's sample where the next row's stable search starts
-    # (`_climb_seed`): the last one, at or after the rightmost, from which the
-    # rest of the loop contracts by e^20, else the rightmost
-    seed: PhasePoint
 
 
 _SEARCH_COUNTS = ("steps", "rejected", "shots")
@@ -370,10 +358,9 @@ def sweep_values(
 ) -> list[DiagramRow]:
     """One-parameter diagram: equilibria per value, plus cycle records.
 
-    The stable cycle is searched from the record's seed of the last stable
-    loop the sweep found (until there is one, from the row's `_cold_seed`
-    on the attracting right branch, whose climb to the fold contracts by
-    e^27): the last sample of that loop from which the rest of it, up to
+    The stable cycle is searched from `_climb_seed` of the last stable
+    loop the sweep found (until there is one, from `find_limit_cycle`'s own
+    start): the last sample of that loop from which the rest of it, up to
     the section, contracts by e^20, and else its rightmost sample.  On a
     relaxation loop that sample lies late on the climb up the
     attracting right branch, past the landing point of the jump, and the
@@ -401,18 +388,17 @@ def sweep_values(
         )
         row = DiagramRow(v, equilibria(params))
         if cycles and params.eps > 0.0:
-            _sweep_cycles(row, params, seed_stable or _cold_seed(params), tol)
-            for rec in row.cycles:
-                if rec.stability is Stability.STABLE:
-                    seed_stable = rec.seed
+            seed_stable = _sweep_cycles(row, params, seed_stable, tol) or seed_stable
         rows.append(row)
     return rows
 
 
-def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint, tol):
+def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint | None, tol):
+    """Fill `row` with the row's cycle records, error and summed search stats;
+    return the `_climb_seed` of its stable loop, or None without one."""
     label, loops, failed = "stable", [], []
     try:
-        loops.append(find_limit_cycle(params, seed_stable, tol=tol, max_periods=_SWEEP_MAX_PERIODS))
+        loops.append(find_limit_cycle(params, seed_stable, tol=tol))
         stable_x = [e.point.x for e in row.equilibria if e.point.x > 0 and e.classification
                     in (EquilibriumClass.STABLE_FOCUS, EquilibriumClass.STABLE_NODE)]
         if stable_x and loops[0].section_x == stable_x[0]:
@@ -423,5 +409,30 @@ def _sweep_cycles(row: DiagramRow, params: SystemParams, seed_stable: PhasePoint
         failed.append(exc.stats)
     searches = [lc.stats for lc in loops] + failed
     row.stats = {key: sum(st[key] for st in searches) for key in _SEARCH_COUNTS}
-    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged,
-                              _climb_seed(lc, params)) for lc in loops]
+    row.cycles = [CycleRecord(lc.period, lc.length, lc.stability, lc.converged) for lc in loops]
+    stable = [lc for lc in loops if lc.stability is Stability.STABLE]
+    return _climb_seed(stable[-1], params) if stable else None
+
+
+def _climb_seed(loop: LimitCycle, params: SystemParams) -> PhasePoint:
+    """The latest sample of `loop`, at or after its rightmost one, from which
+    the integral of div F = (4 - 3x^2)/eps - b over the rest of the loop, by
+    the trapezoid rule on its samples, is at most _CLIMB_CONTRACTION; the
+    rightmost sample when there is none.
+
+    On a relaxation loop the rightmost sample is where the jump lands on the
+    attracting right branch, and the climb from there to the section
+    contracts the offset between neighbouring cycles by far more than a warm
+    start needs (Fenichel; Krupa & Szmolyan, J. Differential Equations 174,
+    2001): a start e^20 of contraction before the section returns as close to
+    the next cycle, after a shorter climb.  A weakly contracting loop, such
+    as one beside a Hopf point, keeps its rightmost sample."""
+    i = int(np.argmax(loop.x))
+    x = loop.x[i:]
+    div = (4.0 - 3.0 * x * x) / params.eps - params.b
+    # rest[k]: the integral from sample i + k to the loop's end
+    rest = np.append(np.cumsum((0.5 * (div[:-1] + div[1:]) * np.diff(loop.t[i:]))[::-1])[::-1], 0.0)
+    later = np.flatnonzero(rest <= _CLIMB_CONTRACTION)
+    if len(later):
+        i += int(later[-1])
+    return PhasePoint(float(loop.x[i]), float(loop.y[i]))

@@ -18,15 +18,12 @@ rule).
 `classify_canard` names each located cycle Hopf-small, headless, headed or
 relaxation from its arc along the repelling middle branch.
 
-Every cycle search starts at `dynamics._cold_seed`, on the attracting right
-branch of the critical manifold below its fold, where the climb to the fold
-contracts by e^27.  The attracting slow manifold contracts nearby orbits at
-the rate (3x^2 - 4)/eps, so by the time the orbit has climbed to the fold
-and jumped it lies on a relaxation cycle to within the search tol for eps up
-to 1: the search ends after one period, with no transient down the left
-branch and no Newton shot.  The seed moves with eps and c: x = 1.80 at
-eps 0.5, c = 1.14, and 1.47 at eps 0.1, c = 1.15, where a climb from 1.8
-contracts by e^139.
+Every cycle search starts where `find_limit_cycle` starts without a seed,
+on the attracting right branch of the critical manifold below its fold.  The
+attracting slow manifold contracts nearby orbits at the rate (3x^2 - 4)/eps,
+so by the time the orbit has climbed to the fold and jumped it lies on a
+relaxation cycle to within the search tol for eps up to 1: the search ends
+after one period, with no transient down the left branch and no Newton shot.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SystemParams, phi
-from .dynamics import LimitCycle, _cold_seed, find_limit_cycle
+from .dynamics import LimitCycle, find_limit_cycle
 from .errors import BracketFailureError, FHNError
 from .singular import FOLD_X
 
@@ -287,8 +284,7 @@ _CONFIRM_TOL = 1e-11
 
 
 def _search(c: float, eps: float, tol: float) -> LimitCycle:
-    params = SystemParams(0.0, c, eps)
-    return find_limit_cycle(params, _cold_seed(params), tol=tol)
+    return find_limit_cycle(SystemParams(0.0, c, eps), tol=tol)
 
 
 def _measure(c: float, eps: float, cache: dict, decide: bool = False) -> LimitCycle:

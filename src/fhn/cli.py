@@ -79,15 +79,6 @@ class RunManifest:
         _write_json(outdir / "manifest.json", asdict(self))
 
 
-class _Noted(argparse.Action):
-    """Store the value and add the flag's dest to `args.given`, so that a
-    command can refuse a flag that it would ignore."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = {*getattr(namespace, "given", ()), self.dest}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fhn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -121,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="hi", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--b", type=float, default=0.0, action=_Noted, help="fixed b when sweeping c")
-    sp.add_argument("--c", type=float, default=0.0, action=_Noted, help="fixed c when sweeping b")
+    sp.add_argument("--b", type=float, help="fixed b when sweeping c (default 0)")
+    sp.add_argument("--c", type=float, help="fixed c when sweeping b (default 0)")
     sp.add_argument(
         "--landmarks",
         nargs="?",
@@ -171,7 +162,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"fhn: --out: {exc}", file=sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "given")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = RunManifest(args.command, config)
     handler = {
         "singular": _cmd_singular,
@@ -252,7 +243,11 @@ def _write_trajectory(outdir: Path, traj, dt: float) -> None:
 def _cmd_bifurcate(args, outdir: Path, manifest: RunManifest) -> None:
     from .bifurcation import SWEEP_TOL, hopf_in_b, hopf_in_c, homoclinic_in_b, pitchfork_in_b, sweep
 
-    if args.param in getattr(args, "given", ()):
+    swept = getattr(args, args.param)
+    # the swept parameter takes each row's value, the fixed one 0 unless given
+    args.b, args.c = (0.0 if v is None else v for v in (args.b, args.c))
+    manifest.config.update(b=args.b, c=args.c)
+    if swept is not None:
         raise ValueError(f"--{args.param} is the swept parameter: its values come from --from and --to")
     params0 = SystemParams(args.b, args.c, args.eps)
     wanted = None if args.landmarks is None else _landmark_set(args)

@@ -451,10 +451,10 @@ _MIN_CYCLE_DIAMETER = 1e-6
 # integration error of two runs (measured at tol 1e-12 to 1e-8), and a canard
 # loop moves by 0.0185 in T when its start moves by 2.6e-8
 _NEWTON_EXIT = 1.0
-# a warm start from a loop's sample keeps this much of the loop's contraction
-# before the section, as the integral of div F (see `_climb_seed`), and a
-# cold start this much of its climb to the fold (see `_cold_seed`)
-_CLIMB_CONTRACTION = -20.0
+# the slow-time budget of every search, in estimated periods
+_PERIODS = 50.0
+# the cold start keeps this much of its climb to the fold, as the integral of
+# div F (see `_cold_seed`)
 _COLD_CONTRACTION = -27.0
 # the cold start's abscissa where no climb places it, and its largest: from
 # farther out the climb takes longer than a search's first-return window at
@@ -479,12 +479,16 @@ _MAX_NORM = 1e6
 
 def find_limit_cycle(
     params: SystemParams,
-    seed: PhasePoint,
+    seed: PhasePoint | None = None,
     tol: float = 1e-10,
-    max_periods: float = 50.0,
 ) -> LimitCycle:
     """Locate the limit cycle that the forward orbit from `seed` approaches,
     as a fixed point of the return map P to a half-line.
+
+    Without a seed the orbit starts on the attracting right branch of the
+    critical manifold, where the climb to the fold contracts by e^27 (see
+    `_cold_seed`): for eps up to 1 its first return lies within `tol` of
+    the relaxation cycle, when there is one.
 
     The sections are the half-lines {x = x_eq, y > y_eq} above the
     equilibria: x' = (y_eq - y)/eps there, so the flow crosses each leftward
@@ -497,12 +501,12 @@ def find_limit_cycle(
     x_eq and carries the multiplier P'(y*), and it is labelled stable when
     that is below 1.
 
-    The budget is `max_periods` estimated periods of slow time (10 time
-    units each until the first return).  The one loose exit: when the budget
-    runs out, the last loop is returned flagged `converged=False` if its
-    Newton step is below 1% of its x-range.  That is the regime beside a
-    Hopf point, where the noise of d, about 0.1 tol, is divided by a small
-    1 - P'.
+    The budget, that of every search, is 50 estimated periods of slow time
+    (10 time units each until the first return).  The one loose exit: when
+    the budget runs out, the last loop is returned flagged `converged=False`
+    if its Newton step is below 1% of its x-range.  That is the regime
+    beside a Hopf point, where the noise of d, about 0.1 tol, is divided by
+    a small 1 - P'.
 
     The search ends without a cycle at one of these exits:
     - ConvergedToEquilibriumError, the one equilibrium certificate, read
@@ -521,10 +525,10 @@ def find_limit_cycle(
     The returned loop and every FHNError raised carry `stats`, the search's
     step counts in the form of Trajectory.stats plus `shots`.
     """
-    if not (math.isfinite(max_periods) and max_periods > 0.0):
-        raise ValueError("max_periods must be finite and > 0")
+    if params.eps <= 0.0:
+        raise ValueError("find_limit_cycle requires eps > 0")
     lines = [(x_eq, phi(x_eq)) for x_eq, _ in equilibrium_abscissae(params)]
-    return _return_map_root(params, lines, tol, max_periods, seed=seed)
+    return _return_map_root(params, lines, tol, seed=_cold_seed(params) if seed is None else seed)
 
 
 def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e-10) -> LimitCycle:
@@ -544,11 +548,11 @@ def find_unstable_cycle(params: SystemParams, outer: LimitCycle, tol: float = 1e
     x_eq = outer.section_x
     y_eq, y_outer = phi(x_eq), float(outer.y[0])
     s = y_outer - y_eq
-    return _return_map_root(params, [(x_eq, y_eq)], tol, 50.0, t_ref=outer.period,
+    return _return_map_root(params, [(x_eq, y_eq)], tol, t_ref=outer.period,
                             bracket=(y_eq + 1e-3 * s, y_outer - 1e-3 * s))
 
 
-def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, bracket=None):
+def _return_map_root(params, lines, tol, seed=None, t_ref=_WINDOW, bracket=None):
     """Newton's method on the displacement d(y) = P(y) - y of the return map
     to one of the half-lines `lines`.
 
@@ -573,7 +577,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
 
     Converged when the Newton step |d/(P' - 1)| is below `tol`; the loop is
     that stretch.  The slow time of all runs together is bounded by
-    `max_periods` times the last return time (`t_ref` before any).  When it
+    `_PERIODS` times the last return time (`t_ref` before any).  When it
     runs out, or the bracket closes below `tol` without a root, the last
     stretch is returned unconverged if its Newton step is below 1% of its
     x-range; otherwise NoCycleError.
@@ -587,7 +591,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
         last `_WINDOW` time units if it closed none."""
         nonlocal spent
         start = seed if k is None else PhasePoint(lines[k][0], y)
-        traj, j, ends = _shoot(start, params, max_periods * t_ref - spent, lines, stats, start_on=k,
+        traj, j, ends = _shoot(start, params, _PERIODS * t_ref - spent, lines, stats, start_on=k,
                                tol=tol, max_norm=_MAX_NORM)
         spent += traj.t[-1]
         if j is None:
@@ -612,7 +616,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             k, y, pending = 0, bracket[0], [bracket[1]]
         else:
             k, y, pending = None, None, []
-        while max_periods * t_ref > spent:
+        while _PERIODS * t_ref > spent:
             if k is not None:
                 stats["shots"] += 1
             traj, j, ends = run(k, y)
@@ -658,7 +662,7 @@ def _return_map_root(params, lines, tol, max_periods, seed=None, t_ref=_WINDOW, 
             loop = _build_loop(last, lines[k][0], False, stats)
             if abs(last[-1]) < _LOOSE_FRACTION * np.ptp(loop.x):
                 return loop
-        raise NoCycleError(f"returns did not settle within {max_periods} estimated periods")
+        raise NoCycleError(f"returns did not settle within {_PERIODS} estimated periods")
     except FHNError as exc:
         exc.stats = dict(stats)
         raise
@@ -719,30 +723,6 @@ def _build_loop(stretch, section_x, converged, stats):
     )
 
 
-def _climb_seed(loop: LimitCycle, params: SystemParams) -> PhasePoint:
-    """The latest sample of `loop`, at or after its rightmost one, from which
-    the integral of div F = (4 - 3x^2)/eps - b over the rest of the loop, by
-    the trapezoid rule on its samples, is at most _CLIMB_CONTRACTION; the
-    rightmost sample when there is none.
-
-    On a relaxation loop the rightmost sample is where the jump lands on the
-    attracting right branch, and the climb from there to the section
-    contracts the offset between neighbouring cycles by far more than a warm
-    start needs (Fenichel; Krupa & Szmolyan, J. Differential Equations 174,
-    2001): a start e^20 of contraction before the section returns as close to
-    the next cycle, after a shorter climb.  A weakly contracting loop, such
-    as one beside a Hopf point, keeps its rightmost sample."""
-    i = int(np.argmax(loop.x))
-    x = loop.x[i:]
-    div = (4.0 - 3.0 * x * x) / params.eps - params.b
-    # rest[k]: the integral from sample i + k to the loop's end
-    rest = np.append(np.cumsum((0.5 * (div[:-1] + div[1:]) * np.diff(loop.t[i:]))[::-1])[::-1], 0.0)
-    later = np.flatnonzero(rest <= _CLIMB_CONTRACTION)
-    if len(later):
-        i += int(later[-1])
-    return PhasePoint(float(loop.x[i]), float(loop.y[i]))
-
-
 def _cold_seed(params: SystemParams) -> PhasePoint:
     """The cold start of a cycle search: the point (x_s, phi(x_s)) on the
     attracting right branch of the critical manifold from which the climb
@@ -756,13 +736,10 @@ def _cold_seed(params: SystemParams) -> PhasePoint:
     g = x - b phi(x) - c, both in closed form (`singular._transit_time`).
     x_s is the root of that integral at _COLD_CONTRACTION, by Newton's
     method kept in a bracket: right of the fold, for b >= 0, the integral
-    falls as x_s grows.  The target is what x = 1.8 gives at eps 0.5,
-    c = 1.14, where the first return lies within 5e-14 of the relaxation
-    cycle and the search ends after one period with no Newton shot at tol
-    1e-11.  From 1.8 the climb contracted by e^140 at eps 0.1, more than any
-    tol needs, and by e^12 in the c = 0 family at eps 0.5 and at eps 1, too
-    little, which cost a shot.  At eps 2 in the c = 0 family (b = 0.24,
-    tol 1e-9) a search still takes one shot from x_s.
+    falls as x_s grows.  At eps 0.5, c = 1.14 (x_s = 1.80) the first return
+    lies within 5e-14 of the relaxation cycle, and the search ends after one
+    period with no Newton shot at tol 1e-11.  At eps 2 in the c = 0 family
+    (b = 0.24, tol 1e-9) a search still takes one shot from x_s.
 
     With an equilibrium at or right of the fold, which stops the climb, or
     with b < 0, where div F is positive beside the fold and an equilibrium

@@ -324,7 +324,8 @@ def _transit_time(
     times every finite slow segment of classify_singular_fate and both
     transits of relaxation_period.  With power 2 it is eps times the
     integral of phi'/eps, the fast part of div F, over that time: the log of
-    the contraction towards the critical manifold (`dynamics._cold_seed`).
+    the contraction towards the critical manifold (the start of a cycle
+    search without a seed, `dynamics.find_limit_cycle`).
     [x1, x2] must hold no root of the denominator.
     """
     b, c = params.b, params.c

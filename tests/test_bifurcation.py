@@ -8,7 +8,7 @@ import pytest
 
 from fhn import bifurcation, dynamics
 from fhn.core import PhasePoint, SystemParams, TimeScale, jacobian, phi
-from fhn.canard import LARGE_LENGTH
+from fhn.canard import LARGE_LENGTH, locate_canard_explosion
 from fhn.dynamics import Stability, find_limit_cycle, find_unstable_cycle, integrate
 from fhn.errors import BracketFailureError, FHNError
 from fhn.bifurcation import (
@@ -202,6 +202,15 @@ def _wu_escapes(b, eps):
     return bool(arc.x[-1] < -0.5)
 
 
+@pytest.mark.parametrize("locate", [hopf_in_c, hopf_in_b, homoclinic_in_b, locate_canard_explosion])
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_locator_names_a_non_finite_eps(locate, eps):
+    # the error names eps, not the b that hopf_in_b and homoclinic_in_b
+    # derive from it
+    with pytest.raises(ValueError, match="eps"):
+        locate(eps)
+
+
 class TestHomoclinicInB:
     @pytest.mark.slow
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1, 0.2, 1.0])
@@ -325,7 +334,7 @@ class TestUnstableBand:
         for frac in (0.1, 0.5, 0.9):
             b = b_h + frac * (b_hom - b_h)
             params = SystemParams(b, 0.0, eps)
-            outer = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+            outer = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9)
             lc = find_unstable_cycle(params, outer, 1e-9)
             assert lc.stability is Stability.UNSTABLE and lc.converged
             assert phi(lc.section_x) < lc.y[0] < outer.y[0]
@@ -419,16 +428,17 @@ def _recipe_rows(param):
 
 class TestSweepPin:
     """The two recipe grids at eps 0.5 and the sweep's tol, every cycle record
-    pinned bit for bit: period, length, converged flag and seed of each row."""
+    pinned bit for bit: period, length and converged flag of each row."""
 
     # sha256 over the rows of `_digest`, recorded from Newton's method on the
     # return map to the half-lines above the equilibria, row 0's stable search
-    # started at `_cold_seed` and every later one at `_climb_seed` of the
-    # previous stable loop, and ("b") from the bracket inside the stable loop
-    # of the row in (b_h, b_hom), where it finds the unstable cycle
+    # started at `find_limit_cycle`'s own start and every later one at
+    # `_climb_seed` of the previous stable loop, and ("b") from the bracket
+    # inside the stable loop of the row in (b_h, b_hom), where it finds the
+    # unstable cycle
     DIGESTS = {
-        "b": "0333c30cf4d82162f377986fec459979367d46666efb8470861f50763b081781",
-        "c": "0bcef1af8357cb0277f136b10f46323afb322189e8214eb38a0075186f965987",
+        "b": "69c32a52da6b3bb15a2cf2d04400b3b08907ff37dda2fb0083e1974a74a5865c",
+        "c": "84e2b10bbc1ab9765a1cb2cea7eae8a97a5e5cf3029f7de6f85fbe34a0acb31b",
     }
     GRIDS = {"b": (0.24, 0.40), "c": (1.10, 1.20)}
     # summed search steps of each grid, 74.7k (b) and 49.8k (c) (75.8k and
@@ -445,8 +455,7 @@ class TestSweepPin:
         for row in rows:
             h.update(row.param_value.hex().encode())
             for rec in row.cycles:
-                h.update(" ".join([rec.period.hex(), rec.length.hex(), str(rec.converged),
-                                   rec.seed.x.hex(), rec.seed.y.hex()]).encode())
+                h.update(" ".join([rec.period.hex(), rec.length.hex(), str(rec.converged)]).encode())
             h.update(b"\n")
         return h.hexdigest()
 
@@ -480,19 +489,23 @@ class TestSweepPin:
         for rec, lc in zip(row.cycles, want):
             assert rec.converged
             assert rec.period == pytest.approx(lc.period, rel=1e-7, abs=0.0)
-        # the row's search, rerun from the previous row's record, gives its
-        # loop, and the record's seed is that loop's climb seed
-        loop = find_limit_cycle(params, rows[i - 1].cycles[0].seed, tol=1e-9, max_periods=30)
-        assert loop.period == row.cycles[0].period
-        assert row.cycles[0].seed == dynamics._climb_seed(loop, params)
+        # a sweep's row is the search from the climb seed of the previous
+        # row's stable loop
+        v_prev = rows[i - 1].param_value
+        prev = SystemParams(v_prev if param == "b" else 0.0, v_prev if param == "c" else 0.0, 0.5)
+        seed = bifurcation._climb_seed(find_limit_cycle(prev, tol=1e-9), prev)
+        _, pair = bifurcation.sweep_values(param, [v_prev, v], SystemParams(0.0, 0.0, 0.5), tol=1e-9)
+        assert pair.cycles[0].period == find_limit_cycle(params, seed, tol=1e-9).period
+        assert pair.cycles[0].period == pytest.approx(row.cycles[0].period, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("param", sorted(GRIDS))
     def test_first_row_agrees_with_a_start_left_of_the_left_branch(self, param):
-        # row 0 starts at `_cold_seed` on the attracting right branch
+        # row 0 starts where `find_limit_cycle` starts without a seed, on
+        # the attracting right branch
         row = _recipe_rows(param)[0]
         v = row.param_value
         params = SystemParams(v if param == "b" else 0.0, v if param == "c" else 0.0, 0.5)
-        left = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9, max_periods=30)
+        left = find_limit_cycle(params, PhasePoint(-2.8, 1.64), tol=1e-9)
         assert row.cycles[0].converged and left.converged
         assert row.cycles[0].period == pytest.approx(left.period, rel=1e-7, abs=0.0)
 
@@ -518,14 +531,14 @@ class TestSweepPin:
         params = SystemParams(0.0, 0.0, 0.5)
         (row_b,) = bifurcation.sweep_values("b", [0.36745762711864405], params)
         b_params = SystemParams(0.36745762711864405, 0.0, 0.5)
-        outer = find_limit_cycle(b_params, dynamics._cold_seed(b_params), tol=1e-9, max_periods=30)
+        outer = find_limit_cycle(b_params, tol=1e-9)
         inner = find_unstable_cycle(b_params, outer, 1e-9)
         assert row_b.stats == {key: outer.stats[key] + inner.stats[key]
                                for key in ("steps", "rejected", "shots")}
         (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
         c_params = SystemParams(0.0, 1.1576271186440679, 0.5)
         with pytest.raises(FHNError) as info:
-            find_limit_cycle(c_params, dynamics._cold_seed(c_params), tol=1e-9, max_periods=30)
+            find_limit_cycle(c_params, tol=1e-9)
         assert row_c.stats == {key: info.value.stats[key] for key in ("steps", "rejected", "shots")}
         (row_eq,) = bifurcation.sweep_values("c", [1.0], params, cycles=False)
         assert row_eq.stats == {"steps": 0, "rejected": 0, "shots": 0}
@@ -542,6 +555,35 @@ class TestSweepPin:
         assert unstable.period == pytest.approx(4.908659, abs=1e-6)
         (row_c,) = bifurcation.sweep_values("c", [1.1576271186440679], params)
         assert row_c.cycles == [] and row_c.error == "stable: ConvergedToEquilibriumError"
+
+
+class TestClimbSeed:
+    """The warm start of a sweep row: the last sample of the previous loop,
+    at or after its rightmost one, from which the rest of the loop contracts
+    by e^20 (the trapezoid rule on div F over the loop's samples)."""
+
+    @staticmethod
+    def _seed_and_rest(c):
+        params = SystemParams(0.0, c, 0.5)
+        loop = find_limit_cycle(params, tol=1e-9)
+        seed = bifurcation._climb_seed(loop, params)
+        (i,) = np.flatnonzero((loop.x == seed.x) & (loop.y == seed.y))
+        div = (4.0 - 3.0 * loop.x ** 2) / params.eps - params.b
+        segments = 0.5 * (div[:-1] + div[1:]) * np.diff(loop.t)
+        return loop, int(i), lambda k: float(np.sum(segments[k:]))
+
+    def test_relaxation_loop_seed_lies_late_on_the_climb(self):
+        loop, i, rest = self._seed_and_rest(1.14)
+        assert i > int(np.argmax(loop.x))
+        assert rest(i) <= -20.0 < rest(i + 1)
+        # the whole loop's integral is ln P', far below -20
+        assert rest(0) == pytest.approx(math.log(loop.multiplier), abs=1e-6)
+
+    def test_hopf_side_loop_keeps_the_rightmost_sample(self):
+        # whole-loop ln P' = -0.049: no sample contracts by e^20
+        loop, i, rest = self._seed_and_rest(1.154)
+        assert i == int(np.argmax(loop.x))
+        assert rest(0) > -20.0
 
 
 class TestAgreementWithWindowedSearch:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fhn import canard
+from fhn import canard, dynamics
 from fhn.canard import _MIDDLE_XS, _MIDDLE_YS, _in_band_segments, _within_middle_band
 from fhn.core import PhasePoint, SystemParams, phi
 from fhn.dynamics import LimitCycle, Stability, find_limit_cycle, integrate
@@ -260,7 +260,7 @@ class _StubSearch:
         self.cs = []
         self.tols = []
 
-    def __call__(self, params, seed, tol):
+    def __call__(self, params, seed=None, tol=1e-10):
         self.cs.append(params.c)
         self.tols.append(tol)
         out = self.outcome(params.c, tol)
@@ -450,7 +450,7 @@ class TestScanSeed:
 
     def test_seed_lies_on_the_attracting_branch(self):
         for eps, c in [(0.5, 1.14), (0.1, 1.15), (0.5, FOLD_X - 1e-5), (2.0, 1.0)]:
-            seed = canard._cold_seed(SystemParams(0.0, c, eps))
+            seed = dynamics._cold_seed(SystemParams(0.0, c, eps))
             assert seed.x > FOLD_X and seed.y == phi(seed.x)
 
 

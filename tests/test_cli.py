@@ -473,7 +473,10 @@ class TestBifurcateCommand:
         rows = bifurcation.sweep("c", 1.10, 1.14, 3, SystemParams(0.0, 0.0, 0.5))
         assert [float(dict(zip(header, line))["cycle_T"]) for line in lines] == [
             row.cycles[0].period for row in rows]
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["tol"] == 1e-9
+        # the manifest echoes the values used: the sweep's tol and the fixed
+        # b at its default
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["tol"] == 1e-9 and config["b"] == 0.0
 
 
 class TestCanardCommand:

@@ -203,8 +203,10 @@ class TestFindLimitCycle:
         assert 1.5 <= d1 / d2 <= 2.5
 
     def test_rejects_singular_params(self):
-        with pytest.raises(ValueError):
-            find_limit_cycle(SystemParams(0.0, 0.0, 0.0), A_START)
+        # also without a seed, whose default start needs eps > 0
+        for seed in (A_START, None):
+            with pytest.raises(ValueError):
+                find_limit_cycle(SystemParams(0.0, 0.0, 0.0), seed)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-13, 1e-2])
     def test_rejects_tol_outside_range(self, tol):
@@ -221,10 +223,22 @@ class TestFindLimitCycle:
 
     @pytest.mark.parametrize("max_periods", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_max_periods_not_finite_positive(self, max_periods):
-        # nan and inf used to switch the budget off; a value <= 0 ended the
-        # search in NoCycleError before any return was taken
-        with pytest.raises(ValueError):
+        # every search spends one budget, `dynamics._PERIODS` estimated
+        # periods, and takes no `max_periods`, whatever its value
+        with pytest.raises(TypeError):
             find_limit_cycle(SystemParams(0.0, 0.0, 0.1), A_START, max_periods=max_periods)
+
+    @pytest.mark.parametrize("bce", [(0.0, 1.14, 0.5), (0.3, 0.0, 0.5)])
+    def test_default_seed_is_the_cold_seed(self, bce):
+        params = SystemParams(*bce)
+        got = find_limit_cycle(params, tol=1e-9)
+        want = find_limit_cycle(params, dynamics._cold_seed(params), tol=1e-9)
+        assert got.converged
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+            else:
+                assert getattr(got, name) == value, name
 
     def test_relaxation_cycle_at_eps_1e6_within_2k_steps(self):
         # the small-eps regime stays covered: 1,434 steps from the attracting
@@ -242,10 +256,12 @@ class TestFindLimitCycle:
         assert info.value.stats == {"steps": 7183, "rejected": 5, "tol": 1e-9, "shots": 0}
         assert (run.stats["steps"], run.stats["rejected"]) == (7183, 5)
 
-    def test_search_parked_on_focus_raises_instead_of_spinning(self):
+    def test_search_parked_on_focus_raises_instead_of_spinning(self, monkeypatch):
         # returns converge onto the stable focus, where err == 0 lets the step
         # grow without bound; the run ends at its finite budget, and the
         # extent of its last window names the equilibrium
+        monkeypatch.setattr(dynamics, "_PERIODS", 30.0)
+
         def timeout(_signum, _frame):
             raise TimeoutError("cycle search did not return within 30 s")
 
@@ -255,8 +271,7 @@ class TestFindLimitCycle:
             t0 = time.perf_counter()
             with pytest.raises(ConvergedToEquilibriumError):
                 find_limit_cycle(SystemParams(0.0, 1.159871739811375, 0.5),
-                                 PhasePoint(1.0120767205491101, 3.11494624131724),
-                                 tol=1e-9, max_periods=30)
+                                 PhasePoint(1.0120767205491101, 3.11494624131724), tol=1e-9)
             assert time.perf_counter() - t0 < 10.0
         finally:
             signal.alarm(0)
@@ -270,7 +285,9 @@ class TestSearchPins:
     sweep row runs them.  A failure is pinned by type only."""
 
     # (b, c, eps), seed, kind ("stable", or "unstable": the cycle inside the
-    # stable loop from the seed), tol, max_periods (None: the default), then
+    # stable loop from the seed), tol, the stable search's budget in
+    # estimated periods (None: `dynamics._PERIODS`; 30 was a sweep row's
+    # when these were recorded, and the pins keep it), then
     # period.hex(), length.hex(), converged, return_gap.hex() and the sha256
     # of the bytes of t, x and y
     CYCLES = {
@@ -286,7 +303,7 @@ class TestSearchPins:
             "1a3e185e2c2878c16512b210dce093e4112fe862a0b31a70f492725d35718dd9"),
     }
 
-    # (b, c, eps), seed, kind, tol, max_periods, exception type
+    # (b, c, eps), seed, kind, tol, budget, exception type
     FAILURES = {
         "no_crossings": (
             (0.0, 2.991964721516804, 1.0), (2.0187687076463323, -0.2837614956079806), "stable",
@@ -327,10 +344,12 @@ class TestSearchPins:
     }
 
     @staticmethod
-    def _search(bce, seed, kind, tol, max_periods):
+    def _search(bce, seed, kind, tol, periods):
         params = SystemParams(*bce)
-        kwargs = {} if max_periods is None else {"max_periods": max_periods}
-        lc = find_limit_cycle(params, PhasePoint(*seed), tol=tol, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            if periods is not None:
+                mp.setattr(dynamics, "_PERIODS", periods)
+            lc = find_limit_cycle(params, PhasePoint(*seed), tol=tol)
         return lc if kind == "stable" else find_unstable_cycle(params, lc, tol)
 
     @pytest.mark.parametrize("case", sorted(CYCLES))
@@ -398,9 +417,9 @@ class TestSearchPins:
             counted.clear()
 
         monkeypatch.setattr(dynamics, "integrate", counting)
-        bce, seed, _, tol, max_periods = self.CYCLES["converged_backward"][:5]
+        bce, seed, _, tol, periods = self.CYCLES["converged_backward"][:5]
         params = SystemParams(*bce)
-        outer = find_limit_cycle(params, PhasePoint(*seed), tol=tol, max_periods=max_periods)
+        outer = self._search(bce, seed, "stable", tol, periods)
         check(outer.stats)
         check(find_unstable_cycle(params, outer, tol).stats)
         check(homoclinic_in_b(0.5).orbit.stats)
@@ -485,7 +504,7 @@ class TestHalfLineSection:
     @pytest.mark.parametrize("case", sorted(SEARCHES))
     def test_loop_starts_on_a_half_line(self, case):
         bce, seed, kind = self.SEARCHES[case]
-        lc = TestSearchPins._search(bce, seed, kind, 1e-9, 30)
+        lc = TestSearchPins._search(bce, seed, kind, 1e-9, None)
         assert lc.section_x in [x for x, _ in equilibrium_abscissae(SystemParams(*bce))]
         assert abs(lc.x[0] - lc.section_x) <= 1e-12
         assert lc.y[0] > phi(lc.section_x)
@@ -608,8 +627,8 @@ class TestReturnExtrapolation:
     of its returns for them); Newton takes a few shots."""
 
     # eps, c, then period and length of the cycle from (-2.8, 1.64) at tol
-    # 1e-11 and max_periods 2000 by the return iteration without restarts,
-    # run until its returns agreed (68k to 209k steps)
+    # 1e-11 and a budget of 2000 periods by the return iteration without
+    # restarts, run until its returns agreed (68k to 209k steps)
     REFERENCES = [
         (0.1, 1.1543405742339203, 2.147282229710868, 0.2806080862560973),
         (0.1, 1.1546091066245199, 2.0219427824424656, 0.13112043369957294),
@@ -629,11 +648,12 @@ class TestReturnExtrapolation:
     # below c_H a small stable cycle surrounds the weak focus; once the
     # returns step by about 1e-7, tolerance noise set a lone step ratio
     # (0.99932 then 0.999998 at eps 0.1) whose limit lay below the focus
-    @pytest.mark.parametrize("eps, c, tol, max_periods", [(0.5, 1.15469, 1e-9, 30.0),
-                                                          (0.1, 1.1547, 1e-11, 50.0)])
-    def test_unsteady_ratio_near_weak_focus_is_no_equilibrium(self, eps, c, tol, max_periods):
+    @pytest.mark.parametrize("eps, c, tol, periods", [(0.5, 1.15469, 1e-9, 30.0),
+                                                      (0.1, 1.1547, 1e-11, 50.0)])
+    def test_unsteady_ratio_near_weak_focus_is_no_equilibrium(self, monkeypatch, eps, c, tol, periods):
+        monkeypatch.setattr(dynamics, "_PERIODS", periods)
         try:
-            find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=tol, max_periods=max_periods)
+            find_limit_cycle(SystemParams(0.0, c, eps), A_START, tol=tol)
         except FHNError as exc:
             assert not isinstance(exc, ConvergedToEquilibriumError), exc
 
@@ -705,7 +725,7 @@ class TestNewtonOnReturnMap:
 
     @pytest.mark.parametrize("c, seed, period", DIAGRAM_ROWS)
     def test_diagram_row_beside_hopf_converges(self, c, seed, period):
-        lc = find_limit_cycle(SystemParams(0.0, c, 0.5), PhasePoint(*seed), tol=1e-9, max_periods=30)
+        lc = find_limit_cycle(SystemParams(0.0, c, 0.5), PhasePoint(*seed), tol=1e-9)
         assert lc.converged and lc.stability is Stability.STABLE
         assert lc.period == pytest.approx(period, rel=1e-6, abs=0.0)
 
@@ -731,35 +751,6 @@ class TestNewtonOnReturnMap:
         lc = find_limit_cycle(SystemParams(0.0, 1.1547, 0.1), A_START, tol=1e-11)
         assert lc.length == pytest.approx(0.00986, rel=0.01)
         assert 0.9999 < lc.multiplier < 1.0
-
-
-class TestClimbSeed:
-    """The warm start of a sweep row: the last sample of the previous loop,
-    at or after its rightmost one, from which the rest of the loop contracts
-    by e^20 (the trapezoid rule on div F over the loop's samples)."""
-
-    @staticmethod
-    def _seed_and_rest(c):
-        params = SystemParams(0.0, c, 0.5)
-        loop = find_limit_cycle(params, dynamics._cold_seed(params), tol=1e-9)
-        seed = dynamics._climb_seed(loop, params)
-        (i,) = np.flatnonzero((loop.x == seed.x) & (loop.y == seed.y))
-        div = (4.0 - 3.0 * loop.x ** 2) / params.eps - params.b
-        segments = 0.5 * (div[:-1] + div[1:]) * np.diff(loop.t)
-        return loop, int(i), lambda k: float(np.sum(segments[k:]))
-
-    def test_relaxation_loop_seed_lies_late_on_the_climb(self):
-        loop, i, rest = self._seed_and_rest(1.14)
-        assert i > int(np.argmax(loop.x))
-        assert rest(i) <= -20.0 < rest(i + 1)
-        # the whole loop's integral is ln P', far below -20
-        assert rest(0) == pytest.approx(math.log(loop.multiplier), abs=1e-6)
-
-    def test_hopf_side_loop_keeps_the_rightmost_sample(self):
-        # whole-loop ln P' = -0.049: no sample contracts by e^20
-        loop, i, rest = self._seed_and_rest(1.154)
-        assert i == int(np.argmax(loop.x))
-        assert rest(0) > -20.0
 
 
 class TestColdSeed:
@@ -911,7 +902,7 @@ class TestUnstableCycle:
     @staticmethod
     def _band_cycle(b, eps, tol=1e-9):
         params = SystemParams(b, 0.0, eps)
-        outer = find_limit_cycle(params, A_START, tol=tol, max_periods=30)
+        outer = find_limit_cycle(params, A_START, tol=tol)
         return params, outer, find_unstable_cycle(params, outer, tol)
 
     # b_h + 2e-4: the cycle born at the subcritical Hopf point, and its length
