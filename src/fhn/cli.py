@@ -1,11 +1,11 @@
 """Command-line front end: analyses to CSV plus a JSON run manifest.
 
 Subcommands: singular, simulate, bifurcate, canard, slow-manifold.  Every
-run writes manifest.json (config echo, version, timings, warnings) to the
-output directory, success or failure.  Exit codes: 0 success, 3 integration
-failure (IntegrationError), 4 search failure (SearchError), 2 any other
-FHNError, a ValueError, or a MemoryError from an output too large to
-allocate (config error).  A usage error, or an --out that
+run writes manifest.json (config echo, version, the loop that took the
+integration steps, timings, warnings) to the output directory, success or
+failure.  Exit codes: 0 success, 3 integration failure (IntegrationError),
+4 search failure (SearchError), 2 any other FHNError, a ValueError, or a
+MemoryError from an output too large to allocate (config error).  A usage error, or an --out that
 cannot be made a directory (it names a file, say), exits 2 before any run
 and writes no manifest; the latter prints the OSError's message to stderr.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import PhasePoint, SystemParams, TimeScale
-from .dynamics import Stability, integrate
+from .dynamics import Stability, integrate, kernel
 from .errors import FHNError, IntegrationError, SearchError
 from .singular import Fate, classify_singular_fate, relaxation_period
 from .slow_manifold import Branch, BranchGraph, h0, h1
@@ -69,6 +69,8 @@ class RunManifest:
     command: str
     config: dict
     version: str = __version__
+    # "c" or "python": which loop of `integrate` took the steps (`dynamics.kernel`)
+    kernel: str = field(default_factory=kernel)
     timings: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)

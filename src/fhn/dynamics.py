@@ -3,9 +3,10 @@
 The integrator is a six-stage, stiffly accurate, L-stable linearly implicit
 Rosenbrock method of order 4 with an embedded order-3 error estimate
 (coefficients from Hairer & Wanner's RODAS), specialized to the
-FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One function both takes
-the steps and drives them, `integrate`, with the step written inline and its
-state in locals; every run, the cycle searches' included, is a call of it.
+FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One function drives
+every run, `integrate`, the cycle searches' included; its step loop is the
+compiled one of `_rodas.c` where that can be built (see `_kernel`), else the
+same loop in Python, with the same bits.
 
 A cycle is a fixed point of the return map P to a half-line {x = x_eq,
 y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
@@ -19,12 +20,17 @@ carry step counts.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
+from . import _kernel
 from .core import PhasePoint, SystemParams, TimeScale, phi
 from .errors import (
     ConvergedToEquilibriumError,
@@ -57,6 +63,22 @@ _M = (*_A[4], 1.0)
 
 _H_FLOOR = 1e-14
 _MAX_REJECTS = 200
+
+# the compiled step loop, or None where it could not be built or loaded:
+# then `integrate` steps in Python, with the same results (see `_kernel`)
+_LIB = _kernel.load()
+# gamma, then _A's rows 1-4 and _C's rows 1-5, as `rodas_run` reads them
+_TABLEAU = (ctypes.c_double * 26)(_GAMMA, *chain(*_A[:4]), *chain(*_C))
+# how `rodas_run` ended (`_rodas.c`)
+_AT_END, _CLOSED, _FULL, _BELOW_FLOOR, _REJECTED, _BLEW_UP, _OVERFLOW = range(7)
+# nodes of a compiled run's first buffer
+_FIRST_CAPACITY = 1024
+
+
+def kernel() -> str:
+    """Which loop takes the steps of `integrate`: "c", the compiled one of
+    `_rodas.c`, or "python", where that could not be built."""
+    return "python" if _LIB is None else "c"
 
 
 class Stability(Enum):
@@ -119,6 +141,11 @@ class Trajectory:
         t0, x0, y0, dx0, dy0 = (float(a[i - 1]) for a in (self.t, self.x, self.y, self.dx, self.dy))
         t1, x1, y1, dx1, dy1 = (float(a[i]) for a in (self.t, self.x, self.y, self.dx, self.dy))
         sign = self.direction
+        if _LIB is not None:
+            # the bisection below, in `_rodas.c`
+            out = (ctypes.c_double * 2)()
+            found = _LIB.rodas_crossing(t0, x0, y0, dx0, dy0, t1, x1, y1, dx1, dy1, x_s, y_s, sign, out)
+            return (out[0], out[1]) if found else None
         s0, s1 = sign * (x0 - x_s), sign * (x1 - x_s)
         if not s0 > 0.0 > s1:
             return None
@@ -180,14 +207,11 @@ def integrate(
     NonFiniteError if the state blows up, which is the legitimate outcome
     for divergent parameter regimes; either carries the partial trajectory.
 
-    This is the one loop that steps and drives a trajectory.  Each step is
-    the straight-line RODAS step: the stages are scalar locals, the field is
-    inlined as 4x - y - x^3 (the loop's -y + 4x - x^3 to the bit, as b - a
-    is b + (-a)), the reject budget is a count, and every sum runs in tableau
-    order (stage 6's argument is stage 5's plus k5, the same sum term by
-    term), so the arithmetic is that of the loop over `_A`, `_C` and `_M`.
-    The step control picks with conditional expressions the float that
-    `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
+    The steps are taken by the compiled loop of `_rodas.c` where it could be
+    built (`kernel()` is "c"), else by `_python_loop` ("python"): the same
+    arithmetic, so the same bits.  This function checks the arguments, takes
+    the first step size, orders the sections and assembles the trajectory or
+    the error; every run is a call of it.
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -200,28 +224,89 @@ def integrate(
     if start_on is not None and not 0 <= start_on < len(sections):
         raise ValueError("start_on must index a section")
 
-    isfinite, sqrt = math.isfinite, math.sqrt
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), _ = _A
-    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _C
     b, c = params.b, params.c
     # component scaling: fast scale integrates (f, eps*g), slow scale (f/eps, g)
     if scale is TimeScale.FAST:
         sx, sy = float(direction), direction * params.eps
     else:
         sx, sy = direction / params.eps, float(direction)
-    # the constant entries of the exact Jacobian of the scaled field
-    j12, j21, j22 = -sx, sy, -sy * b
-    t = 0.0
     x, y = float(start.x), float(start.y)
     fx = sx * (4.0 * x - y - x * x * x)
     fy = sy * (x - b * y - c)
     h = min(1e-3, 0.01 * tol ** 0.25 / (math.hypot(fx, fy) + 1e-6) + 1e-9)
-    ux, uy = (-x if x < 0.0 else x), (-y if y < 0.0 else y)
-    naccept = nreject = 0
     # (j, abscissa) in the order the run's sense meets them; their counted crossings' nodes
     watch = sorted(enumerate(sections), key=lambda js: -direction * js[1])
     marks = [0 if j == start_on else None for j, _ in watch]
-    closing = None
+    loop = _python_loop if _LIB is None else _compiled_loop
+    nodes, naccept, nreject, closing, error = loop(
+        x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm, watch, marks)
+    traj = Trajectory(*nodes, direction, {"steps": naccept, "rejected": nreject, "tol": tol}, closing)
+    if error is None:
+        return traj
+    error.trajectory = traj
+    if error.last_state is None:
+        error.last_state = PhasePoint(float(traj.x[-1]), float(traj.y[-1]))
+    raise error
+
+
+def _compiled_loop(x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm, watch, marks):
+    """`_python_loop`, run by `rodas_run` of `_rodas.c` into a node buffer
+    that doubles whenever it fills."""
+    nsec = len(watch)
+    io = (ctypes.c_double * 17)(b, c, sx, sy, tol, t_end, max_norm, _H_FLOOR, direction,
+                                0.0, x, y, fx, fy, h, -x if x < 0.0 else x, -y if y < 0.0 else y)
+    counts = (ctypes.c_long * (6 + nsec))(_MAX_REJECTS, 0, 0, 0, -1, -1,
+                                          *[-1 if m is None else m for m in marks])
+    sec = (ctypes.c_double * nsec)(*[s for _, s in watch]) if watch else None
+    buf = np.empty((5, _FIRST_CAPACITY))
+    while (status := _LIB.rodas_run(_TABLEAU, io, counts, buf.ctypes.data, buf.shape[1],
+                                    sec, nsec)) == _FULL:
+        grown = np.empty((5, 2 * buf.shape[1]))
+        grown[:, : buf.shape[1]] = buf
+        buf = grown
+    _, n, naccept, nreject, p, first = counts[:6]
+    t, x, y, h = io[9], io[10], io[11], io[14]
+    nodes = buf[:, :n].copy()
+    closing = error = None
+    if status == _CLOSED:
+        closing = (watch[p][0], first, naccept)
+    elif status == _BELOW_FLOOR:
+        error = StepSizeCollapseError(f"step {h:.3e} below floor at t={t!r}")
+    elif status == _REJECTED:
+        error = StepSizeCollapseError("step repeatedly rejected")
+    elif status == _BLEW_UP:
+        error = NonFiniteError(f"state left |u| <= {max_norm} at t={t!r}",
+                               last_state=PhasePoint(x, y) if math.isfinite(x + y) else None)
+    elif status == _OVERFLOW:
+        # what Python's float ** raises where libm's pow overflows
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return nodes, naccept, nreject, closing, error
+
+
+def _python_loop(x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm, watch, marks):
+    """The step loop of `integrate` from node 0 = (x, y, fx, fy) with first
+    step `h` in the scaled field (sx f, sy g), where the compiled one could
+    not be built: the node arrays (t, x, y, dx, dy), the accepted and the
+    rejected steps, the closing and the IntegrationError that ended the run,
+    or None.
+
+    Each step is the straight-line RODAS step: the stages are scalar locals,
+    the field is inlined as 4x - y - x^3 (the loop's -y + 4x - x^3 to the
+    bit, as b - a is b + (-a)), the reject budget is a count, and every sum
+    runs in tableau order (stage 6's argument is stage 5's plus k5, the same
+    sum term by term), so the arithmetic is that of the loop over `_A`, `_C`
+    and `_M`.  The step control picks with conditional expressions the float
+    that `abs`, `max` and `min` would (a zero's sign is lost in tol + tol*m).
+    """
+    isfinite, sqrt = math.isfinite, math.sqrt
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), _ = _A
+    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _C
+    # the constant entries of the exact Jacobian of the scaled field
+    j12, j21, j22 = -sx, sy, -sy * b
+    t = 0.0
+    ux, uy = (-x if x < 0.0 else x), (-y if y < 0.0 else y)
+    naccept = nreject = 0
+    closing = error = None
     # a step that crosses one ends past the first and starts short of the
     # last: lo_x < x < hi_x and lo_x0 < x0 < hi_x0 (lo_x = inf: no sections)
     inf = math.inf
@@ -358,24 +443,8 @@ def integrate(
                 if closing is not None:
                     break
     except IntegrationError as exc:
-        exc.trajectory = _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol)
-        if exc.last_state is None:
-            exc.last_state = PhasePoint(xs[-1], ys[-1])
-        raise
-    return _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol, closing)
-
-
-def _make_traj(ts, xs, ys, dxs, dys, direction, naccept, nreject, tol, closing=None) -> Trajectory:
-    return Trajectory(
-        np.array(ts),
-        np.array(xs),
-        np.array(ys),
-        np.array(dxs),
-        np.array(dys),
-        direction,
-        {"steps": naccept, "rejected": nreject, "tol": tol},
-        closing,
-    )
+        error = exc
+    return tuple(map(np.array, (ts, xs, ys, dxs, dys))), naccept, nreject, closing, error
 
 
 def _shoot(start, params, t_end, lines, stats, start_on=None, **kwargs):

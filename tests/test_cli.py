@@ -600,3 +600,43 @@ class TestParserReuse:
             assert man["config"] == fresh
         first = (tmp_path / "first" / "trajectory.csv").read_bytes()
         assert (tmp_path / "last" / "trajectory.csv").read_bytes() == first
+
+
+class TestManifestKernel:
+    """Every command's manifest names the loop of `integrate` that took the
+    steps: "c", the compiled one, or "python" where it could not be built."""
+
+    RUNS = {
+        "singular": ["singular", "--b", "0", "--c", "0", "--period-only"],
+        "simulate": ["simulate", "--b", "0.2", "--c", "0", "--eps", "0.1", "--x0", "-2.8",
+                     "--y0", "1.64", "--tmax", "3"],
+        "bifurcate": ["bifurcate", "--param", "c", "--from", "0", "--to", "0.5", "--steps", "2",
+                      "--eps", "0.5"],
+        "canard": ["canard", "--eps", "0"],
+        "slow-manifold": ["slow-manifold", "--branch", "right", "--eps", "0.1", "--b", "0",
+                          "--c", "0", "--samples", "5"],
+    }
+    KEYS = {"command", "config", "version", "kernel", "timings", "warnings", "outputs", "status",
+            "error"}
+
+    def test_runs_cover_every_command(self):
+        assert set(self.RUNS) == set(subcommand_parsers())
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    @pytest.mark.parametrize("lib", ["module", "none"])
+    def test_manifest_names_the_kernel(self, tmp_path, monkeypatch, command, lib):
+        if lib == "none":
+            monkeypatch.setattr(dynamics, "_LIB", None)
+        main(self.RUNS[command] + ["--out", str(tmp_path)])
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(man) == self.KEYS
+        assert man["kernel"] == dynamics.kernel() in ("c", "python")
+        if lib == "none":
+            assert man["kernel"] == "python"
+
+    def test_both_loops_write_the_same_trajectory(self, tmp_path, monkeypatch):
+        main(self.RUNS["simulate"] + ["--out", str(tmp_path / "module")])
+        monkeypatch.setattr(dynamics, "_LIB", None)
+        main(self.RUNS["simulate"] + ["--out", str(tmp_path / "python")])
+        csv = [(tmp_path / run / "trajectory.csv").read_bytes() for run in ("module", "python")]
+        assert csv[0] == csv[1]

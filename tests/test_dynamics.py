@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from fhn import dynamics
-from fhn import bifurcation
+from fhn import _kernel, bifurcation, dynamics
 from fhn.bifurcation import equilibria, homoclinic_in_b
 from fhn.core import PhasePoint, SystemParams, TimeScale, phi
 from fhn.dynamics import Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
@@ -85,22 +85,24 @@ class TestIntegrate:
         assert tr.t[-1] == pytest.approx(7.0)
 
     def test_nonfinite_backward_blowup(self):
+        case = (PhasePoint(3.0, 0.0), SystemParams(0.0, 0.0, 0.5), 50.0, TimeScale.SLOW, 1e-8, -1, 1e4)
         with pytest.raises(NonFiniteError) as info:
-            integrate(PhasePoint(3.0, 0.0), SystemParams(0.0, 0.0, 0.5), 50.0, tol=1e-8,
-                      direction=-1, max_norm=1e4)
+            integrate(*case)
         assert info.value.last_state is not None
         assert info.value.trajectory is not None
+        assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
 
     def test_step_collapse_carries_partial_trajectory(self):
         # the reversed field blows up from far right in t ~ eps/(2 x^2), which
         # falls below the step floor long before |x| reaches max_norm
+        case = (PhasePoint(9220.0, -1.5), SystemParams(0.3, 1.0, 0.065), 1.0, TimeScale.SLOW, 1e-8, -1)
         with pytest.raises(StepSizeCollapseError) as info:
-            integrate(PhasePoint(9220.0, -1.5), SystemParams(0.3, 1.0, 0.065), 1.0, tol=1e-8,
-                      direction=-1)
+            integrate(*case)
         tr, last = info.value.trajectory, info.value.last_state
         assert len(tr.t) == tr.stats["steps"] + 1 > 1
         assert tr.t[-1] < 1e-9 and tr.x[-1] > 9220.0
         assert (last.x, last.y) == (tr.x[-1], tr.y[-1])
+        assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
 
     def test_singular_stage_matrix_halvings_are_rejections(self):
         # at eps 1e-300 the stage matrix's determinant overflows for every
@@ -115,21 +117,23 @@ class TestIntegrate:
         # a budget of one rejection: the first rejected step ends the run,
         # with the nodes accepted before it
         monkeypatch.setattr(dynamics, "_MAX_REJECTS", 1)
+        case = (PhasePoint(2.0, 50.0), SystemParams(0.0, 0.0, 0.01), 1.0, TimeScale.SLOW, 1e-12)
         with pytest.raises(StepSizeCollapseError, match="repeatedly rejected") as info:
-            integrate(PhasePoint(2.0, 50.0), SystemParams(0.0, 0.0, 0.01), 1.0, tol=1e-12)
+            integrate(*case)
         assert info.value.trajectory.stats == {"steps": 764, "rejected": 1, "tol": 1e-12}
+        assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
 
     def test_remainder_below_step_floor_is_arrival(self):
         # the step clamped to t_end starts before t_end/2, so t + (t_end - t)
         # rounds one ulp short of t_end and leaves a 1.8e-15 remainder
         eps = 0.06259109776238546
-        t_end = 1.0 / eps
-        tr = integrate(PhasePoint(2.18926814628873, 1.9440297015291357),
-                       SystemParams(0.2269600165782012, 1.278973788889993, eps),
-                       t_end, TimeScale.FAST, tol=1e-6)
-        assert tr.t[-1] == t_end
+        case = (PhasePoint(2.18926814628873, 1.9440297015291357),
+                SystemParams(0.2269600165782012, 1.278973788889993, eps), 1.0 / eps, TimeScale.FAST, 1e-6)
+        tr = integrate(*case)
+        assert tr.t[-1] == case[2]
         assert np.all(np.diff(tr.t) > 0)
         assert tr.stats["steps"] == len(tr.t) - 1
+        assert _outcome(lambda: integrate(*case)) == _outcome(lambda: _loop_integrate(*case))
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_t_end_that_never_ends_a_run(self, t_end):
@@ -1277,6 +1281,93 @@ class TestKernelEquivalence:
         assert orbit.return_gap.hex() == "0x1.0c6f7a0b5ed8cp-20"
         digest = hashlib.sha256(np.concatenate([orbit.t, orbit.x, orbit.y]).tobytes()).hexdigest()
         assert digest == "ef945b92cfd6df68640dce53cb22ce33f55faeeebe8b670a4899633b90f118e5"
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """`integrate` and `Trajectory.crossing` as on a host where the compiled
+    loop of `_rodas.c` could not be built."""
+    monkeypatch.setattr(dynamics, "_LIB", None)
+    assert dynamics.kernel() == "python"
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestIntegratePythonLoop(TestIntegrate):
+    """TestIntegrate, the error paths included, on the Python loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestKernelEquivalencePythonLoop(TestKernelEquivalence):
+    """TestKernelEquivalence on the Python loop: `_equivalence_cases`, the
+    searches and the homoclinic shots against the loop form, and the pin."""
+
+
+class TestCompiledKernel:
+    """The compiled loop is built once into its cache and gives the Python
+    loop's outputs; where it cannot be built, the Python loop runs."""
+
+    def test_failed_build_falls_back_with_identical_outputs(self, tmp_path, monkeypatch):
+        lib = _kernel.load(str(tmp_path), compiler=("fhn-no-such-compiler",))
+        assert lib is None and list(tmp_path.iterdir()) == []
+        cases = _equivalence_cases()
+        want = [_outcome(lambda c=c: integrate(*c)) for c in cases]
+        monkeypatch.setattr(dynamics, "_LIB", lib)
+        assert dynamics.kernel() == "python"
+        assert [_outcome(lambda c=c: integrate(*c)) for c in cases] == want
+
+    @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+    def test_library_is_built_once_into_its_cache(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        lib = _kernel.load(str(cache))
+        (built,) = cache.iterdir()
+        assert built.name.startswith("_rodas-") and built.suffix == ".so"
+        stamp = built.stat().st_mtime_ns
+        assert _kernel.load(str(cache)) is not None
+        assert list(cache.iterdir()) == [built] and built.stat().st_mtime_ns == stamp
+        case = (A_START, SystemParams(0.0, 0.0, 0.5), 20.0, TimeScale.SLOW, 1e-9, 1, 1e8, (0.0,))
+        want = _outcome(lambda: integrate(*case))
+        monkeypatch.setattr(dynamics, "_LIB", lib)
+        assert _outcome(lambda: integrate(*case)) == want and want["closing"] is not None
+
+    @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+    def test_overflowing_error_norm_raises_as_in_python(self):
+        # Python's float ** raises OverflowError where pow overflows; at the
+        # tols that `integrate` admits no run was seen to, so the loops are
+        # called with tol 1e-300, where the first trial step does
+        x, y, sx, sy = -2.8, 1.64, 2.0, 1.0
+        fx, fy = sx * (4.0 * x - y - x * x * x), sy * x
+        args = (x, y, fx, fy, 1e-3, 0.0, 0.0, sx, sy, 1e-300, 1.0, 1, 1e8, [], [])
+        raised = []
+        for loop in (dynamics._python_loop, dynamics._compiled_loop):
+            with pytest.raises(OverflowError) as info:
+                loop(*args)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_crossing_matches_python_bisection(self, monkeypatch, direction):
+        # two loops against 47 x 4 half-lines that they cross above and
+        # below their ends, or never reach; read as a run of the reversed
+        # field, the run crosses them rightward
+        tr = integrate(A_START, SystemParams(0.0, 0.0, 0.5), 15.0, tol=1e-9)
+        tr = dataclasses.replace(tr, direction=direction)
+        lines = [(float(x_s), y_s) for x_s in np.linspace(-2.1, 2.5, 47)
+                 for y_s in (-math.inf, -3.0, phi(x_s), 3.0)]
+
+        def crossings():
+            # each step across the line, and the first and last steps
+            out = []
+            for x_s, y_s in lines:
+                d = direction * (tr.x - x_s)
+                steps = [*(np.flatnonzero((d[:-1] > 0.0) & (d[1:] < 0.0)) + 1).tolist(), 1, -1]
+                out += [tr.crossing(i, x_s, y_s) for i in steps]
+            return out
+
+        got = crossings()
+        monkeypatch.setattr(dynamics, "_LIB", None)
+        assert got == crossings()
+        assert sum(c is not None for c in got) >= 100
+        assert all(type(v) is float for c in got if c is not None for v in c)
 
 
 class TestCycleLength:
