@@ -6,8 +6,10 @@ source and the build command, and loads it with ctypes.  A later import
 finds the file and only loads it: it starts no compiler and imports neither
 `subprocess` nor `hashlib`.  The library is written to a temporary name and
 moved into place with `os.replace`, so processes that build at once never
-load a partial file.  Where the build or the load fails, `load` returns
-None, and `dynamics` runs its Python loop, with the same results.
+load a partial file.  A successful build deletes the other `_rodas-*.so`
+files of the cache, which an older source or build command left there and
+no import would load again.  Where the build or the load fails, `load`
+returns None, and `dynamics` runs its Python loop, with the same results.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def load(cache_dir: str = os.path.join(_HERE, "__pycache__"), compiler: tuple[st
 
 
 def _build(command, path) -> bool:
-    import subprocess  # the cold path only
+    import glob  # the cold path only
+    import subprocess
 
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -60,6 +63,12 @@ def _build(command, path) -> bool:
         subprocess.run([*command, "-o", tmp, _SOURCE, "-lm"], check=True, capture_output=True,
                        timeout=120)
         os.replace(tmp, path)
+        # no import loads a library of an older source or command again;
+        # glob reads an unreadable directory as empty
+        pattern = os.path.join(glob.escape(os.path.dirname(path)), "_rodas-*.so")
+        for stale in set(glob.glob(pattern)) - {path}:
+            with contextlib.suppress(OSError):
+                os.remove(stale)
         return True
     except (OSError, subprocess.SubprocessError):
         return False

@@ -139,8 +139,11 @@ def _hopf_b_value(eps: float) -> float:
 # is taken; the most values of the splitting function
 _HOMOCLINIC_LOW = 1e-6
 _HOMOCLINIC_FIRST = 2e-3
-# (b_hom - b_h)/eps as eps -> 0, a measured constant: 0.0058585, 0.0058593
-# and 0.0058642 at eps 1e-3, 1e-4 and 1e-5
+# (b_hom - b_h)/eps as eps -> 0, in closed form: Krupa and Szmolyan's
+# first-order canard offset A eps/8 in their canonical form (J. Differential
+# Equations 174, 2001), with A = 1/2 at (b, c) = (3/8, 0), where E+ sits on
+# the fold, gives 3 eps/512 in b;
+# measured 0.0058585, 0.0058593 and 0.0058642 at eps 1e-3, 1e-4 and 1e-5
 _HOMOCLINIC_SLOPE = 3.0 / 512.0
 _HOMOCLINIC_BRACKET = 0.02
 _HOMOCLINIC_TOL = 1e-10
@@ -161,7 +164,7 @@ def homoclinic_in_b(eps: float) -> BifurcationPoint:
     is smooth in b, the planar split function of Kuznetsov (Elements of
     Applied Bifurcation Theory, section 6.2).  The bracket's lower end is
     b_h + min(1e-6, 0.1 s eps); its upper end starts at b_h + min(2e-3,
-    20 s eps), s = 3/512 the measured limit of (b_hom - b_h)/eps (so both
+    20 s eps), s = 3/512 the first-order limit of (b_hom - b_h)/eps (so both
     offsets are constant for eps >= 0.0171), and while Delta > 0 there it
     becomes the lower end and its offset doubles, up to b_h + 0.02.  The
     root is then found by the Illinois variant of the secant method, down to

@@ -260,8 +260,12 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
     return in_band & np.roll(in_band, -1)
 
 
-# (c_H - c*)/eps as eps -> 0, a measured constant: 0.0090163 at eps 1e-3 and
-# 0.0090107 at 1e-4; it scales the default bracket's upper offset and c_tol
+# (c_H - c*)/eps as eps -> 0, in closed form: Krupa and Szmolyan's
+# first-order canard offset A eps/8 in their canonical form (J. Differential
+# Equations 174, 2001), with A = -1/4 at b = 0, gives eps/(64 sqrt(3)) =
+# 0.0090211 eps in c; measured
+# 0.0090163 at eps 1e-3 and 0.0090107 at 1e-4.  It scales the default
+# bracket's upper offset and c_tol
 _CANARD_SLOPE = 1.0 / (64.0 * math.sqrt(3.0))
 
 
@@ -322,7 +326,8 @@ def locate_canard_explosion(
     ends finite with lo < hi, else ValueError before any search).
     When no bracket is given, the bisection starts from
     (c_H - 0.05, c_H - min(1e-5, d/2)) below the Hopf value c_H, where
-    d = eps/(64 sqrt(3)) is the measured eps -> 0 limit of c_H - c*; its
+    d = eps/(64 sqrt(3)) is the eps -> 0 limit of c_H - c*, Krupa and
+    Szmolyan's first-order canard offset A eps/8 with A = -1/4; its
     ends straddle the explosion window for eps from 1e-4 to 3.  Converges
     when the c bracket is narrower than `c_tol` (which must be > 0; by
     default min(1e-7, d/100)), or when its ends are adjacent floats, and

@@ -41,7 +41,6 @@ LANDING_X = 4.0 / math.sqrt(3.0)
 _FOLD_DENOM_TOL = 1e-12
 _EQ_RESIDUAL_TOL = 1e-10
 _ON_MANIFOLD_TOL = 1e-9
-_FOLD_ARRIVAL_TOL = 1e-8
 _REVISIT_TOL = 1e-9
 _MAX_JUMPS = 10
 
@@ -140,8 +139,8 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
 
     The fate is decided combinatorially from the branch membership and
     ordering of the slow-flow equilibria relative to the fold band; slow
-    segments end at the fold abscissae, where the orbit jumps.  Fast jump
-    targets are the distinct other root of phi(x) = y_fold.
+    segments end at the fold abscissae, where the orbit jumps to x = -2 x_f
+    on the other attracting branch.
     """
     if params.eps != 0.0:
         raise ValueError("classify_singular_fate requires eps = 0")
@@ -185,13 +184,6 @@ def classify_singular_fate(start: PhasePoint, params: SystemParams) -> SingularO
         landings.append((land, len(segments)))
 
         end_kind, x_end = _slow_segment_end(land.x, params, roots)
-        # a fold that is itself an equilibrium is a singular fold and lies
-        # outside the scenario classification; the closed-form transit to it
-        # would take log(0)
-        if end_kind == "fold" and abs(slow_flow_numerator(x_end, params)) <= _EQ_RESIDUAL_TOL:
-            raise FoldSingularityError(
-                f"slow flow reaches the fold x={x_end!r} where g also vanishes (singular fold)"
-            )
         end = PhasePoint(x_end, phi(x_end))
         duration = _transit_time(land.x, x_end, params, roots) if end_kind != "equilibrium" else math.inf
         segments.append(OrbitSegment(SegmentKind.SLOW, land, end, duration))
@@ -224,7 +216,12 @@ def _equilibrium_at(x: float, roots: list[tuple[float, int]]) -> float | None:
 def _slow_segment_end(
     x_from: float, params: SystemParams, roots: list[tuple[float, int]]
 ) -> tuple[str, float]:
-    """Where the slow motion from x_from ends: equilibrium, fold, or cap."""
+    """Where the slow motion from x_from ends: equilibrium, fold, or cap.
+
+    A fold that is itself an equilibrium is a singular fold: it lies outside
+    the scenario classification, and the closed-form transit to it would
+    take log(0), so it raises FoldSingularityError.
+    """
     on_left = x_from < -FOLD_X
     direction = math.copysign(1.0, slow_flow(x_from, params))
 
@@ -239,22 +236,22 @@ def _slow_segment_end(
 
     toward_fold = direction > 0.0 if on_left else direction < 0.0
     if toward_fold:
-        return "fold", -FOLD_X if on_left else FOLD_X
+        x_fold = -FOLD_X if on_left else FOLD_X
+        if abs(slow_flow_numerator(x_fold, params)) <= _EQ_RESIDUAL_TOL:
+            raise FoldSingularityError(
+                f"slow flow reaches the fold x={x_fold!r} where g also vanishes (singular fold)"
+            )
+        return "fold", x_fold
     # truncate the diverging tail at a bounded window for reporting
     cap = x_from + direction * max(2.0, abs(x_from))
     return "diverge", cap
 
 
 def _jump_from_fold(fold_pt: PhasePoint) -> tuple[PhasePoint, OrbitSegment]:
-    """Horizontal jump to the distinct other root of phi(x) = y_fold."""
-    others = [
-        r
-        for r, _ in phi_roots_with_multiplicity(fold_pt.y)
-        if abs(r - fold_pt.x) > _FOLD_ARRIVAL_TOL
-    ]
-    if len(others) != 1:
-        raise RuntimeError(f"jump target at {fold_pt} is not unique: {others}")
-    land = PhasePoint(others[0], fold_pt.y)
+    """Horizontal jump to the other root of phi(x) = y_fold, x = -2 x_f:
+    phi(x) - phi(x_f) = -(x - x_f)^2 (x + 2 x_f) where 3 x_f^2 = 4, so a
+    jump from a fold lands at exactly -+LANDING_X."""
+    land = PhasePoint(-2.0 * fold_pt.x, fold_pt.y)
     return land, OrbitSegment(SegmentKind.FAST, fold_pt, land, 0.0)
 
 
@@ -300,18 +297,27 @@ def relaxation_period(params: SystemParams) -> float:
     fractions cancel, and a 32-point Gauss-Legendre rule, exact to rounding
     that far from the poles, integrates each transit instead.
     Full period: (0.2, 0) gives 35 ln(19/7) - 40 ln 2, whose one-branch half is the quoted 3.61.
+
+    Each transit is decided by the rule that classify_singular_fate uses
+    (_slow_segment_end), so the period equals the cycle_period() of every
+    periodic composed orbit.  Where the slow flow from a landing point does
+    not reach its fold (an equilibrium at or ahead of the landing point, or
+    a flow away from the fold), no relaxation cycle exists, and it raises
+    EquilibriumInPathError; a fold that is itself an equilibrium raises
+    FoldSingularityError.
     """
     if params.eps != 0.0:
         raise ValueError("relaxation_period requires eps = 0")
     roots = equilibrium_abscissae(params)
-    for lo, hi in ((FOLD_X, LANDING_X), (-LANDING_X, -FOLD_X)):
-        for r, _ in roots:
-            if lo - 1e-12 <= r <= hi + 1e-12:
-                raise EquilibriumInPathError(
-                    f"equilibrium at x={r} lies in the slow transit [{lo}, {hi}]"
-                )
-    return sum(_transit_time(x1, x2, params, roots)
-               for x1, x2 in ((LANDING_X, FOLD_X), (-LANDING_X, -FOLD_X)))
+    transits = []
+    for land in (LANDING_X, -LANDING_X):
+        hit = _equilibrium_at(land, roots)
+        end_kind, x_end = ("equilibrium", hit) if hit is not None else _slow_segment_end(land, params, roots)
+        if end_kind != "fold":
+            raise EquilibriumInPathError(f"the slow flow from the landing point x={land!r} ends "
+                                         f"({end_kind}) at x={x_end!r}, not at its fold")
+        transits.append(_transit_time(land, x_end, params, roots))
+    return sum(transits)
 
 
 def _transit_time(

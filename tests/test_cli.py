@@ -147,6 +147,16 @@ class TestSingularCommand:
         assert man["status"] == "config-error" and "--x0" in man["error"]
         assert not (tmp_path / "period.csv").exists()
 
+    def test_period_without_relaxation_cycle_is_config_error(self, tmp_path):
+        # at b = 0, c = -2.5 the equilibrium x = c lies beyond the left
+        # landing point, and the slow flow there runs away from the fold
+        code = main(["singular", "--b", "0", "--c", "-2.5", "--period-only", "--out", str(tmp_path)])
+        assert code == 2
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["status"] == "config-error" and "landing point" in man["error"]
+        assert "period" not in man["outputs"]
+        assert not (tmp_path / "period.csv").exists()
+
     def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
         # the run directory cannot be made: exit 2 with the reason, no traceback
         out = tmp_path / "taken"

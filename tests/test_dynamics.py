@@ -1330,6 +1330,22 @@ class TestCompiledKernel:
         assert _outcome(lambda: integrate(*case)) == want and want["closing"] is not None
 
     @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+    def test_build_deletes_libraries_of_other_sources(self, tmp_path):
+        # a library left by an older _rodas.c is never loaded again; files
+        # that are not kernel libraries stay
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = cache / "_rodas-00000000.so"
+        stale.write_bytes(b"stale")
+        kept = [cache / "_rodas-00000000.so.123.tmp", cache / "other.so"]
+        for path in kept:
+            path.write_bytes(b"kept")
+        assert _kernel.load(str(cache)) is not None
+        built = [p for p in cache.iterdir() if p.name.startswith("_rodas-") and p.suffix == ".so"]
+        assert len(built) == 1 and built[0] != stale and not stale.exists()
+        assert all(path.read_bytes() == b"kept" for path in kept)
+
+    @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
     def test_overflowing_error_norm_raises_as_in_python(self):
         # Python's float ** raises OverflowError where pow overflows; at the
         # tols that `integrate` admits no run was seen to, so the loops are

@@ -1,13 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fhn.core import PhasePoint, SystemParams, eval_fast, phi
 from fhn.errors import (
     EquilibriumInPathError,
+    FHNError,
     FoldSingularityError,
     NotAnEquilibriumError,
     OnManifoldError,
@@ -264,6 +265,20 @@ class TestRelaxationPeriod:
         with pytest.raises(ValueError):
             relaxation_period(SystemParams(0.0, 0.0, 0.5))
 
+    # an equilibrium on an attracting branch beyond the landing point turns
+    # the slow flow there away from the fold: at b = 0 it sits at x = c, and
+    # the transit integral from the landing point is negative
+    @pytest.mark.parametrize("b,c", [(0.0, 2.5), (0.0, -2.5), (0.0, 2.31)])
+    def test_flow_away_from_the_fold_rejected(self, b, c):
+        with pytest.raises(EquilibriumInPathError, match="landing point"):
+            relaxation_period(SystemParams(b, c, 0.0))
+
+    # an equilibrium on a fold is a singular fold, as in classify_singular_fate
+    @pytest.mark.parametrize("b,c", [(0.375, 0.0), (0.0, 2.0 / math.sqrt(3.0))])
+    def test_equilibrium_on_a_fold_is_a_fold_singularity(self, b, c):
+        with pytest.raises(FoldSingularityError):
+            relaxation_period(SystemParams(b, c, 0.0))
+
     @pytest.mark.parametrize(
         "b,c",
         [
@@ -319,7 +334,7 @@ class TestRelaxationPeriod:
         orbit = classify_singular_fate(PhasePoint(-2.8, 1.64), params)
         assert orbit.fate is Fate.PERIODIC_CYCLE
         self._assert_slow_durations_match_quadrature(orbit)
-        assert orbit.cycle_period() == pytest.approx(relaxation_period(params), rel=1e-12)
+        assert orbit.cycle_period() == relaxation_period(params)
 
     # the diverging segment runs from the landing point to the reporting cap
     @pytest.mark.parametrize("b,c,start", [(-1.0, 0.0, (0.0, 3.0)), (-0.4, -1.5, (-2.0, -2.0))])
@@ -327,6 +342,36 @@ class TestRelaxationPeriod:
         orbit = classify_singular_fate(PhasePoint(*start), SystemParams(b, c, 0.0))
         assert orbit.fate is Fate.DIVERGES_PLUS_Y
         self._assert_slow_durations_match_quadrature(orbit)
+
+
+class TestSingularContract:
+    """Over the (b, c) box the relaxation period is positive and finite or
+    a typed error, and every periodic composed orbit has that period, bit
+    for bit: both build the cycle from the same transits."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+        st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    )
+    def test_period_is_positive_or_typed_and_equals_the_composed_cycle(self, b, c, x0, y0):
+        start = PhasePoint(x0, y0)
+        assume(abs(eval_fast(start)) > 1e-6)
+        params = SystemParams(b, c, 0.0)
+        try:
+            period = relaxation_period(params)
+        except FHNError:
+            period = None
+        else:
+            assert type(period) is float and math.isfinite(period) and period > 0.0
+        try:
+            orbit = classify_singular_fate(start, params)
+        except FHNError:
+            return
+        if orbit.fate is Fate.PERIODIC_CYCLE:
+            assert orbit.cycle_period() == period
 
 
 class TestSquaredTransitIntegral:
