@@ -1,4 +1,12 @@
-"""The compiled step loop of `dynamics.integrate`, built at the first import.
+"""The compiled step loop of `dynamics.integrate` and the passes over its
+runs, built at the first import.
+
+The library exports `rodas_run` (the step loop of `integrate`),
+`rodas_crossing` (`Trajectory.crossing`), `rodas_divergence`
+(`dynamics._divergence`), `rodas_sample` (`Trajectory.sample`), `rodas_band`
+(`canard._within_middle_band`) and `rodas_sum`, the copy of numpy's
+pairwise summation that `rodas_divergence` sums with.  Each gives the bits
+of its Python or numpy form, which runs where the library is None.
 
 `load` compiles `_rodas.c` with the C compiler `cc` into the package's
 `__pycache__`, as `_rodas-<digest>.so`, where the digest is a CRC-32 of the
@@ -9,7 +17,8 @@ moved into place with `os.replace`, so processes that build at once never
 load a partial file.  A successful build deletes the other `_rodas-*.so`
 files of the cache, which an older source or build command left there and
 no import would load again.  Where the build or the load fails, `load`
-returns None, and `dynamics` runs its Python loop, with the same results.
+returns None, and `dynamics` and `canard` run the Python and numpy forms,
+with the same results.
 """
 
 from __future__ import annotations
@@ -50,6 +59,16 @@ def load(cache_dir: str = os.path.join(_HERE, "__pycache__"), compiler: tuple[st
     lib.rodas_run.restype = ctypes.c_int
     lib.rodas_crossing.argtypes = (*[ctypes.c_double] * 13, _double_p)
     lib.rodas_crossing.restype = ctypes.c_int
+    # the passes over a run read numpy arrays, passed by address
+    ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.rodas_sum.argtypes = (ptr, long)
+    lib.rodas_sum.restype = double
+    lib.rodas_divergence.argtypes = (ptr, ptr, ptr, long, double, double, double, double, _double_p)
+    lib.rodas_divergence.restype = double
+    lib.rodas_sample.argtypes = (ptr, ptr, ptr, ptr, ptr, long, ptr, long, ptr, ptr)
+    lib.rodas_sample.restype = None
+    lib.rodas_band.argtypes = (ptr, ptr, long, double, ptr, ptr, long, double, ptr)
+    lib.rodas_band.restype = None
     return lib
 
 

@@ -1,7 +1,12 @@
-/* The step loop of fhn.dynamics.integrate and the bisection of
- * Trajectory.crossing, with the arithmetic of their Python forms term for
- * term: the same operations on the same doubles in the same order, so the
- * same bits.
+/* The step loop of fhn.dynamics.integrate (rodas_run) and the passes over
+ * a run that follow it: the bisection of Trajectory.crossing
+ * (rodas_crossing), the Gauss rule of dynamics._divergence
+ * (rodas_divergence), the dense output of Trajectory.sample (rodas_sample)
+ * and canard._within_middle_band (rodas_band).  Each has the arithmetic of
+ * its Python or numpy form term for term: the same operations on the same
+ * doubles in the same order, so the same bits.  Where numpy sums, this file
+ * sums as numpy's pairwise_sum_DOUBLE does (rodas_sum); where numpy
+ * searches a sorted array, it finds the index that searchsorted returns.
  *
  * fhn._kernel builds this file with -ffp-contract=off and without
  * -ffast-math, so that no multiply-add is fused and no sum is reordered.
@@ -11,6 +16,7 @@
  * power.
  */
 #include <math.h>
+#include <stddef.h>
 
 static double (*volatile pow_)(double, double) = pow;
 
@@ -271,4 +277,213 @@ int rodas_crossing(double t0, double x0, double y0, double dx0, double dy0,
     out[0] = t0 + s * h;
     out[1] = yc;
     return 1;
+}
+
+/* numpy's searchsorted(a[:n], v, side) on an `a` sorted as numpy sorts,
+ * NaN last: the number of a[k] < v (side "left", right 0) or a[k] <= v
+ * (side "right", right 1).  The search gallops from k, the answer for a
+ * nearby v, in either direction; on a sorted `a` any search finds the one
+ * answer, and on any `a` it reads only a[0] to a[n - 1]. */
+static int before(double e, double v, int right)
+{
+    /* numpy's order, NaN last: e < v is e < v, or v is NaN and e is not;
+       side "right" counts e <= v, which is not v < e */
+    return right ? !(v < e || (e != e && v == v)) : (e < v || (v != v && e == e));
+}
+
+static long search(const double *a, long n, double v, long k, int right)
+{
+    long lo, hi, step = 1;
+
+    if (k > 0 && !before(a[k - 1], v, right)) {
+        /* the answer is below k */
+        hi = k - 1;
+        while (hi >= step && !before(a[hi - step], v, right)) {
+            hi -= step;
+            step *= 2;
+        }
+        lo = hi >= step ? hi - step + 1 : 0;
+    } else {
+        lo = k;
+        while (lo + step <= n && before(a[lo + step - 1], v, right)) {
+            lo += step;
+            step *= 2;
+        }
+        hi = lo + step <= n ? lo + step - 1 : n;
+    }
+    while (lo < hi) {
+        const long mid = lo + (hi - lo) / 2;
+        if (before(a[mid], v, right))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The terms of a sum: the n doubles at `a`, or, where `a` is NULL, the
+ * terms span * (4 - 3 x^2) of _divergence at the Gauss node `node` of the
+ * n steps of the nodes (t, x, dx), the first step cut to start at t_0 and
+ * the last to end at t_c. */
+struct terms {
+    const double *a, *t, *x, *dx;
+    double t_0, t_c, node;
+    long n;
+};
+
+static void fill(const struct terms *c, long lo, long n, double *out)
+{
+    for (long i = 0; i < n; i++) {
+        const long k = lo + i;
+        const double tk = c->t[k], h = c->t[k + 1] - tk;
+        const double a = k == 0 ? c->t_0 : tk;
+        const double span = (k == c->n - 1 ? c->t_c : c->t[k + 1]) - a;
+        const double xs = hermite((a - tk + c->node * span) / h, c->x[k], c->x[k + 1], c->dx[k],
+                                  c->dx[k + 1], h);
+        out[i] = span * (4.0 - 3.0 * xs * xs);
+    }
+}
+
+/* numpy's pairwise_sum_DOUBLE on terms lo to lo + n - 1: a plain loop
+ * below 8 terms, eight accumulators up to 128, else the two halves split
+ * at n/2 rounded down to a multiple of 8.  The terms of a divergence are
+ * made 128 at most at a time. */
+static double pairwise(const struct terms *c, long lo, long n)
+{
+    double buf[128], r[8], res;
+    const double *a;
+    long i;
+
+    if (n > 128) {
+        long n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise(c, lo, n2) + pairwise(c, lo + n2, n - n2);
+    }
+    if (c->a == NULL) {
+        fill(c, lo, n, buf);
+        a = buf;
+    } else {
+        a = c->a + lo;
+    }
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    for (i = 0; i < 8; i++)
+        r[i] = a[i];
+    for (i = 8; i < n - n % 8; i += 8) {
+        r[0] += a[i];
+        r[1] += a[i + 1];
+        r[2] += a[i + 2];
+        r[3] += a[i + 3];
+        r[4] += a[i + 4];
+        r[5] += a[i + 5];
+        r[6] += a[i + 6];
+        r[7] += a[i + 7];
+    }
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* np.sum of the n doubles at a: numpy adds them to its identity 0.0 */
+double rodas_sum(const double *a, long n)
+{
+    const struct terms c = {a, NULL, NULL, NULL, 0.0, 0.0, 0.0, n};
+    return 0.0 + pairwise(&c, 0, n);
+}
+
+/* dynamics._divergence: the integral of (4 - 3x^2)/eps - b over [t_0, t_c]
+ * of the run of n nodes (t, x, dx), t[0] <= t_0 < t[n - 1] and t_c in its
+ * last step, by the Gauss rule of the (node, weight) pairs in `gauss`
+ * (three) on each step's Hermite x(t); each node's terms are summed as
+ * np.sum sums them. */
+double rodas_divergence(const double *t, const double *x, const double *dx, long n,
+                        double t_0, double t_c, double eps, double b, const double *gauss)
+{
+    /* i = searchsorted(t, t_0, side="right") - 1, the step holding t_0 */
+    const long i = search(t, n, t_0, 0, 1) - 1;
+    struct terms c = {NULL, t + i, x + i, dx + i, t_0, t_c, 0.0, n - 1 - i};
+    double total = 0.0;
+
+    for (int g = 0; g < 3; g++) {
+        c.node = gauss[2 * g];
+        total += gauss[2 * g + 1] * (0.0 + pairwise(&c, 0, c.n));
+    }
+    return total / eps - b * (t_c - t_0);
+}
+
+/* Trajectory.sample: (xs, ys) at the m times ts from the run of n >= 1
+ * nodes (t, x, y, dx, dy), each on the cubic-Hermite step that
+ * searchsorted(t[1:-1], ts, side="right") picks. */
+void rodas_sample(const double *t, const double *x, const double *y, const double *dx,
+                  const double *dy, long n, const double *ts, long m, double *xs, double *ys)
+{
+    const long inner = n > 2 ? n - 2 : 0;
+    long i0 = 0;
+
+    for (long j = 0; j < m; j++) {
+        const double v = ts[j];
+        double t0, h, s, s2, s3, b0, b1, b2, b3;
+        long i1;
+
+        i0 = search(t + 1, inner, v, i0, 1);
+        i1 = n > 1 ? i0 + 1 : i0;
+        t0 = t[i0];
+        h = t[i1] - t0;
+        s = h > 0.0 ? (v - t0) / h : 0.0;
+        /* the basis of `hermite`, in its order */
+        s2 = s * s;
+        s3 = s2 * s;
+        b0 = 2.0 * s3 - 3.0 * s2 + 1.0;
+        b1 = (s3 - 2.0 * s2 + s) * h;
+        b2 = -2.0 * s3 + 3.0 * s2;
+        b3 = (s3 - s2) * h;
+        xs[j] = b0 * x[i0] + b1 * dx[i0] + b2 * x[i1] + b3 * dx[i1];
+        ys[j] = b0 * y[i0] + b1 * dy[i0] + b2 * y[i1] + b3 * dy[i1];
+    }
+}
+
+/* canard._within_middle_band: inside[k] = 1 where point k of the n points
+ * (x, y) lies within `band` of one of the m middle-branch samples (xs, ys),
+ * else 0.  The samples increase in both coordinates and lie at most `gap`
+ * apart.  A point's candidates are the index range within `band` of it in
+ * x and in y, searched from the last point's range.  A candidate at
+ * distance d from the point rules out the next (d (1 - 1e-9) - band)/gap
+ * samples: each is more than `band` from it, by the triangle inequality,
+ * with a margin for the roundings of d and gap. */
+void rodas_band(const double *xs, const double *ys, long m, double gap,
+                const double *x, const double *y, long n, double band, unsigned char *inside)
+{
+    long lx = 0, ly = 0, hx = 0, hy = 0;
+
+    for (long k = 0; k < n; k++) {
+        const double px = x[k], py = y[k];
+        long j, hi;
+
+        lx = search(xs, m, px - band, lx, 0);
+        ly = search(ys, m, py - band, ly, 0);
+        hx = search(xs, m, px + band, hx, 1);
+        hy = search(ys, m, py + band, hy, 1);
+        j = lx > ly ? lx : ly;
+        hi = hx < hy ? hx : hy;
+        inside[k] = 0;
+        while (j < hi) {
+            const double ex = xs[j] - px, ey = ys[j] - py;
+            const double d = sqrt(ex * ex + ey * ey);
+            double skip;
+
+            if (d <= band) {
+                inside[k] = 1;
+                break;
+            }
+            skip = (d * (1.0 - 1e-9) - band) / gap;
+            if (skip >= 1.0)
+                j += skip < (double)(hi - j) ? (long)skip : hi - j;
+            j += 1;
+        }
+    }
 }

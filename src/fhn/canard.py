@@ -36,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import dynamics
 from .core import SystemParams, phi
 from .dynamics import LimitCycle, find_limit_cycle
 from .errors import BracketFailureError, FHNError
@@ -182,6 +183,8 @@ class CanardRecord:
 # samples of the repelling middle branch; both coordinates increase along it
 _MIDDLE_XS = np.linspace(-FOLD_X, FOLD_X, MIDDLE_SAMPLES)
 _MIDDLE_YS = phi(_MIDDLE_XS)
+# the largest distance between neighbouring samples
+_MIDDLE_GAP = float(np.max(np.hypot(np.diff(_MIDDLE_XS), np.diff(_MIDDLE_YS))))
 
 
 def _within_middle_band(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:
@@ -192,7 +195,18 @@ def _within_middle_band(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray
     in the band when a sample of its range is within `band` in Euclidean
     distance.  The ranges are walked one offset at a time, so temporaries
     hold one value per point still undecided.
+
+    Where `dynamics` holds the compiled library when this is called,
+    `rodas_band` of `_rodas.c` gives the same booleans, point by point.
     """
+    points = dynamics._kernel_arrays(x, y)
+    if points is not None:
+        px, py = points
+        inside = np.empty(len(px), dtype=bool)
+        dynamics._LIB.rodas_band(_MIDDLE_XS.ctypes.data, _MIDDLE_YS.ctypes.data, len(_MIDDLE_XS),
+                                 _MIDDLE_GAP, px.ctypes.data, py.ctypes.data, len(px), band,
+                                 inside.ctypes.data)
+        return inside
     xs, ys = _MIDDLE_XS, _MIDDLE_YS
     lo = np.maximum(np.searchsorted(xs, x - band), np.searchsorted(ys, y - band))
     hi = np.minimum(np.searchsorted(xs, x + band, "right"), np.searchsorted(ys, y + band, "right"))

@@ -6,7 +6,10 @@ Rosenbrock method of order 4 with an embedded order-3 error estimate
 FitzHugh-Nagumo field with its exact 2x2 Jacobian.  One function drives
 every run, `integrate`, the cycle searches' included; its step loop is the
 compiled one of `_rodas.c` where that can be built (see `_kernel`), else the
-same loop in Python, with the same bits.
+same loop in Python, with the same bits.  So are the passes over a run:
+the crossing bisection, the divergence integral of the Newton slope
+(`_divergence`) and the dense output (`Trajectory.sample`) run in C where
+the library is loaded, else in their Python and numpy forms, bit for bit.
 
 A cycle is a fixed point of the return map P to a half-line {x = x_eq,
 y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
@@ -64,8 +67,9 @@ _M = (*_A[4], 1.0)
 _H_FLOOR = 1e-14
 _MAX_REJECTS = 200
 
-# the compiled step loop, or None where it could not be built or loaded:
-# then `integrate` steps in Python, with the same results (see `_kernel`)
+# the compiled step loop and passes, or None where they could not be built
+# or loaded: then `integrate` steps in Python and the passes run in numpy,
+# with the same results (see `_kernel`); `canard` reads it at each call
 _LIB = _kernel.load()
 # gamma, then _A's rows 1-4 and _C's rows 1-5, as `rodas_run` reads them
 _TABLEAU = (ctypes.c_double * 26)(_GAMMA, *chain(*_A[:4]), *chain(*_C))
@@ -76,8 +80,9 @@ _FIRST_CAPACITY = 1024
 
 
 def kernel() -> str:
-    """Which loop takes the steps of `integrate`: "c", the compiled one of
-    `_rodas.c`, or "python", where that could not be built."""
+    """Which loop takes the steps of `integrate` and makes the passes over
+    its runs: "c", the compiled one of `_rodas.c`, or "python", where that
+    could not be built."""
     return "python" if _LIB is None else "c"
 
 
@@ -104,6 +109,15 @@ class Trajectory:
         """Cubic-Hermite dense output at the requested times, each in the step
         holding it (the end steps extrapolate; a 1-node run gives its node)."""
         ts = np.asarray(ts, dtype=float)
+        nodes = _kernel_arrays(self.t, self.x, self.y, self.dx, self.dy)
+        if nodes is not None and len(nodes[0]):
+            # the evaluation below, in `_rodas.c`, into the outputs alone
+            flat = ts.ravel()
+            xs, ys = np.empty_like(flat), np.empty_like(flat)
+            _LIB.rodas_sample(*[a.ctypes.data for a in nodes], len(nodes[0]), flat.ctypes.data,
+                              flat.size, xs.ctypes.data, ys.ctypes.data)
+            # numpy's shape and type: a 0-d `ts` gives scalars
+            return xs.reshape(ts.shape)[()], ys.reshape(ts.shape)[()]
         i0 = np.searchsorted(self.t[1:-1], ts, side="right")
         i1 = i0 + 1 if len(self.t) > 1 else i0
         t0 = self.t[i0]
@@ -161,6 +175,18 @@ class Trajectory:
         s = 0.5 * (lo + hi)
         y = float(_hermite(s, y0, y1, dy0, dy1, h))
         return (t0 + s * h, y) if y > y_s else None
+
+
+def _kernel_arrays(*arrays):
+    """`arrays` as the calls of `_rodas.c` read them, C-contiguous float64
+    (a no-op for the arrays of a run), or None where the library is not
+    loaded, or unless each is 1-D and all have one length.  Lists, strided
+    or integer arrays of a hand-built Trajectory or LimitCycle are copied;
+    other shapes are left to the numpy forms."""
+    if _LIB is None or any(np.ndim(a) != 1 for a in arrays):
+        return None
+    out = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+    return out if len({len(a) for a in out}) == 1 else None
 
 
 def _hermite(s, p0, p1, d0, d1, h):
@@ -545,6 +571,8 @@ _LOOSE_FRACTION = 0.01
 # three-point Gauss-Legendre nodes on [0, 1] and their weights
 _GAUSS = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
           (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0))
+# as `rodas_divergence` reads them
+_GAUSS_TABLE = (ctypes.c_double * 6)(*chain(*_GAUSS))
 # samples of the returned loop
 _DENSE_N = 2000
 _MAX_NORM = 1e6
@@ -761,6 +789,12 @@ def _divergence(traj, t_0, t_c, params):
     """Integral of div F = (4 - 3x^2)/eps - b over [t_0, t_c] of `traj`,
     where t_c lies in its last step: a three-point Gauss rule on each
     step's cubic-Hermite x(t)."""
+    nodes = _kernel_arrays(traj.t, traj.x, traj.dx)
+    if nodes is not None and len(nodes[0]) and nodes[0][0] <= t_0 < nodes[0][-1]:
+        # the rule below, in `_rodas.c`, each term made as it is summed
+        t, x, dx = nodes
+        return _LIB.rodas_divergence(t.ctypes.data, x.ctypes.data, dx.ctypes.data, len(t), t_0, t_c,
+                                     params.eps, params.b, _GAUSS_TABLE)
     i = int(np.searchsorted(traj.t, t_0, side="right")) - 1
     t, x, dx = traj.t[i:], traj.x[i:], traj.dx[i:]
     h = np.diff(t)

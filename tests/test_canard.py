@@ -182,6 +182,99 @@ class TestMiddleBand:
         np.testing.assert_array_equal(_within_middle_band(x, y, band), self._tree_mask(x, y, band))
 
 
+@pytest.fixture
+def numpy_band(monkeypatch):
+    """`_within_middle_band` as on a host where `_rodas.c` could not be
+    built: `canard` reads `dynamics._LIB` at each call."""
+    monkeypatch.setattr(dynamics, "_LIB", None)
+
+
+def _on_numpy_form(fn):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_LIB", None)
+        return fn()
+
+
+@pytest.mark.usefixtures("numpy_band")
+class TestMiddleBandNumpyForm(TestMiddleBand):
+    """TestMiddleBand on the numpy walk."""
+
+
+@pytest.fixture(scope="module")
+def recipe_scan_cycles():
+    """Every cycle that the two recipe canard scans classify, with its class."""
+    seen = []
+    real = canard.classify_canard
+
+    def recording(cycle):
+        seen.append((cycle, real(cycle)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canard, "classify_canard", recording)
+        for eps, (bracket, _) in _RECIPE_LOCATES.items():
+            canard.explosion_scan(eps, bracket)
+    return seen
+
+
+class TestCompiledBand:
+    """`rodas_band` of `_rodas.c` gives the booleans of the numpy walk, and
+    `classify_canard` the same class on both."""
+
+    @pytest.mark.parametrize("band", [1e-3, 0.05, 0.2])
+    def test_matches_numpy_form_on_random_points(self, band):
+        rng = np.random.default_rng(14)
+        n = 50_000
+        j = rng.integers(0, len(_MIDDLE_XS), n)
+        ends = rng.choice([0, -1], n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+        r = band * rng.uniform(0.0, 2.0, (2, n))
+        # over and beyond the branch (|x| <= 1.155, |y| <= 3.08), around its
+        # samples, around its two ends, and points that are not finite
+        x = np.concatenate([rng.uniform(-4.0, 4.0, n), _MIDDLE_XS[j] + r[0] * np.cos(theta[0]),
+                            _MIDDLE_XS[ends] + r[1] * np.cos(theta[1]),
+                            [math.nan, 0.0, math.inf, -math.inf, 0.5, math.nan]])
+        y = np.concatenate([rng.uniform(-8.0, 8.0, n), _MIDDLE_YS[j] + r[0] * np.sin(theta[0]),
+                            _MIDDLE_YS[ends] + r[1] * np.sin(theta[1]),
+                            [0.0, math.nan, 1.0, 1.0, -math.inf, math.nan]])
+        got = _within_middle_band(x, y, band)
+        np.testing.assert_array_equal(got, _on_numpy_form(lambda: _within_middle_band(x, y, band)))
+        assert got.dtype == bool and n // 10 < np.count_nonzero(got) < len(x) - n
+
+    def test_scan_cycles_match_numpy_form(self, recipe_scan_cycles):
+        def passes():
+            return [(_within_middle_band(lc.x, lc.y, canard.MIDDLE_BAND).tolist(),
+                     classify_canard(lc)) for lc, _ in recipe_scan_cycles]
+
+        got = passes()
+        assert got == _on_numpy_form(passes)
+        assert [k for _, k in got] == [k for _, k in recipe_scan_cycles]
+        assert {k for _, k in got} == set(CanardClass) and len(got) >= 80
+
+
+@pytest.mark.usefixtures("numpy_band")
+class TestCompiledBandNumpyForm(TestCompiledBand):
+    """TestCompiledBand with the numpy walk on both sides: the classes of
+    the scans' cycles, computed on the compiled path, hold on it."""
+
+
+@pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+def test_hand_built_points_are_read_as_float64():
+    # lists, strided and integer points are copied into float64 for
+    # `rodas_band`, which reads raw memory
+    mx, my = _middle_arc(1.0, -0.5, n=50)
+    x = np.repeat(mx + np.where(np.arange(50) % 2, 0.04, 0.3), 2)
+    y = np.repeat(my, 2)
+    want = _on_numpy_form(lambda: _within_middle_band(x[::2].copy(), y[::2].copy(), 0.05))
+    assert 0 < np.count_nonzero(want) < 50
+    np.testing.assert_array_equal(_within_middle_band(x[::2], y[::2], 0.05), want)
+    np.testing.assert_array_equal(_within_middle_band(list(x[::2]), list(y[::2]), 0.05), want)
+    ints = np.array([0, 1, 2, -1, 3]), np.array([0, 3, -3, -3, 0])
+    np.testing.assert_array_equal(
+        _within_middle_band(*ints, 0.05),
+        _on_numpy_form(lambda: _within_middle_band(*(a.astype(float) for a in ints), 0.05)))
+
+
 def _longest_run_walk(inside, seg):
     """Walk twice round the loop, adding each in-band segment to the current
     run; the oracle for `canard._longest_run`."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from fhn import _kernel, bifurcation, dynamics
+from fhn import _kernel, bifurcation, canard, dynamics
 from fhn.bifurcation import equilibria, homoclinic_in_b
 from fhn.core import PhasePoint, SystemParams, TimeScale, phi
 from fhn.dynamics import Stability, cycle_length, find_limit_cycle, find_unstable_cycle, integrate
@@ -1285,8 +1285,8 @@ class TestKernelEquivalence:
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """`integrate` and `Trajectory.crossing` as on a host where the compiled
-    loop of `_rodas.c` could not be built."""
+    """`integrate`, `Trajectory.crossing` and the passes over a run as on a
+    host where `_rodas.c` could not be built."""
     monkeypatch.setattr(dynamics, "_LIB", None)
     assert dynamics.kernel() == "python"
 
@@ -1302,6 +1302,138 @@ class TestKernelEquivalencePythonLoop(TestKernelEquivalence):
     searches and the homoclinic shots against the loop form, and the pin."""
 
 
+@pytest.mark.usefixtures("python_loop")
+class TestSearchPinsPythonLoop(TestSearchPins):
+    """TestSearchPins on the Python loop and the numpy forms of the passes
+    over its runs."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestDenseOutputPythonLoop(TestDenseOutput):
+    """TestDenseOutput on the numpy form of `Trajectory.sample`."""
+
+
+def _numpy_form(fn):
+    """fn() on the numpy forms of the passes over a run, as on a host where
+    `_rodas.c` could not be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_LIB", None)
+        return fn()
+
+
+def _stretches(tr):
+    # (t_0, t_c) with t_c in the last step, as a search takes them: from
+    # inside the first step, from a node, from its start, and within the
+    # last step alone
+    t = tr.t
+    t_c = t[-2] + 0.6 * (t[-1] - t[-2])
+    return [(t[0] + 0.3 * (t[1] - t[0]), t_c), (t[len(t) // 2], t[-1]), (t[0], t[-1]),
+            (t[-2] + 0.1 * (t[-1] - t[-2]), t_c)]
+
+
+def _divergence_terms(tr, t_0, t_c):
+    # the terms span * (4 - 3 x^2) that `_divergence` sums at each Gauss node
+    i = int(np.searchsorted(tr.t, t_0, side="right")) - 1
+    t, x, dx = tr.t[i:], tr.x[i:], tr.dx[i:]
+    h = np.diff(t)
+    a, b = t[:-1].copy(), t[1:].copy()
+    a[0], b[-1] = t_0, t_c
+    span = b - a
+    return [span * (4.0 - 3.0 * xs * xs)
+            for xs in (dynamics._hermite((a - t[:-1] + node * span) / h, x[:-1], x[1:], dx[:-1],
+                                         dx[1:], h) for node, _ in dynamics._GAUSS)]
+
+
+def _same_samples(got, want):
+    # the same type, shape and bits
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestPassesOverRuns:
+    """`_divergence` and `Trajectory.sample` give the bits of their numpy
+    forms, which run where `_rodas.c` could not be built."""
+
+    def test_divergence_matches_numpy_form_on_runs(self):
+        calls = []
+        for start, params, *rest in _equivalence_cases():
+            try:
+                tr = integrate(start, params, *rest)
+            except FHNError as exc:
+                tr = exc.trajectory
+            if len(tr.t) > 2:
+                calls += [(tr, t_0, t_c, params) for t_0, t_c in _stretches(tr)]
+        got = [dynamics._divergence(*call).hex() for call in calls]
+        assert got == _numpy_form(lambda: [dynamics._divergence(*call).hex() for call in calls])
+        assert len(calls) >= 150
+
+    def test_divergence_matches_numpy_form_in_searches(self, monkeypatch):
+        # every slope of the pinned searches, those that fail included
+        calls = []
+        real = dynamics._divergence
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_divergence", recording)
+        for case in TestSearchPins.CYCLES.values():
+            TestSearchPins._search(*case[:5])
+        for case in TestSearchPins.FAILURES.values():
+            with pytest.raises(FHNError):
+                TestSearchPins._search(*case[:5])
+        got = [real(*call).hex() for call in calls]
+        assert got == _numpy_form(lambda: [real(*call).hex() for call in calls])
+        assert len(calls) >= 20
+
+    def test_sample_matches_numpy_form(self):
+        tr = integrate(A_START, SystemParams(0.2, 0.3, 0.1), 5.0, tol=1e-9)
+        with pytest.raises(StepSizeCollapseError) as info:
+            integrate(PhasePoint(2e8, 0.0), SystemParams(0.0, 0.0, 0.1), 1.0)
+        one_node = info.value.trajectory
+        two_nodes = dataclasses.replace(tr, t=tr.t[:2], x=tr.x[:2], y=tr.y[:2], dx=tr.dx[:2],
+                                        dy=tr.dy[:2])
+        t = tr.t
+        probes = [
+            _probe_times(t),
+            t,  # exactly at the nodes
+            [t[0] - 5.0, t[0], t[-1], t[-1] + 5.0],
+            [math.nan, t[3], math.nan, 0.5 * (t[3] + t[4])],
+            np.empty(0),
+            _probe_times(t)[:600].reshape(20, 30),
+            np.float64(t[5] + 1e-3),
+            0.7,
+            [[0.1]],
+            [3, 1, 2],  # integers, not sorted
+        ]
+        for run in (tr, one_node, two_nodes):
+            for ts in probes:
+                _same_samples(run.sample(ts), _numpy_form(lambda: run.sample(ts)))
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestPassesOverRunsPythonLoop(TestPassesOverRuns):
+    """TestPassesOverRuns with the numpy forms on both sides."""
+
+
+def _passes(cases):
+    """The passes over the runs of `cases` and over a cycle: dense output,
+    divergence integrals, and the middle-band test and class of the cycle."""
+    out = []
+    for start, params, *rest in cases:
+        try:
+            tr = integrate(start, params, *rest)
+        except FHNError as exc:
+            tr = exc.trajectory
+        if len(tr.t) > 2:
+            out += [np.concatenate(tr.sample(_probe_times(tr.t))).tobytes(),
+                    [dynamics._divergence(tr, *s, params).hex() for s in _stretches(tr)]]
+    lc = find_limit_cycle(SystemParams(0.0, 1.1537941513061523, 0.1), A_START, tol=1e-11)
+    return out + [canard._within_middle_band(lc.x, lc.y, canard.MIDDLE_BAND).tolist(),
+                  canard.classify_canard(lc)]
+
+
 class TestCompiledKernel:
     """The compiled loop is built once into its cache and gives the Python
     loop's outputs; where it cannot be built, the Python loop runs."""
@@ -1311,9 +1443,11 @@ class TestCompiledKernel:
         assert lib is None and list(tmp_path.iterdir()) == []
         cases = _equivalence_cases()
         want = [_outcome(lambda c=c: integrate(*c)) for c in cases]
+        want_passes = _passes(cases)
         monkeypatch.setattr(dynamics, "_LIB", lib)
         assert dynamics.kernel() == "python"
         assert [_outcome(lambda c=c: integrate(*c)) for c in cases] == want
+        assert _passes(cases) == want_passes
 
     @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
     def test_library_is_built_once_into_its_cache(self, tmp_path, monkeypatch):
@@ -1384,6 +1518,58 @@ class TestCompiledKernel:
         assert got == crossings()
         assert sum(c is not None for c in got) >= 100
         assert all(type(v) is float for c in got if c is not None for v in c)
+
+    @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+    def test_hand_built_trajectory_is_read_as_float64(self):
+        # lists, strided columns and integers are copied into float64 for
+        # `_rodas.c`; ragged node arrays are left to the numpy forms
+        tr = integrate(A_START, SystemParams(0.2, 0.3, 0.1), 5.0, tol=1e-9)
+        names = ("t", "x", "y", "dx", "dy")
+        table = np.column_stack([getattr(tr, n) for n in names])
+        lists = dataclasses.replace(tr, **{n: getattr(tr, n).tolist() for n in names})
+        columns = dataclasses.replace(tr, **{n: table[:, k] for k, n in enumerate(names)})
+        assert not columns.x.flags.c_contiguous
+        ts = _probe_times(tr.t)
+        params = SystemParams(0.2, 0.3, 0.1)
+        want = _numpy_form(lambda: (tr.sample(ts), [dynamics._divergence(tr, *s, params)
+                                                    for s in _stretches(tr)]))
+        for hand in (lists, columns):
+            _same_samples(hand.sample(ts), want[0])
+            assert [dynamics._divergence(hand, *s, params) for s in _stretches(tr)] == want[1]
+
+        ints = dynamics.Trajectory(*(np.array(v) for v in (
+            [0, 1, 3, 4, 7], [2, -1, 0, 5, 3], [1, 1, 2, 3, 5], [0, 2, -2, 1, 1], [3, 0, 1, -1, 2])), 1)
+        floats = dataclasses.replace(ints, **{n: getattr(ints, n).astype(float) for n in names})
+        ts = np.linspace(-1.0, 8.0, 37)
+        _same_samples(ints.sample(ts), _numpy_form(lambda: floats.sample(ts)))
+        _same_samples(ints.sample(ts), _numpy_form(lambda: ints.sample(ts)))
+        assert (dynamics._divergence(ints, 0.5, 6.0, params)
+                == _numpy_form(lambda: dynamics._divergence(floats, 0.5, 6.0, params)))
+
+        # NaN sorts last, as in numpy's searchsorted: a NaN tail picks the same steps
+        nan_tail = dataclasses.replace(floats, t=np.array([0.0, 1.0, 3.0, math.nan, math.nan]))
+        _same_samples(nan_tail.sample(ts), _numpy_form(lambda: nan_tail.sample(ts)))
+        assert np.isfinite(nan_tail.sample(ts)[0]).any()
+
+        ragged = dataclasses.replace(tr, x=tr.x[:10])
+        with pytest.raises(IndexError):
+            ragged.sample(ts)
+
+    @pytest.mark.skipif(dynamics._LIB is None, reason="no C compiler on this host")
+    def test_pairwise_sum_is_np_sum(self):
+        # `rodas_divergence` sums each Gauss node's terms as np.sum does: a
+        # numpy that sums otherwise fails here, not silently in the pins
+        rng = np.random.default_rng(25)
+        arrays = [rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+                  for n in [*range(1, 8), 8, 127, 128, 129, 255, 256, 1000, 40_000]
+                  for _ in range(5)]
+        for params in (SystemParams(0.0, 1.15, 0.5), SystemParams(0.3, 0.0, 0.05)):
+            tr = integrate(A_START, params, 20.0, tol=1e-11)
+            for t_0, t_c in _stretches(tr):
+                arrays += _divergence_terms(tr, t_0, t_c)
+        assert {len(a) for a in arrays} >= {1, 8, 128, 40_000} and max(map(len, arrays)) > 10_000
+        for a in arrays:
+            assert dynamics._LIB.rodas_sum(a.ctypes.data, len(a)).hex() == float(np.sum(a)).hex()
 
 
 class TestCycleLength:
