@@ -6,7 +6,10 @@ The library exports `rodas_run` (the step loop of `integrate`),
 (`dynamics._divergence`), `rodas_sample` (`Trajectory.sample`), `rodas_band`
 (`canard._within_middle_band`) and `rodas_sum`, the copy of numpy's
 pairwise summation that `rodas_divergence` sums with.  Each gives the bits
-of its Python or numpy form, which runs where the library is None.
+of its Python or numpy form, which runs where the library is None.  A run's
+five node arrays cross as one C-contiguous (5, n) float64 block, at one
+address (see `dynamics.Trajectory`), and points and samples as (2, m)
+blocks.
 
 `load` compiles `_rodas.c` with the C compiler `cc` into the package's
 `__pycache__`, as `_rodas-<digest>.so`, where the digest is a CRC-32 of the
@@ -57,17 +60,18 @@ def load(cache_dir: str = os.path.join(_HERE, "__pycache__"), compiler: tuple[st
     lib.rodas_run.argtypes = (_double_p, _double_p, _long_p, ctypes.c_void_p, ctypes.c_long,
                               _double_p, ctypes.c_long)
     lib.rodas_run.restype = ctypes.c_int
-    lib.rodas_crossing.argtypes = (*[ctypes.c_double] * 13, _double_p)
-    lib.rodas_crossing.restype = ctypes.c_int
-    # the passes over a run read numpy arrays, passed by address
+    # the passes over a run read numpy arrays, passed by address: a run's
+    # nodes as one (5, n) block, points and samples as (2, m) blocks
     ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.rodas_crossing.argtypes = (ptr, long, long, double, double, double, _double_p)
+    lib.rodas_crossing.restype = ctypes.c_int
     lib.rodas_sum.argtypes = (ptr, long)
     lib.rodas_sum.restype = double
-    lib.rodas_divergence.argtypes = (ptr, ptr, ptr, long, double, double, double, double, _double_p)
+    lib.rodas_divergence.argtypes = (ptr, long, double, double, double, double, _double_p)
     lib.rodas_divergence.restype = double
-    lib.rodas_sample.argtypes = (ptr, ptr, ptr, ptr, ptr, long, ptr, long, ptr, ptr)
+    lib.rodas_sample.argtypes = (ptr, long, ptr, long, ptr)
     lib.rodas_sample.restype = None
-    lib.rodas_band.argtypes = (ptr, ptr, long, double, ptr, ptr, long, double, ptr)
+    lib.rodas_band.argtypes = (ptr, long, double, ptr, long, double, ptr)
     lib.rodas_band.restype = None
     return lib
 

@@ -8,6 +8,12 @@
  * sums as numpy's pairwise_sum_DOUBLE does (rodas_sum); where numpy
  * searches a sorted array, it finds the index that searchsorted returns.
  *
+ * A run's nodes are one block, a C-contiguous (5, n) array of doubles:
+ * the rows t, x, y, dx, dy, each n long, at nodes, nodes + n, ...,
+ * nodes + 4n.  rodas_run writes it and every pass reads it, through the
+ * one address.  Points and samples are (2, m) blocks of the same kind, the
+ * rows x and y.
+ *
  * fhn._kernel builds this file with -ffp-contract=off and without
  * -ffast-math, so that no multiply-add is fused and no sum is reordered.
  * Every Python `**` is a call of libm's pow through a volatile pointer,
@@ -32,9 +38,10 @@ enum { AT_END, CLOSED, FULL, BELOW_FLOOR, REJECTED, BLEW_UP, OVERFLOW };
  *   accepted steps, rejected steps, on CLOSED the position in `sec` of the
  *   closed section and the node of its first crossing, and for each
  *   section the node of its counted crossing, or -1.
- * nodes: five rows of `cap` doubles, t, x, y, dx, dy; node 0 is written
+ * nodes: a (5, cap) block, the rows t, x, y, dx, dy; node 0 is written
  *   from `io` when none is.  FULL: `cap` nodes are written and the run
- *   resumes from `io` and `counts` with a larger buffer.
+ *   resumes from `io` and `counts` with a larger buffer.  The first n
+ *   columns, copied, are the run's (5, n) block.
  * sec: the nsec section abscissae in the order the run's sense meets them.
  */
 int rodas_run(const double *tab, double *io, long *counts, double *nodes, long cap,
@@ -251,30 +258,36 @@ static double hermite(double s, double p0, double p1, double d0, double d1, doub
             + (s3 - s2) * h * d1);
 }
 
-/* Trajectory.crossing on the step from node (t0, x0, y0, dx0, dy0) to node
- * (t1, ...): 1 with out = (t, y) of its crossing of the half-line
- * {x = x_s, y > y_s} in the sense `sign`, else 0. */
-int rodas_crossing(double t0, double x0, double y0, double dx0, double dy0,
-                   double t1, double x1, double y1, double dx1, double dy1,
-                   double x_s, double y_s, double sign, double *out)
+/* Trajectory.crossing on the step from node i - 1 to node i (i < 0:
+ * node n + i) of the run of n nodes: 1 with out = (t, y) of its crossing
+ * of the half-line {x = x_s, y > y_s} in the sense `sign`, else 0.  The
+ * caller keeps -n < i < n, i != 0. */
+int rodas_crossing(const double *nodes, long n, long i, double x_s, double y_s, double sign,
+                   double *out)
 {
+    const double *t = nodes, *x = nodes + n, *y = nodes + 2 * n;
+    const double *dx = nodes + 3 * n, *dy = nodes + 4 * n;
     double h, lo = 0.0, hi = 1.0, s, yc;
+    long k;
 
-    if (!(sign * (x0 - x_s) > 0.0 && 0.0 > sign * (x1 - x_s)))
+    if (i < 0)
+        i += n;
+    k = i - 1;
+    if (!(sign * (x[k] - x_s) > 0.0 && 0.0 > sign * (x[i] - x_s)))
         return 0;
-    h = t1 - t0;
-    for (int i = 0; i < 70; i++) {
+    h = t[i] - t[k];
+    for (int j = 0; j < 70; j++) {
         const double mid = 0.5 * (lo + hi);
-        if (!(sign * (hermite(mid, x0, x1, dx0, dx1, h) - x_s) > 0.0))
+        if (!(sign * (hermite(mid, x[k], x[i], dx[k], dx[i], h) - x_s) > 0.0))
             hi = mid;
         else
             lo = mid;
     }
     s = 0.5 * (lo + hi);
-    yc = hermite(s, y0, y1, dy0, dy1, h);
+    yc = hermite(s, y[k], y[i], dy[k], dy[i], h);
     if (!(yc > y_s))
         return 0;
-    out[0] = t0 + s * h;
+    out[0] = t[k] + s * h;
     out[1] = yc;
     return 1;
 }
@@ -397,13 +410,13 @@ double rodas_sum(const double *a, long n)
 }
 
 /* dynamics._divergence: the integral of (4 - 3x^2)/eps - b over [t_0, t_c]
- * of the run of n nodes (t, x, dx), t[0] <= t_0 < t[n - 1] and t_c in its
- * last step, by the Gauss rule of the (node, weight) pairs in `gauss`
- * (three) on each step's Hermite x(t); each node's terms are summed as
- * np.sum sums them. */
-double rodas_divergence(const double *t, const double *x, const double *dx, long n,
-                        double t_0, double t_c, double eps, double b, const double *gauss)
+ * of the run of n nodes, t[0] <= t_0 < t[n - 1] and t_c in its last step,
+ * by the Gauss rule of the (node, weight) pairs in `gauss` (three) on each
+ * step's Hermite x(t); each node's terms are summed as np.sum sums them. */
+double rodas_divergence(const double *nodes, long n, double t_0, double t_c, double eps,
+                        double b, const double *gauss)
 {
+    const double *t = nodes, *x = nodes + n, *dx = nodes + 3 * n;
     /* i = searchsorted(t, t_0, side="right") - 1, the step holding t_0 */
     const long i = search(t, n, t_0, 0, 1) - 1;
     struct terms c = {NULL, t + i, x + i, dx + i, t_0, t_c, 0.0, n - 1 - i};
@@ -416,12 +429,14 @@ double rodas_divergence(const double *t, const double *x, const double *dx, long
     return total / eps - b * (t_c - t_0);
 }
 
-/* Trajectory.sample: (xs, ys) at the m times ts from the run of n >= 1
- * nodes (t, x, y, dx, dy), each on the cubic-Hermite step that
+/* Trajectory.sample: out = (xs, ys), a (2, m) block, at the m times ts
+ * from the run of n >= 1 nodes, each on the cubic-Hermite step that
  * searchsorted(t[1:-1], ts, side="right") picks. */
-void rodas_sample(const double *t, const double *x, const double *y, const double *dx,
-                  const double *dy, long n, const double *ts, long m, double *xs, double *ys)
+void rodas_sample(const double *nodes, long n, const double *ts, long m, double *out)
 {
+    const double *t = nodes, *x = nodes + n, *y = nodes + 2 * n;
+    const double *dx = nodes + 3 * n, *dy = nodes + 4 * n;
+    double *xs = out, *ys = out + m;
     const long inner = n > 2 ? n - 2 : 0;
     long i0 = 0;
 
@@ -447,17 +462,19 @@ void rodas_sample(const double *t, const double *x, const double *y, const doubl
     }
 }
 
-/* canard._within_middle_band: inside[k] = 1 where point k of the n points
- * (x, y) lies within `band` of one of the m middle-branch samples (xs, ys),
- * else 0.  The samples increase in both coordinates and lie at most `gap`
- * apart.  A point's candidates are the index range within `band` of it in
- * x and in y, searched from the last point's range.  A candidate at
- * distance d from the point rules out the next (d (1 - 1e-9) - band)/gap
- * samples: each is more than `band` from it, by the triangle inequality,
- * with a margin for the roundings of d and gap. */
-void rodas_band(const double *xs, const double *ys, long m, double gap,
-                const double *x, const double *y, long n, double band, unsigned char *inside)
+/* canard._within_middle_band: inside[k] = 1 where point k of the (2, n)
+ * block `points` lies within `band` of one of the middle-branch samples,
+ * the (2, m) block `middle`, else 0.  The samples increase in both
+ * coordinates and lie at most `gap` apart.  A point's candidates are the
+ * index range within `band` of it in x and in y, searched from the last
+ * point's range.  A candidate at distance d from the point rules out the
+ * next (d (1 - 1e-9) - band)/gap samples: each is more than `band` from
+ * it, by the triangle inequality, with a margin for the roundings of d and
+ * gap. */
+void rodas_band(const double *middle, long m, double gap, const double *points, long n,
+                double band, unsigned char *inside)
 {
+    const double *xs = middle, *ys = middle + m, *x = points, *y = points + n;
     long lx = 0, ly = 0, hx = 0, hy = 0;
 
     for (long k = 0; k < n; k++) {

@@ -180,9 +180,13 @@ class CanardRecord:
     converged: bool
 
 
-# samples of the repelling middle branch; both coordinates increase along it
-_MIDDLE_XS = np.linspace(-FOLD_X, FOLD_X, MIDDLE_SAMPLES)
-_MIDDLE_YS = phi(_MIDDLE_XS)
+# samples of the repelling middle branch, the rows x and y of one block
+# whose address `rodas_band` reads; both coordinates increase along it
+_MIDDLE = np.empty((2, MIDDLE_SAMPLES))
+_MIDDLE_XS, _MIDDLE_YS = _MIDDLE
+_MIDDLE_XS[:] = np.linspace(-FOLD_X, FOLD_X, MIDDLE_SAMPLES)
+_MIDDLE_YS[:] = phi(_MIDDLE_XS)
+_MIDDLE_ADDRESS = _MIDDLE.ctypes.data
 # the largest distance between neighbouring samples
 _MIDDLE_GAP = float(np.max(np.hypot(np.diff(_MIDDLE_XS), np.diff(_MIDDLE_YS))))
 
@@ -199,13 +203,12 @@ def _within_middle_band(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray
     Where `dynamics` holds the compiled library when this is called,
     `rodas_band` of `_rodas.c` gives the same booleans, point by point.
     """
-    points = dynamics._kernel_arrays(x, y)
+    points = dynamics._block(x, y)
     if points is not None:
-        px, py = points
-        inside = np.empty(len(px), dtype=bool)
-        dynamics._LIB.rodas_band(_MIDDLE_XS.ctypes.data, _MIDDLE_YS.ctypes.data, len(_MIDDLE_XS),
-                                 _MIDDLE_GAP, px.ctypes.data, py.ctypes.data, len(px), band,
-                                 inside.ctypes.data)
+        n = points.shape[1]
+        inside = np.empty(n, dtype=bool)
+        dynamics._LIB.rodas_band(_MIDDLE_ADDRESS, MIDDLE_SAMPLES, _MIDDLE_GAP, points.ctypes.data, n,
+                                 band, inside.ctypes.data)
         return inside
     xs, ys = _MIDDLE_XS, _MIDDLE_YS
     lo = np.maximum(np.searchsorted(xs, x - band), np.searchsorted(ys, y - band))
@@ -238,7 +241,9 @@ def classify_canard(cycle: LimitCycle) -> CanardClass:
     if cycle.diameter < SMALL_CYCLE_DIAMETER:
         return CanardClass.HOPF_SMALL
     inside = _in_band_segments(cycle, MIDDLE_BAND)
-    seg = np.hypot(np.roll(cycle.x, -1) - cycle.x, np.roll(cycle.y, -1) - cycle.y)
+    # segment k from sample k to k + 1, then the closing one back to sample 0
+    x, y = cycle.x, cycle.y
+    seg = np.append(np.hypot(x[1:] - x[:-1], y[1:] - y[:-1]), np.hypot(x[0] - x[-1], y[0] - y[-1]))
     if _longest_run(inside, seg) < MIN_MIDDLE_ARC:
         return CanardClass.RELAXATION
     if np.any(cycle.x < -FOLD_X):
@@ -259,7 +264,8 @@ def _longest_run(inside: np.ndarray, seg: np.ndarray) -> float:
         return float(np.add.accumulate(np.concatenate([seg, seg]))[-1])
     # start at a segment outside the band, so that no run wraps round
     first_out = int(np.argmin(inside))
-    inside, seg = np.roll(inside, -first_out), np.roll(seg, -first_out)
+    inside = np.concatenate((inside[first_out:], inside[:first_out]))
+    seg = np.concatenate((seg[first_out:], seg[:first_out]))
     edges = np.flatnonzero(np.diff(inside.astype(np.int8), append=np.int8(0)))
     # a run starts after a rise at edges[2i] and ends at the fall edges[2i + 1]
     return max((float(np.add.accumulate(seg[a + 1:b + 1])[-1])
@@ -271,7 +277,7 @@ def _in_band_segments(cycle: LimitCycle, band: float) -> np.ndarray:
     and from the last sample back to the first, has both ends within `band`
     of the repelling branch."""
     in_band = _within_middle_band(cycle.x, cycle.y, band)
-    return in_band & np.roll(in_band, -1)
+    return np.append(in_band[:-1] & in_band[1:], in_band[-1] & in_band[0])
 
 
 # (c_H - c*)/eps as eps -> 0, in closed form: Krupa and Szmolyan's

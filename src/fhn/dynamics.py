@@ -10,6 +10,8 @@ same loop in Python, with the same bits.  So are the passes over a run:
 the crossing bisection, the divergence integral of the Newton slope
 (`_divergence`) and the dense output (`Trajectory.sample`) run in C where
 the library is loaded, else in their Python and numpy forms, bit for bit.
+A run's nodes are one C-contiguous (5, n) float64 block, the rows t, x, y,
+dx, dy, which every compiled pass reads at one address (see `Trajectory`).
 
 A cycle is a fixed point of the return map P to a half-line {x = x_eq,
 y > y_eq} above an equilibrium, which the flow crosses leftward only.  One
@@ -93,7 +95,17 @@ class Stability(Enum):
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with node derivatives for dense output."""
+    """Accepted integration nodes with node derivatives for dense output.
+
+    The five node arrays of a run of `integrate` are the rows t, x, y, dx,
+    dy of one C-contiguous (5, n) float64 block, whose address the run keeps
+    for the compiled passes over it.  They read the block only while every
+    field is still the row that `integrate` set and that row's base is the
+    block: a rebound field fails the first test, a deep copy or an unpickled
+    run (whose rows own their memory) the second.  Such a run, and any
+    Trajectory built otherwise, has its fields stacked into a fresh block at
+    each call, never kept, so an edit in place is always seen.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -104,18 +116,22 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
     # (section, node of its first crossing, of its second): see `integrate`
     closing: tuple[int, int, int] | None = None
+    # (block, its address, its five rows) as `integrate` set them, or ()
+    _nodes: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cubic-Hermite dense output at the requested times, each in the step
         holding it (the end steps extrapolate; a 1-node run gives its node)."""
         ts = np.asarray(ts, dtype=float)
-        nodes = _kernel_arrays(self.t, self.x, self.y, self.dx, self.dy)
-        if nodes is not None and len(nodes[0]):
-            # the evaluation below, in `_rodas.c`, into the outputs alone
+        nodes = _node_block(self)
+        if nodes is not None:
+            # the evaluation below, in `_rodas.c`, into one (2, m) block
+            # whose rows are the outputs
+            block, address = nodes
             flat = ts.ravel()
-            xs, ys = np.empty_like(flat), np.empty_like(flat)
-            _LIB.rodas_sample(*[a.ctypes.data for a in nodes], len(nodes[0]), flat.ctypes.data,
-                              flat.size, xs.ctypes.data, ys.ctypes.data)
+            out = np.empty((2, flat.size))
+            _LIB.rodas_sample(address, block.shape[1], flat.ctypes.data, flat.size, out.ctypes.data)
+            xs, ys = out
             # numpy's shape and type: a 0-d `ts` gives scalars
             return xs.reshape(ts.shape)[()], ys.reshape(ts.shape)[()]
         i0 = np.searchsorted(self.t[1:-1], ts, side="right")
@@ -140,7 +156,8 @@ class Trajectory:
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
         ts = np.arange(self.t[0], self.t[-1] + 0.5 * dt, dt)
-        ts = ts[ts <= self.t[-1]]
+        # arange with dt > 0 does not decrease: the times up to t[-1] are a prefix
+        ts = ts[: np.searchsorted(ts, self.t[-1], side="right")]
         xs, ys = self.sample(ts)
         return ts, xs, ys
 
@@ -152,14 +169,17 @@ class Trajectory:
         cubic-Hermite root of x = x_s in the step."""
         if i == 0:
             raise IndexError("no step ends at node 0, the start of the run")
+        sign = self.direction
+        nodes = _node_block(self)
+        n = 0 if nodes is None else nodes[0].shape[1]
+        # an index out of range is left to the reads below, which raise
+        if -n < i < n:
+            # the bisection below, in `_rodas.c`, on nodes i - 1 and i of the block
+            out = (ctypes.c_double * 2)()
+            found = _LIB.rodas_crossing(nodes[1], n, i, x_s, y_s, sign, out)
+            return (out[0], out[1]) if found else None
         t0, x0, y0, dx0, dy0 = (float(a[i - 1]) for a in (self.t, self.x, self.y, self.dx, self.dy))
         t1, x1, y1, dx1, dy1 = (float(a[i]) for a in (self.t, self.x, self.y, self.dx, self.dy))
-        sign = self.direction
-        if _LIB is not None:
-            # the bisection below, in `_rodas.c`
-            out = (ctypes.c_double * 2)()
-            found = _LIB.rodas_crossing(t0, x0, y0, dx0, dy0, t1, x1, y1, dx1, dy1, x_s, y_s, sign, out)
-            return (out[0], out[1]) if found else None
         s0, s1 = sign * (x0 - x_s), sign * (x1 - x_s)
         if not s0 > 0.0 > s1:
             return None
@@ -177,16 +197,30 @@ class Trajectory:
         return (t0 + s * h, y) if y > y_s else None
 
 
-def _kernel_arrays(*arrays):
-    """`arrays` as the calls of `_rodas.c` read them, C-contiguous float64
-    (a no-op for the arrays of a run), or None where the library is not
-    loaded, or unless each is 1-D and all have one length.  Lists, strided
-    or integer arrays of a hand-built Trajectory or LimitCycle are copied;
+def _node_block(traj):
+    """The node block of `traj` and its address, as the passes of `_rodas.c`
+    read them, or None where the library is not loaded or the fields are no
+    block of nodes: the run's own block while `integrate`'s rows are its
+    fields (see `Trajectory`), else its fields stacked by `_block`."""
+    if traj._nodes and _LIB is not None:
+        block, address, t, x, y, dx, dy = traj._nodes
+        if (traj.t is t and traj.x is x and traj.y is y and traj.dx is dx and traj.dy is dy
+                and t.base is block and x.base is block and y.base is block
+                and dx.base is block and dy.base is block):
+            return block, address
+    block = _block(traj.t, traj.x, traj.y, traj.dx, traj.dy)
+    return None if block is None or not block.shape[1] else (block, block.ctypes.data)
+
+
+def _block(*rows):
+    """`rows` as the rows of a fresh C-contiguous float64 block, the form in
+    which `_rodas.c` reads arrays, or None where the library is not loaded,
+    or unless each is 1-D and all have one length.  Lists, strided or
+    integer arrays of a hand-built Trajectory or LimitCycle are converted;
     other shapes are left to the numpy forms."""
-    if _LIB is None or any(np.ndim(a) != 1 for a in arrays):
+    if _LIB is None or any(np.ndim(a) != 1 for a in rows) or len({len(a) for a in rows}) != 1:
         return None
-    out = [np.ascontiguousarray(a, dtype=float) for a in arrays]
-    return out if len({len(a) for a in out}) == 1 else None
+    return np.array(rows, dtype=float)
 
 
 def _hermite(s, p0, p1, d0, d1, h):
@@ -241,7 +275,8 @@ def integrate(
     built (`kernel()` is "c"), else by `_python_loop` ("python"): the same
     arithmetic, so the same bits.  This function checks the arguments, takes
     the first step size, orders the sections and assembles the trajectory or
-    the error; every run is a call of it.
+    the error; every run is a call of it.  Either loop returns the nodes
+    as one (5, n) block, whose rows are the trajectory's fields.
     """
     if params.eps <= 0.0:
         raise ValueError("integrate requires eps > 0; use the singular module for eps = 0")
@@ -271,6 +306,9 @@ def integrate(
     nodes, naccept, nreject, closing, error = loop(
         x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm, watch, marks)
     traj = Trajectory(*nodes, direction, {"steps": naccept, "rejected": nreject, "tol": tol}, closing)
+    if _LIB is not None:
+        # the block's address, taken once for every pass over the run
+        traj._nodes = (nodes, nodes.ctypes.data, traj.t, traj.x, traj.y, traj.dx, traj.dy)
     if error is None:
         return traj
     error.trajectory = traj
@@ -280,8 +318,9 @@ def integrate(
 
 
 def _compiled_loop(x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm, watch, marks):
-    """`_python_loop`, run by `rodas_run` of `_rodas.c` into a node buffer
-    that doubles whenever it fills."""
+    """`_python_loop`, run by `rodas_run` of `_rodas.c` into a (5, capacity)
+    node buffer that doubles whenever it fills; the run's block is a copy of
+    its first n columns."""
     nsec = len(watch)
     io = (ctypes.c_double * 17)(b, c, sx, sy, tol, t_end, max_norm, _H_FLOOR, direction,
                                 0.0, x, y, fx, fy, h, -x if x < 0.0 else x, -y if y < 0.0 else y)
@@ -318,7 +357,8 @@ def _python_loop(x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm,
     step `h` in the scaled field (sx f, sy g), where the compiled one could
     not be built: the node arrays (t, x, y, dx, dy), the accepted and the
     rejected steps, the closing and the IntegrationError that ended the run,
-    or None.
+    or None; the node arrays are the rows of one (5, n) block, as the
+    compiled loop returns them.
 
     Each step is the straight-line RODAS step: the stages are scalar locals,
     the field is inlined as 4x - y - x^3 (the loop's -y + 4x - x^3 to the
@@ -474,7 +514,7 @@ def _python_loop(x, y, fx, fy, h, b, c, sx, sy, tol, t_end, direction, max_norm,
                     break
     except IntegrationError as exc:
         error = exc
-    return tuple(map(np.array, (ts, xs, ys, dxs, dys))), naccept, nreject, closing, error
+    return np.array((ts, xs, ys, dxs, dys)), naccept, nreject, closing, error
 
 
 def _shoot(start, params, t_end, lines, stats, start_on=None, **kwargs):
@@ -789,12 +829,12 @@ def _divergence(traj, t_0, t_c, params):
     """Integral of div F = (4 - 3x^2)/eps - b over [t_0, t_c] of `traj`,
     where t_c lies in its last step: a three-point Gauss rule on each
     step's cubic-Hermite x(t)."""
-    nodes = _kernel_arrays(traj.t, traj.x, traj.dx)
-    if nodes is not None and len(nodes[0]) and nodes[0][0] <= t_0 < nodes[0][-1]:
+    nodes = _node_block(traj)
+    if nodes is not None and nodes[0][0, 0] <= t_0 < nodes[0][0, -1]:
         # the rule below, in `_rodas.c`, each term made as it is summed
-        t, x, dx = nodes
-        return _LIB.rodas_divergence(t.ctypes.data, x.ctypes.data, dx.ctypes.data, len(t), t_0, t_c,
-                                     params.eps, params.b, _GAUSS_TABLE)
+        block, address = nodes
+        return _LIB.rodas_divergence(address, block.shape[1], t_0, t_c, params.eps, params.b,
+                                     _GAUSS_TABLE)
     i = int(np.searchsorted(traj.t, t_0, side="right")) - 1
     t, x, dx = traj.t[i:], traj.x[i:], traj.dx[i:]
     h = np.diff(t)

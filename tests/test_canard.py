@@ -252,6 +252,49 @@ class TestCompiledBand:
         assert {k for _, k in got} == set(CanardClass) and len(got) >= 80
 
 
+def _rolled_longest_run(inside, seg):
+    """`canard._longest_run` as it rotated the loop with np.roll."""
+    if inside.all():
+        return float(np.add.accumulate(np.concatenate([seg, seg]))[-1])
+    first_out = int(np.argmin(inside))
+    inside, seg = np.roll(inside, -first_out), np.roll(seg, -first_out)
+    edges = np.flatnonzero(np.diff(inside.astype(np.int8), append=np.int8(0)))
+    return max((float(np.add.accumulate(seg[a + 1:b + 1])[-1])
+                for a, b in zip(edges[::2], edges[1::2])), default=0.0)
+
+
+def test_classification_matches_rolled_form(recipe_scan_cycles, monkeypatch):
+    # the segments, their lengths and the longest run as they were taken
+    # with np.roll: the same class and the same bits on every scan cycle
+    real = canard._longest_run
+    seen = []
+
+    def recording(inside, seg):
+        seen.append((inside, seg, real(inside, seg)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(canard, "_longest_run", recording)
+    runs = []
+    for lc, klass in recipe_scan_cycles:
+        in_band = _within_middle_band(lc.x, lc.y, canard.MIDDLE_BAND)
+        inside = in_band & np.roll(in_band, -1)
+        seg = np.hypot(np.roll(lc.x, -1) - lc.x, np.roll(lc.y, -1) - lc.y)
+        seen.clear()
+        assert classify_canard(lc) is klass
+        if lc.diameter >= canard.SMALL_CYCLE_DIAMETER:
+            ((got_inside, got_seg, got_run),) = seen
+            np.testing.assert_array_equal(got_inside, inside)
+            assert got_seg.tobytes() == seg.tobytes()
+            run = _rolled_longest_run(inside, seg)
+            assert got_run.hex() == run.hex()
+            runs.append(run)
+            klass_rolled = (CanardClass.RELAXATION if run < canard.MIN_MIDDLE_ARC
+                            else CanardClass.HEADED if np.any(lc.x < -FOLD_X)
+                            else CanardClass.HEADLESS)
+            assert klass is klass_rolled
+    assert len(runs) >= 40 and min(runs) < canard.MIN_MIDDLE_ARC < max(runs)
+
+
 @pytest.mark.usefixtures("numpy_band")
 class TestCompiledBandNumpyForm(TestCompiledBand):
     """TestCompiledBand with the numpy walk on both sides: the classes of

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import signal
 import sys
@@ -1415,6 +1417,87 @@ class TestPassesOverRuns:
 @pytest.mark.usefixtures("python_loop")
 class TestPassesOverRunsPythonLoop(TestPassesOverRuns):
     """TestPassesOverRuns with the numpy forms on both sides."""
+
+
+def _node_passes(tr, params):
+    """Every pass over the run `tr`: dense output, crossings of half-lines
+    across its loop and at its first and last steps, and divergence
+    integrals."""
+    out = [np.concatenate(tr.sample(_probe_times(tr.t))).tobytes()]
+    for x_s in np.linspace(-2.0, 2.0, 9):
+        d = tr.x - x_s
+        steps = [*(np.flatnonzero((d[:-1] > 0.0) & (d[1:] < 0.0)) + 1).tolist(), 1, -1]
+        out += [tr.crossing(i, float(x_s), phi(x_s)) for i in steps]
+    return out + [dynamics._divergence(tr, *s, params).hex() for s in _stretches(tr)]
+
+
+class TestNodeBlock:
+    """A run's five node arrays are the rows of one (5, n) block, which the
+    passes of `_rodas.c` read at its address while the fields are still its
+    rows; every other form of the run is read afresh, with the numpy forms'
+    bits."""
+
+    PARAMS = SystemParams(0.0, 0.0, 0.5)
+
+    def _run(self):
+        return integrate(A_START, self.PARAMS, 15.0, tol=1e-9)
+
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    def test_fields_are_rows_of_one_block(self, monkeypatch, loop):
+        if loop == "python":
+            monkeypatch.setattr(dynamics, "_LIB", None)
+        tr = self._run()
+        block = tr.t.base
+        assert isinstance(block, np.ndarray) and block.dtype == np.float64
+        assert block.flags.c_contiguous and block.shape == (5, len(tr.t)) and len(tr.t) > 100
+        for k, name in enumerate(("t", "x", "y", "dx", "dy")):
+            row = getattr(tr, name)
+            assert row.base is block and row.ctypes.data == block[k].ctypes.data
+            assert row.shape == block[k].shape and row.strides == block[k].strides
+
+    def test_passes_match_numpy_form_on_every_form_of_a_run(self):
+        tr = self._run()
+        want = _numpy_form(lambda: _node_passes(tr, self.PARAMS))
+        assert _node_passes(tr, self.PARAMS) == want
+        assert sum(c is not None for c in want if isinstance(c, tuple)) >= 10
+
+        def edited(run):
+            # an edit in place of every row, away from the ends of the run
+            for name in ("t", "x", "y", "dx", "dy"):
+                getattr(run, name)[40:60] *= 1.0 + 1e-3
+            return run
+
+        rebound = self._run()
+        rebound.x = rebound.x + 1e-3
+        replaced = self._run()
+        replaced = dataclasses.replace(replaced, y=replaced.y - 1e-3)
+        forms = {
+            "rebound": rebound,
+            "edited": edited(self._run()),
+            "deepcopy": edited(copy.deepcopy(self._run())),
+            "pickle": edited(pickle.loads(pickle.dumps(self._run()))),
+            "replace": replaced,
+        }
+        for name, form in forms.items():
+            got = _node_passes(form, self.PARAMS)
+            assert got == _numpy_form(lambda: _node_passes(form, self.PARAMS)), name
+            assert got != want, name
+        # the copies were edited, not the run they were copied from
+        assert _node_passes(tr, self.PARAMS) == want
+
+    def test_crossing_out_of_range_raises_as_numpy_form(self):
+        tr = self._run()
+        n = len(tr.t)
+        for i in (0, n, n + 3, -n, -n - 2):
+            with pytest.raises(IndexError) as got:
+                tr.crossing(i, 0.0, 0.0)
+            with pytest.raises(IndexError) as want:
+                _numpy_form(lambda: tr.crossing(i, 0.0, 0.0))
+            assert str(got.value) == str(want.value)
+        # the ends of the range are steps
+        for i in (n - 1, 1 - n):
+            assert tr.crossing(i, tr.x[-1], -math.inf) == _numpy_form(
+                lambda: tr.crossing(i, tr.x[-1], -math.inf))
 
 
 def _passes(cases):
